@@ -15,6 +15,7 @@ from .dataset import (
     generate_synthetic,
     label_complement,
     load_jsonl,
+    load_jsonl_files,
     save_jsonl,
 )
 from .losses import (
@@ -22,11 +23,12 @@ from .losses import (
     contrastive_loss,
     dist,
     group_loss,
-    hard_class_mine,
     max_negative,
+    ml2_batch_loss,
     ml2_loss,
     ml2plus_loss,
     overlap_tau,
+    pretrain_batch_loss,
     pretrain_loss,
     smooth_max_negative,
     triplet_loss,
@@ -35,6 +37,7 @@ from .model import EmbeddingModel, EncoderConfig
 from .numeric import ParamStore, check_gradient, l2_normalize, matmul
 from .sampler import (
     AnchorGroup,
+    GroupBatch,
     MiniBatch,
     Pair,
     Triplet,

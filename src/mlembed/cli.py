@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds_mod
-from .dataset import DatasetSplits, SyntheticSpec, generate_synthetic, load_jsonl, save_jsonl
+from .dataset import DatasetSplits, SyntheticSpec, generate_synthetic, load_jsonl_files, save_jsonl
 from .errors import ConfigError, ContractError, DataFormatError, SamplingError, TrainingAbort
 from .evaluation import abnormal_labels, evaluate_embeddings, project_2d
 from .model import EmbeddingModel, EncoderConfig
@@ -115,7 +115,8 @@ def train_config_from(train_cfg: dict) -> TrainConfig:
 
 
 def load_dataset_dir(path: str | Path) -> DatasetSplits:
-    """Load train/val/test JSONL files; label_count comes from the manifest."""
+    """Load train/val/test JSONL files; label_count comes from the manifest,
+    or without one is inferred once across all three splits."""
     directory = Path(path)
     if not directory.is_dir():
         raise FileNotFoundError(f"dataset directory {directory} does not exist")
@@ -124,13 +125,12 @@ def load_dataset_dir(path: str | Path) -> DatasetSplits:
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         label_count = manifest.get("label_count")
-    loaded = {}
-    for split in ("train", "val", "test"):
-        file = directory / f"{split}.jsonl"
+    files = [directory / f"{split}.jsonl" for split in ("train", "val", "test")]
+    for file in files:
         if not file.exists():
             raise FileNotFoundError(f"missing dataset file {file}")
-        loaded[split] = load_jsonl(file, label_count=label_count)
-    return DatasetSplits(**loaded)
+    train, val, test = load_jsonl_files(files, label_count=label_count)
+    return DatasetSplits(train=train, val=val, test=test)
 
 
 def _labels_field(labels) -> str:

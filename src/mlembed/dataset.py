@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -53,16 +54,19 @@ class Example:
 
 
 class Dataset:
-    """Immutable collection of examples plus a per-label index."""
+    """Immutable collection of examples.
+
+    The arrays the training hot path reads (feature matrix, label bitmasks,
+    label matrix, per-label positions) are built on first use and cached.
+    """
 
     def __init__(self, examples: list[Example], label_count: int):
         if label_count < 1:
             raise DataFormatError("label_count must be >= 1")
         feature_dim = None
-        by_id: dict[str, Example] = {}
-        label_index: dict[int, list[int]] = {k: [] for k in range(label_count)}
+        positions: dict[str, int] = {}
         for pos, ex in enumerate(examples):
-            if ex.id in by_id:
+            if ex.id in positions:
                 raise DataFormatError(f"duplicate example id {ex.id!r}")
             if feature_dim is None:
                 feature_dim = ex.features.shape[0]
@@ -73,40 +77,78 @@ class Dataset:
             if not np.all(np.isfinite(ex.features)):
                 raise DataFormatError(f"record {ex.id!r}: non-finite feature value")
             validate_labels(ex.labels, label_count)
-            by_id[ex.id] = ex
-            for lab in ex.labels:
-                label_index[lab].append(pos)
+            positions[ex.id] = pos
         self.examples = list(examples)
         self.label_count = label_count
         self.feature_dim = feature_dim if feature_dim is not None else 0
-        self._by_id = by_id
-        self._label_index = label_index
-        self._single_label_index = {
-            k: [i for i in label_index[k] if len(self.examples[i].labels) == 1]
-            for k in range(label_count)
-        }
+        self._positions = positions
 
     def __len__(self) -> int:
         return len(self.examples)
 
     def by_id(self, example_id: str) -> Example:
-        return self._by_id[example_id]
+        return self.examples[self._positions[example_id]]
+
+    def position(self, example_id: str) -> int:
+        return self._positions[example_id]
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        """Read-only (n, w) feature matrix, rows in example order."""
+        X = np.stack([ex.features for ex in self.examples])
+        X.flags.writeable = False
+        return X
+
+    @cached_property
+    def label_masks(self) -> list[int]:
+        """Per-row label bitmask: bit k is set when the row carries label k.
+
+        Python ints, so any label count fits and the sampler's per-draw
+        overlap test (``mask_a & mask_b``) stays a scalar operation.
+        """
+        return [sum(1 << lab for lab in ex.labels) for ex in self.examples]
+
+    @cached_property
+    def label_matrix(self) -> np.ndarray:
+        """Read-only (n, label_count) bool matrix of label membership."""
+        L = np.zeros((len(self.examples), self.label_count), dtype=bool)
+        for pos, ex in enumerate(self.examples):
+            L[pos, list(ex.labels)] = True
+        L.flags.writeable = False
+        return L
+
+    @cached_property
+    def _label_positions(self) -> list[list[int]]:
+        # Lists rather than arrays: the sampler reads one element per draw.
+        index: list[list[int]] = [[] for _ in range(self.label_count)]
+        for pos, ex in enumerate(self.examples):
+            for lab in ex.labels:
+                index[lab].append(pos)
+        return index
+
+    @cached_property
+    def _single_label_positions(self) -> list[list[int]]:
+        return [
+            [i for i in pool if len(self.examples[i].labels) == 1]
+            for pool in self._label_positions
+        ]
 
     def positions_with_label(self, label: int) -> list[int]:
-        return self._label_index[label]
+        """Ascending positions of examples carrying ``label``."""
+        return self._label_positions[label]
 
     def single_label_positions(self, label: int) -> list[int]:
-        """Positions of examples whose label set is exactly {label}."""
-        return self._single_label_index[label]
+        """Ascending positions of examples whose label set is exactly {label}."""
+        return self._single_label_positions[label]
 
     def examples_with_label(self, label: int) -> list[Example]:
-        return [self.examples[i] for i in self._label_index[label]]
+        return [self.examples[i] for i in self.positions_with_label(label)]
 
     def ids(self) -> list[str]:
         return [ex.id for ex in self.examples]
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack([ex.features for ex in self.examples])
+        return self.X
 
     def distinct_label_sets(self) -> list[frozenset[int]]:
         """Distinct label sets in first-appearance order."""
@@ -281,8 +323,31 @@ def save_jsonl(ds: Dataset, path: str | Path) -> None:
 
 def load_jsonl(path: str | Path, label_count: int | None = None) -> Dataset:
     """Load a JSONL dataset; infers label_count as max index + 1 when not given."""
-    path = Path(path)
-    raw: list[tuple[str, list[float], list[int]]] = []
+    return load_jsonl_files([path], label_count)[0]
+
+
+def load_jsonl_files(paths, label_count: int | None = None) -> list[Dataset]:
+    """Load JSONL datasets that share one label_count.
+
+    When ``label_count`` is not given it is inferred once, as max index + 1
+    over the records of every file, so a split that lacks the top label
+    still agrees with the others.
+    """
+    records = [_read_jsonl(Path(path)) for path in paths]
+    if label_count is None:
+        top = -1
+        for _, _, labels in (rec for recs in records for rec in recs):
+            for lab in labels:
+                if isinstance(lab, int) and not isinstance(lab, bool):
+                    top = max(top, lab)
+        label_count = top + 1 if top >= 0 else 1
+    return [_dataset_from_records(recs, label_count) for recs in records]
+
+
+def _read_jsonl(path: Path) -> list[tuple[str, np.ndarray, list]]:
+    # Features become arrays as each line is read: a list of Python floats
+    # takes several times the memory, and every split is held at once.
+    raw: list[tuple[str, np.ndarray, list]] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -302,24 +367,19 @@ def load_jsonl(path: str | Path, label_count: int | None = None) -> Dataset:
                 raise DataFormatError(f"record {rid!r}: features must be a non-empty list")
             if not isinstance(record["labels"], list):
                 raise DataFormatError(f"record {rid!r}: labels must be a list")
-            raw.append((rid, record["features"], record["labels"]))
+            try:
+                feats = np.asarray(record["features"], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise DataFormatError(f"record {rid!r}: non-numeric feature") from exc
+            if feats.ndim != 1 or not np.all(np.isfinite(feats)):
+                raise DataFormatError(f"record {rid!r}: features must be finite scalars")
+            raw.append((rid, feats, record["labels"]))
+    return raw
 
-    if label_count is None:
-        top = -1
-        for rid, _, labels in raw:
-            for lab in labels:
-                if isinstance(lab, int) and not isinstance(lab, bool):
-                    top = max(top, lab)
-        label_count = top + 1 if top >= 0 else 1
 
+def _dataset_from_records(raw, label_count: int) -> Dataset:
     examples = []
-    for rid, features, labels in raw:
-        try:
-            feats = np.asarray(features, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(f"record {rid!r}: non-numeric feature") from exc
-        if feats.ndim != 1 or not np.all(np.isfinite(feats)):
-            raise DataFormatError(f"record {rid!r}: features must be finite scalars")
+    for rid, feats, labels in raw:
         try:
             label_set = validate_labels(labels, label_count)
         except DataFormatError as exc:

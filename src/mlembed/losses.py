@@ -11,7 +11,6 @@ scales how much of the margin a positive pair is allowed to keep.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -81,12 +80,14 @@ def dist(u: np.ndarray, v: np.ndarray) -> float:
 def _dists_and_grads(anchor: np.ndarray, others: np.ndarray, eps: float):
     """Distances from the anchor to each row, plus d(dist)/d(anchor).
 
-    The gradient with respect to row i is the negation of row i of the
-    returned gradient matrix. The guard ``eps`` removes the d=0 singularity.
+    ``anchor`` is (..., m) and ``others`` (..., n, m), so a stack of groups
+    is handled the same way as one group. The gradient with respect to row
+    i is the negation of row i of the returned gradient matrix. The guard
+    ``eps`` removes the d=0 singularity.
     """
-    diffs = anchor[None, :] - others
-    d = np.linalg.norm(diffs, axis=1)
-    grads = diffs / (d + eps)[:, None]
+    diffs = anchor[..., None, :] - others
+    d = np.linalg.norm(diffs, axis=-1)
+    grads = diffs / (d + eps)[..., None]
     return d, grads
 
 
@@ -165,15 +166,23 @@ def smooth_max_negative(
     anchor = np.asarray(anchor, dtype=np.float64)
     N = _as_matrix(negatives, "negative")
     d, g = _dists_and_grads(anchor, N, cfg.epsilon_dist)
+    value, anchor_grad, negative_grads = _smooth_max_rows(d[None], g[None], cfg)
+    return SmoothMaxTerm(float(value[0]), anchor_grad[0], negative_grads[0])
+
+
+def _smooth_max_rows(d: np.ndarray, g: np.ndarray, cfg: LossConfig):
+    """:func:`smooth_max_negative` for a stack of anchors, given their
+    distances (r, n) and distance gradients (r, n, m) to their negatives.
+    Returns values (r,), anchor grads (r, m), negative grads (r, n, m)."""
     terms = cfg.margin - d
-    shift = float(np.max(terms))
+    shift = terms.max(axis=1, keepdims=True)
     exps = np.exp(terms - shift)
-    total = float(np.sum(exps))
-    value = shift + float(np.log(total))
+    total = exps.sum(axis=1, keepdims=True)
+    value = (shift + np.log(total))[:, 0]
     weights = exps / total  # softmax over the terms
-    anchor_grad = -(weights @ g)
-    negative_grads = weights[:, None] * g
-    return SmoothMaxTerm(value, anchor_grad, negative_grads)
+    anchor_grad = -(weights[:, None, :] @ g)[:, 0]
+    negative_grads = weights[:, :, None] * g
+    return value, anchor_grad, negative_grads
 
 
 def overlap_tau(a, b) -> float:
@@ -196,32 +205,75 @@ def ml2_loss(
     taus,
     cfg: LossConfig,
 ) -> GroupLossOutput:
-    """Overlap-aware multi-label loss.
-
-    (1/p) sum_i max(0, d(a, x+_i) - margin * tau_i + smooth_max_negative).
-    Every active hinge shares the same smooth negative term, so negatives
-    collect one log-sum-exp-weighted gradient per active positive.
-    """
+    """Overlap-aware multi-label loss for one group; see :func:`ml2_batch_loss`."""
     anchor = np.asarray(anchor, dtype=np.float64)
     P = _as_matrix(positives, "positive")
+    N = _as_matrix(negatives, "negative")
     taus = np.asarray(taus, dtype=np.float64)
     p = P.shape[0]
     if taus.shape != (p,):
         raise ContractError(f"expected {p} tau values, got shape {taus.shape}")
-    if np.any(taus < 0.0) or np.any(taus > 1.0):
+    tau_row = np.concatenate([taus, np.zeros(N.shape[0])])
+    values, G = ml2_batch_loss(np.vstack([anchor, P, N])[None], np.array([p]), tau_row[None], cfg)
+    return GroupLossOutput(float(values[0]), G[0, 0], G[0, 1 : 1 + p], G[0, 1 + p :])
+
+
+def ml2_batch_loss(E: np.ndarray, p, taus, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Overlap-aware multi-label loss over a batch of groups.
+
+    Row i of ``E`` (b, 1 + k, m) holds one group: the anchor, then its
+    ``p[i]`` positives, then its k - p[i] negatives. ``taus`` (b, k) gives
+    each positive's tau in its first p[i] columns; later columns are
+    ignored but must also lie in [0, 1]. Per group the loss is
+
+        (1/p) sum_i max(0, d(a, x+_i) - margin * tau_i + smooth_max_negative).
+
+    Every active hinge shares the same smooth negative term, so negatives
+    collect one log-sum-exp-weighted gradient per active positive. Returns
+    the per-group values (b,) and the gradients with respect to ``E``.
+
+    Groups are processed in buckets of equal p, so each bucket is a dense
+    stack with no padding; the arithmetic per group is the same as for a
+    single group.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    b, width, _ = E.shape
+    k = width - 1
+    p = np.asarray(p)
+    taus = np.asarray(taus, dtype=np.float64)
+    if p.shape != (b,) or taus.shape != (b, k):
+        raise ContractError(f"p {p.shape} and taus {taus.shape} do not fit groups {E.shape}")
+    if (p < 1).any():
+        raise DegenerateGroupError("positive set is empty")
+    if (p >= k).any():
+        raise DegenerateGroupError("negative set is empty")
+    if (taus < 0.0).any() or (taus > 1.0).any():
         raise ContractError("tau values must lie in [0, 1]")
 
-    neg_term = smooth_max_negative(anchor, negatives, cfg)
-    d_p, g_p = _dists_and_grads(anchor, P, cfg.epsilon_dist)
-    hinges = d_p - cfg.margin * taus + neg_term.value
-    active = (hinges > 0.0).astype(np.float64)
-    n_active = int(np.count_nonzero(active))
-    value = float(np.sum(hinges * active)) / p
-
-    anchor_grad = (active @ g_p) / p + (n_active / p) * neg_term.anchor_grad
-    positive_grads = -(active[:, None] * g_p) / p
-    negative_grads = (n_active / p) * neg_term.negative_grads
-    return GroupLossOutput(value, anchor_grad, positive_grads, negative_grads)
+    # Sort the groups by p, so each bucket is a slice; outputs are put back
+    # in the caller's order at the end.
+    order = np.argsort(p, kind="stable")
+    E_sorted, taus = E[order], taus[order]
+    d, g = _dists_and_grads(E_sorted[:, 0], E_sorted[:, 1:], cfg.epsilon_dist)
+    values, G = np.empty(b), np.empty_like(E)  # in sorted order
+    start = 0
+    for q, size in enumerate(np.bincount(p).tolist()):
+        if not size:
+            continue
+        rows = slice(start, start + size)
+        start += size
+        neg_value, neg_anchor_grad, neg_grads = _smooth_max_rows(d[rows, q:], g[rows, q:], cfg)
+        g_p = g[rows, :q]
+        hinges = d[rows, :q] - cfg.margin * taus[rows, :q] + neg_value[:, None]
+        is_active = hinges > 0.0
+        active = is_active.astype(np.float64)
+        share = is_active.sum(axis=1)[:, None] / q  # active hinges / p
+        values[rows] = (hinges * active).sum(axis=1) / q
+        G[rows, 0] = (active[:, None, :] @ g_p)[:, 0] / q + share * neg_anchor_grad
+        G[rows, 1 : 1 + q] = -(active[:, :, None] * g_p) / q
+        G[rows, 1 + q :] = share[:, :, None] * neg_grads
+    unsort = np.argsort(order)
+    return values[unsort], G[unsort]
 
 
 def contrastive_loss(
@@ -266,64 +318,42 @@ def ml2plus_loss(
     return ml2_loss(anchor, P, N, np.full(p, tau), cfg)
 
 
-def hard_class_mine(
-    group: AnchorGroup, emb: Mapping[str, np.ndarray], cfg: LossConfig, k: int
-) -> AnchorGroup:
-    """Keep the k group members contributing most to the loss.
-
-    Positives are scored by d(a, x+) - margin * tau, negatives by
-    margin - d(a, x-). The returned group preserves the positive/negative
-    partition and the relative order within each set.
-    """
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
-    p, n = len(group.positives), len(group.negatives)
-    if k > p + n:
-        raise ContractError(f"k={k} exceeds group size {p + n}")
-    if k == p + n:
-        return group
-
-    anchor = emb[group.anchor.id]
-    scores = np.empty(p + n)
-    for i, ex in enumerate(group.positives):
-        scores[i] = dist(anchor, emb[ex.id]) - cfg.margin * group.tau_values[i]
-    for j, ex in enumerate(group.negatives):
-        scores[p + j] = cfg.margin - dist(anchor, emb[ex.id])
-
-    keep = set(np.argsort(-scores, kind="stable")[:k].tolist())
-    kept_pos = [i for i in range(p) if i in keep]
-    kept_neg = [j for j in range(n) if p + j in keep]
-    return dataclasses.replace(
-        group,
-        positives=tuple(group.positives[i] for i in kept_pos),
-        negatives=tuple(group.negatives[j] for j in kept_neg),
-        tau_values=tuple(group.tau_values[i] for i in kept_pos),
-    )
-
-
 def pretrain_loss(log_probs: np.ndarray, labels, label_count: int) -> PretrainLossOutput:
-    """Mean negative log-likelihood over per-label present/absent heads.
+    """Pre-training loss of one example; see :func:`pretrain_batch_loss`.
 
-    ``log_probs`` is an (l, 2) array of log-softmax pairs with column 0 the
-    log-probability that the label is present. Gradients are returned with
-    respect to the pre-softmax logits: (softmax - onehot) / l.
+    ``log_probs`` is an (l, 2) array of log-softmax pairs.
     """
     lp = np.asarray(log_probs, dtype=np.float64)
     if lp.shape != (label_count, 2):
         raise ContractError(f"expected log-probs of shape ({label_count}, 2), got {lp.shape}")
-    probs = np.exp(lp)
-    sums = probs.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        bad = int(np.argmax(np.abs(sums - 1.0)))
-        raise ContractError(f"row {bad} is not a log-softmax pair (exp-sum {sums[bad]:.12f})")
-
     present = np.zeros(label_count, dtype=bool)
-    for lab in labels:
-        present[lab] = True
-    truth_col = np.where(present, 0, 1)
-    value = -float(np.mean(lp[np.arange(label_count), truth_col]))
+    present[list(labels)] = True
+    values, grads = pretrain_batch_loss(lp[None], present[None])
+    return PretrainLossOutput(float(values[0]), grads[0])
 
+
+def pretrain_batch_loss(
+    log_probs: np.ndarray, present: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean negative log-likelihood over per-label present/absent heads.
+
+    ``log_probs`` is a (b, l, 2) array of log-softmax pairs with column 0 the
+    log-probability that the label is present; ``present`` is the (b, l)
+    label matrix. Returns the per-row values (b,) and the gradients with
+    respect to the pre-softmax logits: (softmax - onehot) / l.
+    """
+    lp = np.asarray(log_probs, dtype=np.float64)
+    b, l, _ = lp.shape
+    probs = np.exp(lp)
+    sums = probs.sum(axis=2)
+    off = np.abs(sums - 1.0) > 1e-9
+    if np.any(off):
+        row, head = np.argwhere(off)[0]
+        raise ContractError(
+            f"row {row} head {head} is not a log-softmax pair (exp-sum {sums[row, head]:.12f})"
+        )
+    truth_col = np.where(present, 0, 1)[:, :, None]
+    values = -np.mean(np.take_along_axis(lp, truth_col, axis=2)[:, :, 0], axis=1)
     onehot = np.zeros_like(lp)
-    onehot[np.arange(label_count), truth_col] = 1.0
-    grads = (probs - onehot) / label_count
-    return PretrainLossOutput(value, grads)
+    np.put_along_axis(onehot, truth_col, 1.0, axis=2)
+    return values, (probs - onehot) / l

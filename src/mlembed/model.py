@@ -246,8 +246,21 @@ class EmbeddingModel:
             magic = fh.read(len(CHECKPOINT_MAGIC))
             if magic != CHECKPOINT_MAGIC:
                 raise DataFormatError(f"{path.name}: not a checkpoint file")
-            (blob_len,) = struct.unpack("<Q", fh.read(8))
-            header = json.loads(fh.read(blob_len).decode("utf-8"))
+            length = fh.read(8)
+            if len(length) != 8:
+                raise DataFormatError(f"{path.name}: truncated header")
+            (blob_len,) = struct.unpack("<Q", length)
+            # A length past the end of the file is truncation; reading it
+            # as asked would try to allocate that many bytes.
+            blob = fh.read(min(blob_len, path.stat().st_size))
+            if len(blob) != blob_len:
+                raise DataFormatError(f"{path.name}: truncated header")
+            try:
+                header = json.loads(blob.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise DataFormatError(f"{path.name}: header is not valid JSON") from exc
+            if not isinstance(header, dict):
+                raise DataFormatError(f"{path.name}: header is not a JSON object")
             if header.get("format_version") != CHECKPOINT_VERSION:
                 raise DataFormatError(
                     f"{path.name}: unsupported format version {header.get('format_version')}"

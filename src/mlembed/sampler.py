@@ -6,19 +6,25 @@ kind here. Groups that cannot be completed for a given anchor (empty
 negative set, duplicate draws that cannot be resolved) raise
 :class:`~mlembed.errors.GroupRejected`, which :func:`build_minibatch`
 handles by moving on to a fresh anchor.
+
+ML2 and ML2+ groups are drawn as rows of dataset positions,
+``[anchor, positives..., negatives...]``, so a minibatch of them is a dense
+``(b, 1 + l)`` index matrix (:class:`GroupBatch`). The pair and triplet
+regimes of the baselines return :class:`Pair` and :class:`Triplet` items.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, Example
 from .errors import ContractError, GroupRejected, SamplingError
-from .losses import overlap_tau
 
 REGIMES = ("contrastive", "triplet", "ml2", "ml2plus")
+GROUP_REGIMES = ("ml2", "ml2plus")
 
 # Redraw budget before giving up on an anchor (duplicate or rejected draws).
 MAX_DRAW_ATTEMPTS = 100
@@ -58,98 +64,157 @@ class Triplet:
 @dataclass(frozen=True)
 class MiniBatch:
     regime: str
-    items: tuple  # AnchorGroups, Pairs, or Triplets depending on regime
+    items: tuple  # Pairs or Triplets depending on regime
 
 
-def _draw(pool: list[int], rng) -> int:
-    return pool[int(rng.integers(len(pool)))]
+@dataclass(frozen=True)
+class GroupBatch:
+    """A minibatch of ML2/ML2+ groups as arrays.
+
+    ``rows`` (b, 1 + l) holds dataset positions, each row the anchor, then
+    its ``p[i]`` positives, then its l - p[i] negatives. ``taus`` (b, l)
+    holds each positive's tau in the first p[i] columns and 0 after.
+    """
+
+    rows: np.ndarray
+    p: np.ndarray
+    taus: np.ndarray
+
+
+def _tau(mask_a: int, mask_b: int) -> float:
+    """Jaccard distance of two label bitmasks (see ``losses.overlap_tau``)."""
+    union = (mask_a | mask_b).bit_count()
+    return (union - (mask_a & mask_b).bit_count()) / union
+
+
+def _draw_distinct(
+    pool: list[int], a: int, holds_anchor: bool, used: set[int], rng
+) -> int | None:
+    """Uniform draw from ``pool`` without the anchor position ``a``, redrawn
+    while it hits ``used``; None when every attempt did.
+
+    The anchor is skipped by shifting the drawn index past its rank, so each
+    draw is one ``rng.integers`` call and the pool is never rebuilt.
+    """
+    rank = bisect_left(pool, a) if holds_anchor else len(pool)
+    size = len(pool) - holds_anchor
+    for _ in range(MAX_DRAW_ATTEMPTS):
+        j = int(rng.integers(size))
+        pos = pool[j + (j >= rank)]
+        if pos not in used:
+            used.add(pos)
+            return pos
+    return None
+
+
+def _ml2_row(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float]]:
+    """One ML2 group for the anchor at position ``a``: (row, p, taus).
+
+    A representative drawn for a label outside the anchor's set may still
+    share some other label with the anchor; it then counts as a positive.
+    """
+    masks = ds.label_masks
+    anchor_mask = masks[a]
+    used = {a}
+    drawn: list[int] = []
+    for label in range(ds.label_count):
+        pool = ds.positions_with_label(label)
+        holds_anchor = bool(anchor_mask >> label & 1)
+        if len(pool) == holds_anchor:
+            raise SamplingError(f"label {label} has no candidate besides the anchor")
+        pos = _draw_distinct(pool, a, holds_anchor, used, rng)
+        if pos is None:
+            raise GroupRejected(f"no distinct representative for label {label}")
+        drawn.append(pos)
+
+    positives = [i for i in drawn if masks[i] & anchor_mask]
+    negatives = [i for i in drawn if not masks[i] & anchor_mask]
+    if not negatives:
+        raise GroupRejected(f"anchor {ds.examples[a].id!r} leaves an empty negative set")
+    taus = [_tau(anchor_mask, masks[i]) for i in positives]
+    return [a, *positives, *negatives], len(positives), taus + [0.0] * len(negatives)
+
+
+def _ml2plus_row(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float]]:
+    """One ML2+ group for the anchor at position ``a``: (row, p, taus).
+
+    One single-label positive per anchor label, and one zero-overlap
+    negative per remaining label. tau is (p - 1) / p throughout.
+    """
+    masks = ds.label_masks
+    anchor_mask = masks[a]
+    anchor_labels = [k for k in range(ds.label_count) if anchor_mask >> k & 1]
+    p = len(anchor_labels)
+    if p == ds.label_count:
+        raise GroupRejected(
+            f"anchor {ds.examples[a].id!r} carries all labels; empty negative set"
+        )
+
+    used = {a}
+    row = [a]
+    holds_anchor = p == 1  # a single-label anchor sits in its label's pool
+    for label in anchor_labels:
+        pool = ds.single_label_positions(label)
+        if len(pool) == holds_anchor:
+            raise SamplingError(f"no single-label example for label {label}")
+        pos = _draw_distinct(pool, a, holds_anchor, used, rng)
+        if pos is None:
+            raise GroupRejected(f"no distinct single-label positive for label {label}")
+        row.append(pos)
+
+    for label in range(ds.label_count):
+        if anchor_mask >> label & 1:
+            continue
+        pool = ds.positions_with_label(label)
+        if not pool:
+            raise SamplingError(f"label {label} has no examples")
+        for _ in range(MAX_DRAW_ATTEMPTS):
+            pos = pool[int(rng.integers(len(pool)))]
+            if pos not in used and not masks[pos] & anchor_mask:
+                break
+        else:
+            # Rare path: prove whether a valid candidate exists at all.
+            valid = [i for i in pool if i not in used and not masks[i] & anchor_mask]
+            if not valid:
+                raise SamplingError(
+                    f"no zero-overlap negative for label {label} given anchor "
+                    f"{ds.examples[a].id!r}"
+                )
+            pos = valid[int(rng.integers(len(valid)))]
+        used.add(pos)
+        row.append(pos)
+
+    tau = (p - 1) / p
+    return row, p, [tau] * p + [0.0] * (ds.label_count - p)
+
+
+def _as_group(ds: Dataset, drawn: tuple[list[int], int, list[float]]) -> AnchorGroup:
+    row, p, taus = drawn
+    members = [ds.examples[i] for i in row]
+    return AnchorGroup(
+        members[0], tuple(members[1 : 1 + p]), tuple(members[1 + p :]), tuple(taus[:p])
+    )
 
 
 def sample_group_ml2(ds: Dataset, anchor: Example, rng) -> AnchorGroup:
     """Draw one example per label and partition by the shared-label test.
 
-    A representative drawn for a label outside the anchor's set may still
-    share some other label with the anchor; it then counts as a positive.
+    Example-level view of the draw :func:`build_minibatch` makes for each
+    ML2 anchor, with the same use of ``rng``. ``anchor`` must belong to
+    ``ds``.
     """
-    used = {anchor.id}
-    drawn: list[Example] = []
-    for label in range(ds.label_count):
-        pool = [i for i in ds.positions_with_label(label) if ds.examples[i].id != anchor.id]
-        if not pool:
-            raise SamplingError(f"label {label} has no candidate besides the anchor")
-        for _ in range(MAX_DRAW_ATTEMPTS):
-            ex = ds.examples[_draw(pool, rng)]
-            if ex.id not in used:
-                break
-        else:
-            raise GroupRejected(f"no distinct representative for label {label}")
-        used.add(ex.id)
-        drawn.append(ex)
-
-    positives = tuple(ex for ex in drawn if ex.labels & anchor.labels)
-    negatives = tuple(ex for ex in drawn if not (ex.labels & anchor.labels))
-    if not negatives:
-        raise GroupRejected(f"anchor {anchor.id!r} leaves an empty negative set")
-    taus = tuple(overlap_tau(anchor.labels, ex.labels) for ex in positives)
-    return AnchorGroup(anchor, positives, negatives, taus)
+    return _as_group(ds, _ml2_row(ds, ds.position(anchor.id), rng))
 
 
 def sample_group_ml2plus(ds: Dataset, anchor: Example, rng) -> AnchorGroup:
     """Strict variant: one single-label positive per anchor label, and one
-    zero-overlap negative per remaining label. tau is (p - 1) / p throughout."""
-    anchor_labels = sorted(anchor.labels)
-    p = len(anchor_labels)
-    if p == ds.label_count:
-        raise GroupRejected(f"anchor {anchor.id!r} carries all labels; empty negative set")
+    zero-overlap negative per remaining label. tau is (p - 1) / p throughout.
 
-    used = {anchor.id}
-    positives: list[Example] = []
-    for label in anchor_labels:
-        pool = [
-            i
-            for i in ds.single_label_positions(label)
-            if ds.examples[i].id != anchor.id
-        ]
-        if not pool:
-            raise SamplingError(f"no single-label example for label {label}")
-        for _ in range(MAX_DRAW_ATTEMPTS):
-            ex = ds.examples[_draw(pool, rng)]
-            if ex.id not in used:
-                break
-        else:
-            raise GroupRejected(f"no distinct single-label positive for label {label}")
-        used.add(ex.id)
-        positives.append(ex)
-
-    negatives: list[Example] = []
-    for label in sorted(frozenset(range(ds.label_count)) - anchor.labels):
-        pool = ds.positions_with_label(label)
-        if not pool:
-            raise SamplingError(f"label {label} has no examples")
-        chosen = None
-        for _ in range(MAX_DRAW_ATTEMPTS):
-            ex = ds.examples[_draw(pool, rng)]
-            if ex.id not in used and not (ex.labels & anchor.labels):
-                chosen = ex
-                break
-        if chosen is None:
-            # Rare path: prove whether a valid candidate exists at all.
-            valid = [
-                ds.examples[i]
-                for i in pool
-                if ds.examples[i].id not in used
-                and not (ds.examples[i].labels & anchor.labels)
-            ]
-            if not valid:
-                raise SamplingError(
-                    f"no zero-overlap negative for label {label} given anchor {anchor.id!r}"
-                )
-            chosen = valid[int(rng.integers(len(valid)))]
-        used.add(chosen.id)
-        negatives.append(chosen)
-
-    tau = (p - 1) / p
-    return AnchorGroup(anchor, tuple(positives), tuple(negatives), (tau,) * p)
+    Example-level view of the draw :func:`build_minibatch` makes for each
+    ML2+ anchor, with the same use of ``rng``. ``anchor`` must belong to
+    ``ds``.
+    """
+    return _as_group(ds, _ml2plus_row(ds, ds.position(anchor.id), rng))
 
 
 def _draw_partner(ds: Dataset, anchor: Example, want_shared: bool, rng) -> Example | None:
@@ -195,11 +260,12 @@ def sample_triplet(ds: Dataset, anchor: Example, rng) -> Triplet:
     return Triplet(anchor, positive, negative)
 
 
-def build_minibatch(ds: Dataset, b: int, regime: str, rng) -> MiniBatch:
+def build_minibatch(ds: Dataset, b: int, regime: str, rng) -> MiniBatch | GroupBatch:
     """Assemble ``b`` items for the given regime.
 
     Anchors are drawn uniformly without replacement; anchors whose group
-    cannot be completed are skipped.
+    cannot be completed are skipped. ML2 and ML2+ give a :class:`GroupBatch`,
+    the pair and triplet regimes a :class:`MiniBatch`.
     """
     if regime not in REGIMES:
         raise ContractError(f"unknown regime {regime!r}; expected one of {REGIMES}")
@@ -209,16 +275,17 @@ def build_minibatch(ds: Dataset, b: int, regime: str, rng) -> MiniBatch:
         raise SamplingError(f"batch size {b} exceeds split size {len(ds)}")
 
     samplers = {
-        "ml2": sample_group_ml2,
-        "ml2plus": sample_group_ml2plus,
+        "ml2": _ml2_row,
+        "ml2plus": _ml2plus_row,
         "triplet": sample_triplet,
         "contrastive": sample_pair,
     }
     sample = samplers[regime]
+    grouped = regime in GROUP_REGIMES
 
     items = []
     for pos in rng.permutation(len(ds)):
-        anchor = ds.examples[int(pos)]
+        anchor = int(pos) if grouped else ds.examples[int(pos)]
         try:
             items.append(sample(ds, anchor, rng))
         except GroupRejected:
@@ -229,4 +296,13 @@ def build_minibatch(ds: Dataset, b: int, regime: str, rng) -> MiniBatch:
         raise SamplingError(
             f"only {len(items)} of {b} requested items could be assembled"
         )
-    return MiniBatch(regime=regime, items=tuple(items))
+    if not grouped:
+        return MiniBatch(regime=regime, items=tuple(items))
+
+    rows, p, taus = (np.array(column) for column in zip(*items))
+    if regime == "ml2plus":
+        # Every ML2+ positive carries exactly one label (popcount 1).
+        positive = np.arange(ds.label_count) < p[:, None]
+        if np.any(ds.label_matrix[rows[:, 1:]].sum(axis=2)[positive] != 1):
+            raise ContractError("ML2+ batch holds a positive that is not single-label")
+    return GroupBatch(rows=rows, p=p, taus=taus)

@@ -23,14 +23,17 @@ from .evaluation import Partition, kmeans, nmi, recall_at_k
 from .losses import (
     LossConfig,
     contrastive_loss,
-    ml2_loss,
-    ml2plus_loss,
-    pretrain_loss,
+    ml2_batch_loss,
+    pretrain_batch_loss,
     triplet_loss,
 )
+
+# The benchmark's tracer (bench/tracer.py) hooks these names here. Training
+# no longer calls them: ML2/ML2+ and pre-training use the batched kernels.
+from .losses import ml2plus_loss, pretrain_loss  # noqa: F401
 from .model import EmbeddingModel, EncoderConfig
 from .numeric import ParamStore
-from .sampler import REGIMES, build_minibatch
+from .sampler import GROUP_REGIMES, REGIMES, build_minibatch
 
 CHECKPOINT_SUFFIX = ".ckpt"
 
@@ -143,57 +146,40 @@ def _validation_scores(model: EmbeddingModel, ds: Dataset, kmeans_seed: int):
 
 
 def _metric_batch_step(model, train_ds, cfg, lcfg, rng) -> float:
-    """One optimizer step: forward the whole batch at once, route per-item
-    loss gradients back to the stacked rows, take the SGD step."""
+    """One optimizer step: forward the whole batch at once, take the loss
+    gradients back to the stacked rows, take the SGD step."""
     batch = build_minibatch(train_ds, cfg.batch_size, cfg.loss, rng)
-    feats: list[np.ndarray] = []
-    layout = []
-    for item in batch.items:
-        start = len(feats)
-        if cfg.loss in ("ml2", "ml2plus"):
-            feats.append(item.anchor.features)
-            feats.extend(ex.features for ex in item.positives)
-            feats.extend(ex.features for ex in item.negatives)
-            layout.append((start, len(item.positives), len(item.negatives)))
-        elif cfg.loss == "triplet":
-            feats.extend((item.anchor.features, item.positive.features, item.negative.features))
-            layout.append((start, 0, 0))
-        else:  # contrastive
-            feats.extend((item.first.features, item.second.features))
-            layout.append((start, 0, 0))
-
-    E, cache = model.embed(np.stack(feats))
-    G = np.zeros_like(E)
-    total = 0.0
-    for item, (start, p, n) in zip(batch.items, layout):
-        if cfg.loss in ("ml2", "ml2plus"):
-            a, P, N = E[start], E[start + 1 : start + 1 + p], E[start + 1 + p : start + 1 + p + n]
-            if cfg.loss == "ml2":
-                out = ml2_loss(a, P, N, item.tau_values, lcfg)
+    if cfg.loss in GROUP_REGIMES:
+        E, cache = model.embed(train_ds.X[batch.rows.ravel()])
+        values, G = ml2_batch_loss(E.reshape(*batch.rows.shape, -1), batch.p, batch.taus, lcfg)
+        G = G.reshape(E.shape)
+    else:
+        feats: list[np.ndarray] = []
+        for item in batch.items:
+            if cfg.loss == "triplet":
+                feats.extend((item.anchor.features, item.positive.features, item.negative.features))
+            else:  # contrastive
+                feats.extend((item.first.features, item.second.features))
+        E, cache = model.embed(np.stack(feats))
+        G = np.zeros_like(E)
+        values = []
+        for i, item in enumerate(batch.items):
+            if cfg.loss == "triplet":
+                start = 3 * i
+                out = triplet_loss(E[start], E[start + 1], E[start + 2], lcfg)
+                G[start] = out.anchor_grad
+                G[start + 1] = out.positive_grad
+                G[start + 2] = out.negative_grad
             else:
-                emb = {item.anchor.id: a}
-                emb.update({ex.id: P[i] for i, ex in enumerate(item.positives)})
-                emb.update({ex.id: N[j] for j, ex in enumerate(item.negatives)})
-                out = ml2plus_loss(item, emb, lcfg)
-            G[start] = out.anchor_grad
-            G[start + 1 : start + 1 + p] = out.positive_grads
-            G[start + 1 + p : start + 1 + p + n] = out.negative_grads
-            total += out.value
-        elif cfg.loss == "triplet":
-            out = triplet_loss(E[start], E[start + 1], E[start + 2], lcfg)
-            G[start] = out.anchor_grad
-            G[start + 1] = out.positive_grad
-            G[start + 2] = out.negative_grad
-            total += out.value
-        else:
-            out = contrastive_loss(E[start], E[start + 1], item.same, lcfg)
-            G[start] = out.grad_first
-            G[start + 1] = out.grad_second
-            total += out.value
+                start = 2 * i
+                out = contrastive_loss(E[start], E[start + 1], item.same, lcfg)
+                G[start] = out.grad_first
+                G[start + 1] = out.grad_second
+            values.append(out.value)
 
     model.params.zero_grads()
     model.backward_embed(cache, G / cfg.batch_size)
-    return total / cfg.batch_size
+    return _batch_mean(values)
 
 
 def _pretrain_batch_step(model, train_ds, cfg, rng) -> float:
@@ -202,19 +188,23 @@ def _pretrain_batch_step(model, train_ds, cfg, rng) -> float:
             f"batch size {cfg.batch_size} exceeds split size {len(train_ds)}"
         )
     idx = rng.choice(len(train_ds), size=cfg.batch_size, replace=False)
-    X = np.stack([train_ds.examples[int(i)].features for i in idx])
-    log_probs, cache = model.classify(X)
-    G = np.empty_like(log_probs)
-    total = 0.0
-    for row, i in enumerate(idx):
-        out = pretrain_loss(
-            log_probs[row], train_ds.examples[int(i)].labels, train_ds.label_count
-        )
-        total += out.value
-        G[row] = out.logit_grads
+    log_probs, cache = model.classify(train_ds.X[idx])
+    values, G = pretrain_batch_loss(log_probs, train_ds.label_matrix[idx])
     model.params.zero_grads()
     model.backward_classify(cache, G / cfg.batch_size)
-    return total / cfg.batch_size
+    return _batch_mean(values)
+
+
+def _batch_mean(values) -> float:
+    """Mean of the per-item losses, summed left to right in batch order.
+
+    The order fixes the last bits of every reported loss, and so the bytes
+    of report.json for a given seed; a pairwise ``np.sum`` would change them.
+    """
+    total = 0.0
+    for value in values:
+        total += float(value)
+    return total / len(values)
 
 
 def train(

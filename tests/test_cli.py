@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mlembed.cli import main
+from mlembed.cli import load_dataset_dir, main
 
 TINY_CONFIG = {
     "data": {
@@ -265,6 +265,30 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert "8" in err and "16" in err
+
+
+    def test_truncated_checkpoint_header_exits_one(self, tmp_path, data_dir, run_dir, capsys):
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(checkpoint_in(run_dir).read_bytes()[:20])
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(data_dir)])
+        assert code == 1
+        assert "truncated header" in capsys.readouterr().err
+
+
+class TestLoadDatasetDir:
+    def test_label_count_shared_across_splits_without_manifest(self, tmp_path, data_dir):
+        # drop the manifest and every val/test record carrying the top label
+        for split in ("val", "test"):
+            path = data_dir / f"{split}.jsonl"
+            kept = [
+                line
+                for line in path.read_text().splitlines()
+                if 2 not in json.loads(line)["labels"]
+            ]
+            path.write_text("\n".join(kept) + "\n")
+        (data_dir / "manifest.json").unlink()
+        splits = load_dataset_dir(data_dir)
+        assert [ds.label_count for ds in (splits.train, splits.val, splits.test)] == [3, 3, 3]
 
 
 class TestEmbedAndProject:

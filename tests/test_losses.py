@@ -11,11 +11,12 @@ from mlembed.losses import (
     contrastive_loss,
     dist,
     group_loss,
-    hard_class_mine,
     max_negative,
+    ml2_batch_loss,
     ml2_loss,
     ml2plus_loss,
     overlap_tau,
+    pretrain_batch_loss,
     pretrain_loss,
     smooth_max_negative,
     triplet_loss,
@@ -26,6 +27,8 @@ from conftest import make_example
 from oracles import (
     brute_force_group_loss,
     brute_force_ml2,
+    frozen_ml2_loss,
+    frozen_pretrain_loss,
     log_softmax_pairs,
     random_unit,
     unit_at_distance,
@@ -374,6 +377,87 @@ class TestMl2Loss:
             assert grad_check(fn, {"a": a, "P": P, "N": N}) <= 1e-4
 
 
+class TestMl2BatchLoss:
+    """The batched kernel against the frozen per-group kernel, bit for bit."""
+
+    L = 5
+
+    def random_batch(self, rng, p, m=6):
+        E = rng.standard_normal((len(p), 1 + self.L, m))
+        E /= np.linalg.norm(E, axis=2, keepdims=True)
+        taus = np.where(np.arange(self.L) < p[:, None], rng.uniform(0, 1, (len(p), self.L)), 0.0)
+        return E, taus
+
+    def assert_matches_per_group(self, E, p, taus):
+        values, G = ml2_batch_loss(E, p, taus, CFG)
+        for i, q in enumerate(p.tolist()):
+            a, P, N = E[i, 0], E[i, 1 : 1 + q], E[i, 1 + q :]
+            value, a, P, N = frozen_ml2_loss(a, P, N, taus[i, :q], CFG)
+            assert np.float64(value).tobytes() == values[i].tobytes()
+            assert a.tobytes() == G[i, 0].tobytes()
+            assert P.tobytes() == G[i, 1 : 1 + q].tobytes()
+            assert N.tobytes() == G[i, 1 + q :].tobytes()
+
+    @pytest.mark.parametrize("p", range(1, L))
+    def test_bitwise_per_group_for_each_p(self, p):
+        rng = np.random.default_rng(100 + p)
+        for m in (3, 64):
+            pv = np.full(7, p)
+            E, taus = self.random_batch(rng, pv, m)
+            self.assert_matches_per_group(E, pv, taus)
+
+    def test_bitwise_per_group_for_mixed_p(self):
+        rng = np.random.default_rng(200)
+        for _ in range(30):
+            pv = rng.integers(1, self.L, size=int(rng.integers(1, 16)))
+            E, taus = self.random_batch(rng, pv, int(rng.choice([3, 64])))
+            self.assert_matches_per_group(E, pv, taus)
+
+    def test_gradients_mixed_p_batch(self):
+        rng = np.random.default_rng(300)
+        p = np.array([1, 2, 3, 4, 2, 1])
+        while True:
+            E, taus = self.random_batch(rng, p, m=4)
+            if self.away_from_kinks(E, p, taus):
+                break
+
+        def fn(vals):
+            values, G = ml2_batch_loss(vals["E"], p, taus, CFG)
+            return float(values.sum()), {"E": G}
+
+        assert grad_check(fn, {"E": E}) <= 1e-4
+
+    @staticmethod
+    def away_from_kinks(E, p, taus):
+        for row, q, tau in zip(E, p, taus):
+            a, P, N = row[0], row[1 : 1 + q], row[1 + q :]
+            d_p = [math.dist(a, x) for x in P]
+            d_n = [math.dist(a, x) for x in N]
+            lse = math.log(sum(math.exp(CFG.margin - d) for d in d_n))
+            hinges = [d - CFG.margin * t + lse for d, t in zip(d_p, tau)]
+            if min(d_p + d_n) < 1e-3 or min(abs(h) for h in hinges) < 1e-3:
+                return False
+        return True
+
+    def test_tau_outside_unit_interval_rejected(self):
+        p = np.array([2, 1])
+        E, taus = self.random_batch(np.random.default_rng(1), p)
+        taus[1, 0] = 1.5
+        with pytest.raises(ContractError, match="tau"):
+            ml2_batch_loss(E, p, taus, CFG)
+
+    def test_empty_negative_set_rejected(self):
+        p = np.array([2, self.L])
+        E, taus = self.random_batch(np.random.default_rng(2), np.array([2, self.L - 1]))
+        with pytest.raises(DegenerateGroupError, match="negative"):
+            ml2_batch_loss(E, p, taus, CFG)
+
+    def test_empty_positive_set_rejected(self):
+        E, taus = self.random_batch(np.random.default_rng(3), np.array([1, 1]))
+        with pytest.raises(DegenerateGroupError, match="positive"):
+            ml2_batch_loss(E, np.array([1, 0]), taus, CFG)
+
+
 def build_group(anchor_labels, positive_labels, negative_labels, taus=None):
     anchor = make_example("anchor", anchor_labels)
     positives = tuple(
@@ -475,48 +559,6 @@ class TestContrastiveLoss:
         assert grad_check(fn, {"x1": x1, "x2": x2}) <= 1e-4
 
 
-class TestHardClassMine:
-    def _group_with_emb(self, seed=67):
-        rng = np.random.default_rng(seed)
-        group = build_group({1, 2}, [{1}, {2, 3}], [{0}, {4}, {3}])
-        return group, build_emb(group, rng)
-
-    def test_k_equals_group_size_is_identity(self):
-        group, emb = self._group_with_emb()
-        assert hard_class_mine(group, emb, CFG, 5) is group
-
-    def test_k_one_keeps_largest_contribution(self):
-        group, emb = self._group_with_emb()
-        anchor = emb[group.anchor.id]
-        contributions = []
-        for i, ex in enumerate(group.positives):
-            contributions.append(
-                (dist(anchor, emb[ex.id]) - CFG.margin * group.tau_values[i], "p", ex.id)
-            )
-        for ex in group.negatives:
-            contributions.append((CFG.margin - dist(anchor, emb[ex.id]), "n", ex.id))
-        best = max(contributions, key=lambda t: t[0])
-        mined = hard_class_mine(group, emb, CFG, 1)
-        kept = [ex.id for ex in mined.positives + mined.negatives]
-        assert kept == [best[2]]
-
-    def test_mined_members_are_subset(self):
-        group, emb = self._group_with_emb()
-        for k in (1, 2, 3, 4):
-            mined = hard_class_mine(group, emb, CFG, k)
-            assert len(mined.positives) + len(mined.negatives) == k
-            assert set(ex.id for ex in mined.positives) <= set(ex.id for ex in group.positives)
-            assert set(ex.id for ex in mined.negatives) <= set(ex.id for ex in group.negatives)
-            assert len(mined.tau_values) == len(mined.positives)
-
-    def test_invalid_k_rejected(self):
-        group, emb = self._group_with_emb()
-        with pytest.raises(ContractError):
-            hard_class_mine(group, emb, CFG, 0)
-        with pytest.raises(ContractError):
-            hard_class_mine(group, emb, CFG, 6)
-
-
 class TestPretrainLoss:
     def test_confident_predictions_near_zero(self):
         logits = np.array([[30.0, 0.0], [0.0, 30.0], [30.0, 0.0]])
@@ -550,6 +592,28 @@ class TestPretrainLoss:
         for _ in range(20):
             lp = log_softmax_pairs(rng.standard_normal((4, 2)))
             assert pretrain_loss(lp, {int(rng.integers(4))}, 4).value >= 0.0
+
+
+class TestPretrainBatchLoss:
+    def log_probs(self, rng, b, l):
+        return np.stack([log_softmax_pairs(rng.standard_normal((l, 2)) * 3) for _ in range(b)])
+
+    def test_bitwise_per_row(self):
+        rng = np.random.default_rng(79)
+        for l in (1, 2, 5, 9):
+            lp = self.log_probs(rng, 10, l)
+            present = rng.random((10, l)) < 0.4
+            values, grads = pretrain_batch_loss(lp, present)
+            for i in range(10):
+                value, g = frozen_pretrain_loss(lp[i], np.flatnonzero(present[i]).tolist(), l)
+                assert np.float64(value).tobytes() == values[i].tobytes()
+                assert g.tobytes() == grads[i].tobytes()
+
+    def test_malformed_row_rejected(self):
+        lp = self.log_probs(np.random.default_rng(83), 3, 2)
+        lp[1, 0] = np.log([0.5, 0.6])
+        with pytest.raises(ContractError, match="row 1 head 0 is not a log-softmax"):
+            pretrain_batch_loss(lp, np.ones((3, 2), dtype=bool))
 
 
 class TestLossConfig:

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from mlembed.errors import ConfigError, ContractError, DataFormatError, DegenerateInputError
 from mlembed.losses import LossConfig, ml2_loss, pretrain_loss
-from mlembed.model import EmbeddingModel, EncoderConfig
+from mlembed.model import CHECKPOINT_MAGIC, EmbeddingModel, EncoderConfig
 from mlembed.numeric import ParamStore, check_gradient
 
 
@@ -216,6 +218,29 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(DataFormatError, match="truncated"):
+            EmbeddingModel.load(path)
+
+    @pytest.mark.parametrize("keep", [8, 12, 16, 40])
+    def test_truncated_header_rejected(self, tmp_path, keep):
+        # cut after the magic (8), inside the length field (12) or in the JSON header (16, 40)
+        model = small_model(seed=14)
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DataFormatError, match="truncated header"):
+            EmbeddingModel.load(path)
+
+    def test_header_length_past_end_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", 2**62) + b"{}")
+        with pytest.raises(DataFormatError, match="truncated header"):
+            EmbeddingModel.load(path)
+
+    def test_invalid_header_json_rejected(self, tmp_path):
+        blob = b"{not json"
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(DataFormatError, match="header"):
             EmbeddingModel.load(path)
 
 

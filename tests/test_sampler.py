@@ -5,7 +5,7 @@ from mlembed.errors import ContractError, GroupRejected, SamplingError
 from mlembed.losses import overlap_tau
 from mlembed.sampler import (
     AnchorGroup,
-    MiniBatch,
+    GroupBatch,
     Pair,
     Triplet,
     build_minibatch,
@@ -13,6 +13,7 @@ from mlembed.sampler import (
     sample_group_ml2plus,
 )
 from conftest import make_dataset, make_example
+from oracles import frozen_build_group_minibatch
 
 
 def five_label_dataset():
@@ -181,25 +182,21 @@ class TestSampleGroupMl2Plus:
 
 class TestBuildMinibatch:
     def test_single_item(self, default_splits):
-        batch = build_minibatch(default_splits.train, 1, "ml2", np.random.default_rng(0))
-        assert isinstance(batch, MiniBatch)
-        assert len(batch.items) == 1
-        assert isinstance(batch.items[0], AnchorGroup)
+        ds = default_splits.train
+        batch = build_minibatch(ds, 1, "ml2", np.random.default_rng(0))
+        assert isinstance(batch, GroupBatch)
+        assert batch.rows.shape == (1, 1 + ds.label_count)
+        assert batch.p.shape == (1,)
+        assert batch.taus.shape == (1, ds.label_count)
 
     def test_deterministic_replay(self, default_splits):
         def signature(regime):
             batch = build_minibatch(default_splits.train, 8, regime, np.random.default_rng(42))
+            if isinstance(batch, GroupBatch):
+                return (batch.rows.tolist(), batch.p.tolist(), batch.taus.tolist())
             sig = []
             for item in batch.items:
-                if isinstance(item, AnchorGroup):
-                    sig.append(
-                        (
-                            item.anchor.id,
-                            tuple(ex.id for ex in item.positives),
-                            tuple(ex.id for ex in item.negatives),
-                        )
-                    )
-                elif isinstance(item, Triplet):
+                if isinstance(item, Triplet):
                     sig.append((item.anchor.id, item.positive.id, item.negative.id))
                 else:
                     sig.append((item.first.id, item.second.id, item.same))
@@ -227,16 +224,19 @@ class TestBuildMinibatch:
         for regime in ("ml2", "ml2plus"):
             for _ in range(5):
                 batch = build_minibatch(ds, 10, regime, rng)
-                for group in batch.items:
-                    assert len(group.positives) + len(group.negatives) == ds.label_count
-                    ids = [ex.id for ex in group.positives + group.negatives]
-                    assert group.anchor.id not in ids
-                    assert len(ids) == len(set(ids))
-                    for pos, tau in zip(group.positives, group.tau_values):
-                        assert pos.labels & group.anchor.labels
-                        assert tau == overlap_tau(group.anchor.labels, pos.labels)
-                    for neg in group.negatives:
-                        assert not (neg.labels & group.anchor.labels)
+                assert batch.rows.shape == (10, 1 + ds.label_count)
+                for row, p, taus in zip(batch.rows.tolist(), batch.p.tolist(), batch.taus):
+                    anchor = ds.examples[row[0]]
+                    positives = [ds.examples[i] for i in row[1 : 1 + p]]
+                    negatives = [ds.examples[i] for i in row[1 + p :]]
+                    assert len(positives) + len(negatives) == ds.label_count
+                    assert row[0] not in row[1:]
+                    assert len(row) == len(set(row))
+                    for pos, tau in zip(positives, taus[:p]):
+                        assert pos.labels & anchor.labels
+                        assert tau == overlap_tau(anchor.labels, pos.labels)
+                    for neg in negatives:
+                        assert not (neg.labels & anchor.labels)
 
     def test_triplet_tuples_satisfy_rules(self, default_splits):
         ds = default_splits.train
@@ -262,7 +262,7 @@ class TestBuildMinibatch:
 
     def test_anchors_unique_within_batch(self, default_splits):
         batch = build_minibatch(default_splits.train, 30, "ml2", np.random.default_rng(12))
-        anchors = [g.anchor.id for g in batch.items]
+        anchors = batch.rows[:, 0].tolist()
         assert len(anchors) == len(set(anchors))
 
 
@@ -278,3 +278,112 @@ class TestAnchorGroupValidation:
         pos = make_example("p", {1})
         with pytest.raises(ContractError):
             AnchorGroup(anchor, (pos,), (), (1.5,))
+
+
+def disjoint_pools_dataset():
+    """l=4; every example but the anchor ``ab`` carries one label, so no
+    draw for ``ab`` collides with an earlier one. ``s1`` is a single-label
+    anchor. Both anchors sit inside their label pools."""
+    specs = [("x1", {1}), ("y1", {1}), ("s1", {1}), ("ab", {1, 2}), ("z1", {1}), ("w1", {1})]
+    specs += [(f"n0-{i}", {0}) for i in range(6)]
+    specs += [("x2", {2}), ("y2", {2}), ("v2", {2})]
+    specs += [(f"t2-{i}", {2}) for i in range(4)]
+    specs += [(f"n3-{i}", {3}) for i in range(4)]
+    return make_dataset(specs, label_count=4)
+
+
+class TestUniformDraws:
+    """Uniform draws, no hard-example mining: for a fixed anchor, every
+    candidate for a label's slot is drawn equally often."""
+
+    DRAWS = 6000
+
+    @staticmethod
+    def candidates(ds, anchor, label, strict):
+        """Ids the slot for ``label`` may draw: ML2 takes any other example
+        with the label; ML2+ takes single-label positives and zero-overlap
+        negatives."""
+        out = []
+        for ex in ds.examples:
+            if ex.id == anchor.id or label not in ex.labels:
+                continue
+            if strict and label in anchor.labels and len(ex.labels) != 1:
+                continue
+            if strict and label not in anchor.labels and ex.labels & anchor.labels:
+                continue
+            out.append(ex.id)
+        return out
+
+    @pytest.mark.parametrize(
+        "sample, anchor_id",
+        [(sample_group_ml2, "ab"), (sample_group_ml2plus, "ab"), (sample_group_ml2plus, "s1")],
+    )
+    def test_counts_within_five_sigma(self, sample, anchor_id):
+        ds = disjoint_pools_dataset()
+        anchor = ds.by_id(anchor_id)
+        rng = np.random.default_rng(2024)
+        counts = {}
+        for _ in range(self.DRAWS):
+            group = sample(ds, anchor, rng)
+            for ex in group.positives + group.negatives:
+                counts[ex.id] = counts.get(ex.id, 0) + 1
+        assert anchor_id not in counts
+        strict = sample is sample_group_ml2plus
+        for label in range(ds.label_count):
+            pool = self.candidates(ds, anchor, label, strict)
+            q = 1.0 / len(pool)
+            expected = self.DRAWS * q
+            sigma = (self.DRAWS * q * (1.0 - q)) ** 0.5
+            for ex_id in pool:
+                assert abs(counts.get(ex_id, 0) - expected) <= 5.0 * sigma, (label, ex_id)
+
+
+def tricky_dataset():
+    """Rejections and the ML2+ zero-overlap fallback happen often: most
+    label-2 examples also carry label 1, and one example carries every label."""
+    specs = [(f"n0-{i}", {0}) for i in range(3)]
+    specs += [(f"s1-{i}", {1}) for i in range(4)]
+    specs += [(f"x12-{i}", {1, 2}) for i in range(250)]
+    specs += [("s2", {2}), ("s2b", {2}), ("s3", {3}), ("s3b", {3})]
+    specs += [("x23", {2, 3}), ("all", {0, 1, 2, 3})]
+    return make_dataset(specs, label_count=4)
+
+
+class TestStreamEquivalence:
+    """build_minibatch consumes the random stream exactly as the per-item
+    sampler did and yields the same groups."""
+
+    @pytest.mark.parametrize("regime", ["ml2", "ml2plus"])
+    @pytest.mark.parametrize("which", ["default", "tricky"])
+    def test_same_positions_as_per_item_sampler(self, default_splits, regime, which):
+        ds, b = (default_splits.train, 10) if which == "default" else (tricky_dataset(), 5)
+        new_rng, old_rng = np.random.default_rng(77), np.random.default_rng(77)
+        for _ in range(300):
+            batch = build_minibatch(ds, b, regime, new_rng)
+            groups = frozen_build_group_minibatch(ds, b, regime, old_rng)
+            members = [(g.anchor, *g.positives, *g.negatives) for g in groups]
+            assert batch.rows.tolist() == [[ds.position(ex.id) for ex in m] for m in members]
+            assert batch.p.tolist() == [len(g.positives) for g in groups]
+            for taus, p, g in zip(batch.taus.tolist(), batch.p.tolist(), groups):
+                assert taus == list(g.tau_values) + [0.0] * (ds.label_count - p)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+class TestBatchContracts:
+    def test_empty_pool_raises_sampling_error(self):
+        # no single-label example for label 2, so no ML2+ group can be drawn
+        # for an anchor carrying it
+        specs = [("a", {1, 2}), ("s1", {1}), ("x23", {2, 3}), ("n0", {0})]
+        ds = make_dataset(specs, label_count=4)
+        with pytest.raises(SamplingError, match="label 2"):
+            build_minibatch(ds, len(ds), "ml2plus", np.random.default_rng(0))
+
+    def test_multi_label_ml2plus_positive_rejected(self):
+        specs = [("a", {1, 2}), ("s1", {1}), ("t1", {1}), ("s2", {2}), ("t2", {2})]
+        ds = make_dataset(specs + [("n0", {0}), ("m0", {0})], label_count=3)
+        # the label matrix now says the label-1 positives carry two labels
+        labels = ds.label_matrix.copy()
+        labels[[ds.position("s1"), ds.position("t1")], 0] = True
+        ds.label_matrix = labels
+        with pytest.raises(ContractError, match="single-label"):
+            build_minibatch(ds, len(ds), "ml2plus", np.random.default_rng(0))

@@ -7,8 +7,9 @@ from mlembed.dataset import default_synthetic_spec, generate_synthetic
 from mlembed.errors import ConfigError, TrainingAbort
 from mlembed.model import EmbeddingModel, EncoderConfig
 from mlembed.numeric import ParamStore
+from mlembed import trainer
 from mlembed.trainer import TrainConfig, lr_schedule, sgd_step, train
-from oracles import momentum_recurrence
+from oracles import frozen_metric_batch_step, frozen_pretrain_batch_step, momentum_recurrence
 
 
 def tiny_splits(seed=21):
@@ -199,3 +200,31 @@ class TestTrain:
         )
         with pytest.raises(ConfigError, match="label_count"):
             train(splits, tiny_config(pretrain=True), enc)
+
+
+class TestArrayPathMatchesPerItemPath:
+    """Training through the array path and through the frozen per-item
+    steps gives the same report and the same parameter bytes."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(loss="ml2plus", pretrain=True, pretrain_iterations=40),
+            dict(loss="ml2"),
+        ],
+    )
+    @pytest.mark.parametrize("data", ["tiny", "default"])
+    def test_identical_parameters(self, monkeypatch, default_splits, overrides, data):
+        if data == "tiny":
+            splits, encoder = tiny_splits(), TINY_ENCODER
+        else:
+            splits = default_splits
+            encoder = EncoderConfig(input_dim=32, hidden_sizes=(16,), embedding_dim=8, seed=4)
+        settings = dict(iterations=80, eval_every=40, batch_size=10, **overrides)
+        model, report = train(splits, tiny_config(**settings), encoder)
+        monkeypatch.setattr(trainer, "_metric_batch_step", frozen_metric_batch_step)
+        monkeypatch.setattr(trainer, "_pretrain_batch_step", frozen_pretrain_batch_step)
+        ref_model, ref_report = train(splits, tiny_config(**settings), encoder)
+        assert report.report_dict() == ref_report.report_dict()
+        for name in ref_model.params.names():
+            assert model.params.value(name).tobytes() == ref_model.params.value(name).tobytes()
