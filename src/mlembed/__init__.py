@@ -20,6 +20,7 @@ from .dataset import (
 )
 from .losses import (
     LossConfig,
+    contrastive_batch_loss,
     contrastive_loss,
     dist,
     group_loss,
@@ -31,6 +32,7 @@ from .losses import (
     pretrain_batch_loss,
     pretrain_loss,
     smooth_max_negative,
+    triplet_batch_loss,
     triplet_loss,
 )
 from .model import EmbeddingModel, EncoderConfig
@@ -38,9 +40,6 @@ from .numeric import ParamStore, check_gradient, l2_normalize, matmul
 from .sampler import (
     AnchorGroup,
     GroupBatch,
-    MiniBatch,
-    Pair,
-    Triplet,
     build_minibatch,
     sample_group_ml2,
     sample_group_ml2plus,

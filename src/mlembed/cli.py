@@ -108,12 +108,6 @@ def synthetic_spec_from_config(data_cfg: dict) -> SyntheticSpec:
     return base
 
 
-def train_config_from(train_cfg: dict) -> TrainConfig:
-    cfg = TrainConfig(**train_cfg)
-    cfg.validate()
-    return cfg
-
-
 def load_dataset_dir(path: str | Path) -> DatasetSplits:
     """Load train/val/test JSONL files; label_count comes from the manifest,
     or without one is inferred once across all three splits."""
@@ -190,7 +184,8 @@ def cmd_train(args) -> int:
             train_cfg_raw[key] = value
     if args.pretrain is not None:
         train_cfg_raw["pretrain"] = args.pretrain
-    cfg = train_config_from(train_cfg_raw)
+    cfg = TrainConfig(**train_cfg_raw)
+    cfg.validate()
 
     data_dir = args.data or config["paths"].get("dataset_dir")
     if not data_dir:
@@ -200,9 +195,9 @@ def cmd_train(args) -> int:
     enc_cfg_raw = config["encoder"]
     encoder_cfg = EncoderConfig(
         input_dim=splits.train.feature_dim,
-        hidden_sizes=tuple(enc_cfg_raw.get("hidden_sizes", (64, 64))),
-        embedding_dim=int(enc_cfg_raw.get("embedding_dim", 64)),
-        seed=int(enc_cfg_raw.get("seed", 0)),
+        hidden_sizes=enc_cfg_raw.get("hidden_sizes", (64, 64)),
+        embedding_dim=enc_cfg_raw.get("embedding_dim", 64),
+        seed=enc_cfg_raw.get("seed", 0),
     )
 
     run_dir = _resolve_run_dir(args, config, cfg.loss, cfg.seed)
@@ -308,12 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"directory is $<{RUN_DIR_ENV}>/<loss>-seed<seed> (or ./runs)."
         ),
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap; results are independent of this (default 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate synthetic dataset splits")
@@ -362,9 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("mlembed: error: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (ConfigError, DataFormatError, FileNotFoundError) as exc:

@@ -23,13 +23,13 @@ def validate_labels(labels, label_count: int) -> frozenset[int]:
     items = list(labels)
     if not items:
         raise DataFormatError("label set is empty")
-    if len(items) != len(set(items)):
-        raise DataFormatError(f"duplicate labels in {sorted(items)}")
     for lab in items:
         if not isinstance(lab, (int, np.integer)) or isinstance(lab, bool):
             raise DataFormatError(f"label {lab!r} is not an integer")
         if lab < 0 or lab >= label_count:
             raise DataFormatError(f"label {lab} outside [0, {label_count})")
+    if len(items) != len(set(items)):
+        raise DataFormatError(f"duplicate labels in {sorted(items)}")
     return frozenset(int(x) for x in items)
 
 
@@ -140,9 +140,6 @@ class Dataset:
     def single_label_positions(self, label: int) -> list[int]:
         """Ascending positions of examples whose label set is exactly {label}."""
         return self._single_label_positions[label]
-
-    def examples_with_label(self, label: int) -> list[Example]:
-        return [self.examples[i] for i in self.positions_with_label(label)]
 
     def ids(self) -> list[str]:
         return [ex.id for ex in self.examples]
@@ -348,15 +345,20 @@ def _read_jsonl(path: Path) -> list[tuple[str, np.ndarray, list]]:
     # Features become arrays as each line is read: a list of Python floats
     # takes several times the memory, and every split is held at once.
     raw: list[tuple[str, np.ndarray, list]] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{path.name}:{lineno}: not UTF-8 text") from exc
             if not line:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise DataFormatError(f"{path.name}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise DataFormatError(f"{path.name}:{lineno}: record is not a JSON object")
             for key in ("id", "features", "labels"):
                 if key not in record:
                     raise DataFormatError(f"{path.name}:{lineno}: missing key {key!r}")
@@ -369,7 +371,7 @@ def _read_jsonl(path: Path) -> list[tuple[str, np.ndarray, list]]:
                 raise DataFormatError(f"record {rid!r}: labels must be a list")
             try:
                 feats = np.asarray(record["features"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DataFormatError(f"record {rid!r}: non-numeric feature") from exc
             if feats.ndim != 1 or not np.all(np.isfinite(feats)):
                 raise DataFormatError(f"record {rid!r}: features must be finite scalars")

@@ -343,9 +343,7 @@ def evaluate_embeddings(
     classification = None
     if probe_train is not None:
         train_E, train_y = probe_train
-        test_y = np.array(
-            [0.0 if normal_label in ex.labels else 1.0 for ex in eval_ds.examples]
-        )
+        test_y = abnormal_labels(eval_ds, normal_label)
         if len(np.unique(train_y)) == 2:
             classification = logistic_probe(train_E, train_y, eval_embeddings, test_y)
     return MetricsReport(score, recall, classification, truth.k)

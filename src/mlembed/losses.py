@@ -100,25 +100,30 @@ def _as_matrix(vectors, name: str) -> np.ndarray:
     return arr
 
 
-def triplet_loss(
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negative: np.ndarray,
-    cfg: LossConfig,
-) -> TripletLossOutput:
-    """Hinged triplet loss max(0, d(a, x+) - d(a, x-) + margin)."""
-    anchor = np.asarray(anchor, dtype=np.float64)
-    d, g = _dists_and_grads(anchor, np.stack([positive, negative]), cfg.epsilon_dist)
-    raw = d[0] - d[1] + cfg.margin
-    if raw <= 0.0:
-        zero = np.zeros_like(anchor)
-        return TripletLossOutput(0.0, zero, zero.copy(), zero.copy())
-    return TripletLossOutput(
-        value=float(raw),
-        anchor_grad=g[0] - g[1],
-        positive_grad=-g[0],
-        negative_grad=g[1],
-    )
+def triplet_loss(anchor, positive, negative, cfg: LossConfig) -> TripletLossOutput:
+    """Triplet loss of one triplet; see :func:`triplet_batch_loss`."""
+    values, G = triplet_batch_loss(np.stack([anchor, positive, negative])[None], cfg)
+    return TripletLossOutput(float(values[0]), G[0, 0], G[0, 1], G[0, 2])
+
+
+def triplet_batch_loss(E: np.ndarray, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Hinged triplet loss max(0, d(a, x+) - d(a, x-) + margin) per row.
+
+    Row i of ``E`` (b, 3, m) holds an anchor, its positive and its negative.
+    Returns the values (b,) and the gradients with respect to ``E``; rows
+    with an inactive hinge get exactly zero gradient.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    if E.ndim != 3 or E.shape[1] != 3:
+        raise ContractError(f"expected triplets of shape (b, 3, m), got {E.shape}")
+    d, g = _dists_and_grads(E[:, 0], E[:, 1:], cfg.epsilon_dist)
+    raw = d[:, 0] - d[:, 1] + cfg.margin
+    active = raw > 0.0
+    G = np.zeros_like(E)
+    G[active, 0] = g[active, 0] - g[active, 1]
+    G[active, 1] = -g[active, 0]
+    G[active, 2] = g[active, 1]
+    return np.where(active, raw, 0.0), G
 
 
 def group_loss(
@@ -276,24 +281,38 @@ def ml2_batch_loss(E: np.ndarray, p, taus, cfg: LossConfig) -> tuple[np.ndarray,
     return values[unsort], G[unsort]
 
 
-def contrastive_loss(
-    x1: np.ndarray, x2: np.ndarray, same: bool, cfg: LossConfig
-) -> PairLossOutput:
-    """Squared-distance contrastive loss: d^2 for similar pairs,
-    max(0, margin - d)^2 for dissimilar ones."""
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    diff = x1 - x2
-    if same:
-        value = float(diff @ diff)
-        return PairLossOutput(value, 2.0 * diff, -2.0 * diff)
-    d = float(np.linalg.norm(diff))
+def contrastive_loss(x1, x2, same: bool, cfg: LossConfig) -> PairLossOutput:
+    """Contrastive loss of one pair; see :func:`contrastive_batch_loss`."""
+    values, G = contrastive_batch_loss(np.stack([x1, x2])[None], np.array([same]), cfg)
+    return PairLossOutput(float(values[0]), G[0, 0], G[0, 1])
+
+
+def contrastive_batch_loss(E: np.ndarray, same, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Squared-distance contrastive loss per pair: d^2 for similar pairs,
+    max(0, margin - d)^2 for dissimilar ones.
+
+    Row i of ``E`` (b, 2, m) holds one pair and ``same[i]`` says whether it
+    is similar. Returns the values (b,) and the gradients with respect to
+    ``E``; inactive dissimilar pairs get exactly zero gradient.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    same = np.asarray(same, dtype=bool)
+    if E.ndim != 3 or E.shape[1] != 2 or same.shape != E.shape[:1]:
+        raise ContractError(f"pairs {E.shape} and flags {same.shape} do not fit (b, 2, m), (b,)")
+    diff = E[:, 0] - E[:, 1]
+    # A per-row dot product, as the scalar ``diff @ diff`` and ``norm(diff)``
+    # compute it; a reduction over the last axis rounds differently.
+    sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+    d = np.sqrt(sq)
     slack = cfg.margin - d
-    if slack <= 0.0:
-        zero = np.zeros_like(x1)
-        return PairLossOutput(0.0, zero, zero.copy())
-    g = (2.0 * slack / (d + cfg.epsilon_dist)) * diff
-    return PairLossOutput(float(slack * slack), -g, g)
+    active = same | (slack > 0.0)
+    values = np.where(same, sq, np.where(active, slack * slack, 0.0))
+    scale = np.where(same, 2.0, -2.0 * slack / (d + cfg.epsilon_dist))
+    g = scale[active, None] * diff[active]
+    G = np.zeros_like(E)
+    G[active, 0] = g
+    G[active, 1] = -g
+    return values, G
 
 
 def ml2plus_loss(

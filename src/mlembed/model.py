@@ -8,7 +8,9 @@ are (n, w) matrices, outputs (n, m).
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +24,10 @@ CHECKPOINT_MAGIC = b"MLEMBED\x01"
 CHECKPOINT_VERSION = 1
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     input_dim: int
@@ -31,6 +37,13 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("input_dim", "embedding_dim", "label_count", "seed"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (value is None and name == "label_count")):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        sizes = self.hidden_sizes
+        if not isinstance(sizes, (list, tuple)) or not all(map(_is_int, sizes)):
+            raise ConfigError(f"hidden_sizes must be a list of integers, got {sizes!r}")
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")
         if self.embedding_dim < 2:
@@ -39,11 +52,37 @@ class EncoderConfig:
             raise ConfigError("hidden_sizes must be non-empty positive ints")
         if self.label_count is not None and self.label_count < 1:
             raise ConfigError("label_count must be >= 1 when heads are enabled")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
 
     @property
     def hidden_out(self) -> int:
         return self.hidden_sizes[-1]
+
+    @property
+    def param_count(self) -> int:
+        """Number of float64 values in the parameter slots of this config."""
+        dims = [self.input_dim, *self.hidden_sizes, self.embedding_dim]
+        heads = 2 * (self.hidden_out + 1) * (self.label_count or 0)
+        return sum((a + 1) * b for a, b in zip(dims, dims[1:])) + heads
+
+    def as_dict(self) -> dict:
+        """JSON-ready fields, in declaration order."""
+        return dataclasses.asdict(self) | {"hidden_sizes": list(self.hidden_sizes)}
+
+    @classmethod
+    def from_dict(cls, raw) -> "EncoderConfig":
+        """Inverse of :meth:`as_dict`; raises DataFormatError for a missing,
+        unknown or ill-typed key."""
+        names = [f.name for f in dataclasses.fields(cls)]
+        keys = sorted(raw) if isinstance(raw, dict) else None
+        if keys != sorted(names):
+            raise DataFormatError(f"encoder config keys {keys} are not {names}")
+        try:
+            return cls(**raw)
+        except ConfigError as exc:
+            raise DataFormatError(f"encoder config: {exc}") from exc
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -141,9 +180,6 @@ class EmbeddingModel:
         E = raw / norms[:, None]
         return E, EmbedCache(inputs, pre, E, norms)
 
-    def embed_one(self, x) -> np.ndarray:
-        return self.embed(x)[0][0]
-
     def backward_embed(self, cache: EmbedCache, G: np.ndarray) -> None:
         """Accumulate parameter gradients given upstream grads on embeddings.
 
@@ -219,13 +255,7 @@ class EmbeddingModel:
         names = self.params.names()
         header = {
             "format_version": CHECKPOINT_VERSION,
-            "config": {
-                "input_dim": self.config.input_dim,
-                "hidden_sizes": list(self.config.hidden_sizes),
-                "embedding_dim": self.config.embedding_dim,
-                "label_count": self.config.label_count,
-                "seed": self.config.seed,
-            },
+            "config": self.config.as_dict(),
             "arrays": [
                 {"name": name, "shape": list(self.params.value(name).shape)}
                 for name in names
@@ -257,7 +287,7 @@ class EmbeddingModel:
                 raise DataFormatError(f"{path.name}: truncated header")
             try:
                 header = json.loads(blob.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise DataFormatError(f"{path.name}: header is not valid JSON") from exc
             if not isinstance(header, dict):
                 raise DataFormatError(f"{path.name}: header is not a JSON object")
@@ -265,25 +295,25 @@ class EmbeddingModel:
                 raise DataFormatError(
                     f"{path.name}: unsupported format version {header.get('format_version')}"
                 )
-            cfg_raw = header["config"]
-            config = EncoderConfig(
-                input_dim=cfg_raw["input_dim"],
-                hidden_sizes=tuple(cfg_raw["hidden_sizes"]),
-                embedding_dim=cfg_raw["embedding_dim"],
-                label_count=cfg_raw["label_count"],
-                seed=cfg_raw["seed"],
-            )
+            config = EncoderConfig.from_dict(header.get("config"))
+            # Check the size before building the model, so that a header
+            # naming huge layers cannot make the reader allocate them.
+            data_len = path.stat().st_size - fh.tell()
+            if data_len < 8 * config.param_count:
+                raise DataFormatError(f"{path.name}: truncated array data")
+            if data_len > 8 * config.param_count:
+                raise DataFormatError(f"{path.name}: trailing bytes after the last array")
             model = cls(config)
-            for entry in header["arrays"]:
-                name, shape = entry["name"], tuple(entry["shape"])
-                if name not in model.params:
-                    raise DataFormatError(f"{path.name}: unexpected array {name!r}")
-                count = int(np.prod(shape)) if shape else 1
-                data = fh.read(count * 8)
-                if len(data) != count * 8:
-                    raise DataFormatError(f"{path.name}: truncated array {name!r}")
-                arr = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
-                if arr.shape != model.params.value(name).shape:
-                    raise DataFormatError(f"{path.name}: shape mismatch for {name!r}")
-                np.copyto(model.params.value(name), arr)
+            names = model.params.names()
+            expected = [{"name": n, "shape": list(model.params.value(n).shape)} for n in names]
+            if header.get("arrays") != expected:
+                raise DataFormatError(
+                    f"{path.name}: arrays do not list the slots of the encoder config in order"
+                )
+            for name in names:
+                value = model.params.value(name)
+                data = np.frombuffer(fh.read(value.size * 8), dtype="<f8")
+                if not np.all(np.isfinite(data)):
+                    raise DataFormatError(f"{path.name}: non-finite value in array {name!r}")
+                np.copyto(value, data.reshape(value.shape))
         return model

@@ -21,14 +21,6 @@ EPS_NORM = 1e-12
 DEFAULT_FD_STEP = 1e-5
 
 
-def as_f64(a) -> np.ndarray:
-    """Coerce to a float64 array, rejecting non-finite entries."""
-    out = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise DegenerateInputError("array contains NaN or Inf")
-    return out
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of two 2-d float64 arrays."""
     a = np.asarray(a, dtype=np.float64)
@@ -64,7 +56,9 @@ class ParamStore:
     def add(self, name: str, value: np.ndarray) -> None:
         if name in self._values:
             raise ShapeError(f"slot {name!r} already exists")
-        arr = as_f64(value).copy()
+        arr = np.array(value, dtype=np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise DegenerateInputError("array contains NaN or Inf")
         self._values[name] = arr
         self._grads[name] = np.zeros_like(arr)
         self._momentum[name] = np.zeros_like(arr)

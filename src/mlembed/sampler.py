@@ -7,10 +7,11 @@ negative set, duplicate draws that cannot be resolved) raise
 :class:`~mlembed.errors.GroupRejected`, which :func:`build_minibatch`
 handles by moving on to a fresh anchor.
 
-ML2 and ML2+ groups are drawn as rows of dataset positions,
-``[anchor, positives..., negatives...]``, so a minibatch of them is a dense
-``(b, 1 + l)`` index matrix (:class:`GroupBatch`). The pair and triplet
-regimes of the baselines return :class:`Pair` and :class:`Triplet` items.
+Every regime draws rows of dataset positions, ``[anchor, positives...,
+negatives...]``, so a minibatch is a dense index matrix (:class:`GroupBatch`):
+``(b, 1 + l)`` for ML2 and ML2+, ``[anchor, partner]`` for the contrastive
+pairs (one positive when the partner is similar, none otherwise) and
+``[anchor, positive, negative]`` for the triplets.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .dataset import Dataset, Example
 from .errors import ContractError, GroupRejected, SamplingError
 
 REGIMES = ("contrastive", "triplet", "ml2", "ml2plus")
-GROUP_REGIMES = ("ml2", "ml2plus")
 
 # Redraw budget before giving up on an anchor (duplicate or rejected draws).
 MAX_DRAW_ATTEMPTS = 100
@@ -48,32 +48,13 @@ class AnchorGroup:
 
 
 @dataclass(frozen=True)
-class Pair:
-    first: Example
-    second: Example
-    same: bool  # share at least one label
-
-
-@dataclass(frozen=True)
-class Triplet:
-    anchor: Example
-    positive: Example
-    negative: Example
-
-
-@dataclass(frozen=True)
-class MiniBatch:
-    regime: str
-    items: tuple  # Pairs or Triplets depending on regime
-
-
-@dataclass(frozen=True)
 class GroupBatch:
-    """A minibatch of ML2/ML2+ groups as arrays.
+    """A minibatch of any regime as arrays.
 
-    ``rows`` (b, 1 + l) holds dataset positions, each row the anchor, then
-    its ``p[i]`` positives, then its l - p[i] negatives. ``taus`` (b, l)
-    holds each positive's tau in the first p[i] columns and 0 after.
+    ``rows`` (b, 1 + k) holds dataset positions, each row the anchor, then
+    its ``p[i]`` positives, then its k - p[i] negatives. ``taus`` (b, k)
+    holds each positive's tau in the first p[i] columns and 0 after; the
+    pair and triplet regimes keep the full margin, so their taus are 0.
     """
 
     rows: np.ndarray
@@ -217,55 +198,54 @@ def sample_group_ml2plus(ds: Dataset, anchor: Example, rng) -> AnchorGroup:
     return _as_group(ds, _ml2plus_row(ds, ds.position(anchor.id), rng))
 
 
-def _draw_partner(ds: Dataset, anchor: Example, want_shared: bool, rng) -> Example | None:
-    """Uniform draw over examples that share (or do not share) a label with
-    the anchor, via rejection sampling with an exhaustive fallback."""
-    n = len(ds)
+def _draw_partner(ds: Dataset, a: int, want_shared: bool, rng) -> int | None:
+    """Uniform draw over positions that share (or do not share) a label with
+    the anchor at position ``a``, via rejection sampling with an exhaustive
+    fallback."""
+    masks = ds.label_masks
+    anchor_mask = masks[a]
+    n = len(masks)
     for _ in range(MAX_DRAW_ATTEMPTS):
-        ex = ds.examples[int(rng.integers(n))]
-        if ex.id == anchor.id:
-            continue
-        if bool(ex.labels & anchor.labels) == want_shared:
-            return ex
-    valid = [
-        ex
-        for ex in ds.examples
-        if ex.id != anchor.id and bool(ex.labels & anchor.labels) == want_shared
-    ]
+        i = int(rng.integers(n))
+        if i != a and bool(masks[i] & anchor_mask) == want_shared:
+            return i
+    valid = [i for i in range(n) if i != a and bool(masks[i] & anchor_mask) == want_shared]
     if not valid:
         return None
     return valid[int(rng.integers(len(valid)))]
 
 
-def sample_pair(ds: Dataset, anchor: Example, rng) -> Pair:
-    """Similar/dissimilar pair with equal probability; falls back to the
-    other kind when the requested one has no candidates."""
+def sample_pair(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float]]:
+    """Similar/dissimilar pair for the anchor at position ``a`` with equal
+    probability; falls back to the other kind when the requested one has no
+    candidates. Returns (``[a, partner]``, 1 if similar else 0, ``[0.0]``)."""
     want_shared = bool(rng.random() < 0.5)
-    partner = _draw_partner(ds, anchor, want_shared, rng)
+    partner = _draw_partner(ds, a, want_shared, rng)
     if partner is None:
         want_shared = not want_shared
-        partner = _draw_partner(ds, anchor, want_shared, rng)
+        partner = _draw_partner(ds, a, want_shared, rng)
     if partner is None:
-        raise GroupRejected(f"anchor {anchor.id!r} has no pair partner")
-    return Pair(anchor, partner, want_shared)
+        raise GroupRejected(f"anchor {ds.examples[a].id!r} has no pair partner")
+    return [a, partner], int(want_shared), [0.0]
 
 
-def sample_triplet(ds: Dataset, anchor: Example, rng) -> Triplet:
-    positive = _draw_partner(ds, anchor, True, rng)
+def sample_triplet(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float]]:
+    """Triplet for the anchor at position ``a``: (``[a, positive, negative]``,
+    1, ``[0.0, 0.0]``)."""
+    positive = _draw_partner(ds, a, True, rng)
     if positive is None:
-        raise GroupRejected(f"anchor {anchor.id!r} has no positive candidate")
-    negative = _draw_partner(ds, anchor, False, rng)
+        raise GroupRejected(f"anchor {ds.examples[a].id!r} has no positive candidate")
+    negative = _draw_partner(ds, a, False, rng)
     if negative is None:
-        raise GroupRejected(f"anchor {anchor.id!r} has no zero-overlap negative")
-    return Triplet(anchor, positive, negative)
+        raise GroupRejected(f"anchor {ds.examples[a].id!r} has no zero-overlap negative")
+    return [a, positive, negative], 1, [0.0, 0.0]
 
 
-def build_minibatch(ds: Dataset, b: int, regime: str, rng) -> MiniBatch | GroupBatch:
-    """Assemble ``b`` items for the given regime.
+def build_minibatch(ds: Dataset, b: int, regime: str, rng) -> GroupBatch:
+    """Assemble ``b`` rows for the given regime.
 
-    Anchors are drawn uniformly without replacement; anchors whose group
-    cannot be completed are skipped. ML2 and ML2+ give a :class:`GroupBatch`,
-    the pair and triplet regimes a :class:`MiniBatch`.
+    Anchors are drawn uniformly without replacement; anchors whose row
+    cannot be completed are skipped.
     """
     if regime not in REGIMES:
         raise ContractError(f"unknown regime {regime!r}; expected one of {REGIMES}")
@@ -281,13 +261,11 @@ def build_minibatch(ds: Dataset, b: int, regime: str, rng) -> MiniBatch | GroupB
         "contrastive": sample_pair,
     }
     sample = samplers[regime]
-    grouped = regime in GROUP_REGIMES
 
     items = []
     for pos in rng.permutation(len(ds)):
-        anchor = int(pos) if grouped else ds.examples[int(pos)]
         try:
-            items.append(sample(ds, anchor, rng))
+            items.append(sample(ds, int(pos), rng))
         except GroupRejected:
             continue
         if len(items) == b:
@@ -296,8 +274,6 @@ def build_minibatch(ds: Dataset, b: int, regime: str, rng) -> MiniBatch | GroupB
         raise SamplingError(
             f"only {len(items)} of {b} requested items could be assembled"
         )
-    if not grouped:
-        return MiniBatch(regime=regime, items=tuple(items))
 
     rows, p, taus = (np.array(column) for column in zip(*items))
     if regime == "ml2plus":

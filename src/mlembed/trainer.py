@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,20 +24,25 @@ from .errors import ConfigError, SamplingError, TrainingAbort
 from .evaluation import Partition, kmeans, nmi, recall_at_k
 from .losses import (
     LossConfig,
-    contrastive_loss,
+    contrastive_batch_loss,
     ml2_batch_loss,
     pretrain_batch_loss,
-    triplet_loss,
+    triplet_batch_loss,
 )
 
 # The benchmark's tracer (bench/tracer.py) hooks these names here. Training
-# no longer calls them: ML2/ML2+ and pre-training use the batched kernels.
-from .losses import ml2plus_loss, pretrain_loss  # noqa: F401
+# no longer calls them: every regime and pre-training use the batched kernels.
+from .losses import contrastive_loss, ml2plus_loss, pretrain_loss  # noqa: F401
 from .model import EmbeddingModel, EncoderConfig
 from .numeric import ParamStore
-from .sampler import GROUP_REGIMES, REGIMES, build_minibatch
+from .sampler import REGIMES, build_minibatch
 
 CHECKPOINT_SUFFIX = ".ckpt"
+
+# Accepted value types per annotation name; bool is only accepted for "bool".
+_FIELD_TYPES = {
+    "str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool, "None": type(None)
+}
 
 
 @dataclass
@@ -55,6 +62,15 @@ class TrainConfig:
     pretrain_iterations: int = 1000
 
     def validate(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            kinds = field.type.split(" | ")
+            if isinstance(value, bool) != ("bool" in kinds) or not any(
+                isinstance(value, _FIELD_TYPES[kind]) for kind in kinds
+            ):
+                raise ConfigError(f"{field.name} must be {field.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value!r}")
         if self.loss not in REGIMES:
             raise ConfigError(f"unknown loss {self.loss!r}; expected one of {REGIMES}")
         if self.batch_size is None:
@@ -79,6 +95,8 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 1")
         if self.pretrain_iterations < 0:
             raise ConfigError("pretrain_iterations must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -149,36 +167,16 @@ def _metric_batch_step(model, train_ds, cfg, lcfg, rng) -> float:
     """One optimizer step: forward the whole batch at once, take the loss
     gradients back to the stacked rows, take the SGD step."""
     batch = build_minibatch(train_ds, cfg.batch_size, cfg.loss, rng)
-    if cfg.loss in GROUP_REGIMES:
-        E, cache = model.embed(train_ds.X[batch.rows.ravel()])
-        values, G = ml2_batch_loss(E.reshape(*batch.rows.shape, -1), batch.p, batch.taus, lcfg)
-        G = G.reshape(E.shape)
+    E, cache = model.embed(train_ds.X[batch.rows.ravel()])
+    embedded = E.reshape(*batch.rows.shape, -1)
+    if cfg.loss == "contrastive":
+        values, G = contrastive_batch_loss(embedded, batch.p == 1, lcfg)
+    elif cfg.loss == "triplet":
+        values, G = triplet_batch_loss(embedded, lcfg)
     else:
-        feats: list[np.ndarray] = []
-        for item in batch.items:
-            if cfg.loss == "triplet":
-                feats.extend((item.anchor.features, item.positive.features, item.negative.features))
-            else:  # contrastive
-                feats.extend((item.first.features, item.second.features))
-        E, cache = model.embed(np.stack(feats))
-        G = np.zeros_like(E)
-        values = []
-        for i, item in enumerate(batch.items):
-            if cfg.loss == "triplet":
-                start = 3 * i
-                out = triplet_loss(E[start], E[start + 1], E[start + 2], lcfg)
-                G[start] = out.anchor_grad
-                G[start + 1] = out.positive_grad
-                G[start + 2] = out.negative_grad
-            else:
-                start = 2 * i
-                out = contrastive_loss(E[start], E[start + 1], item.same, lcfg)
-                G[start] = out.grad_first
-                G[start + 1] = out.grad_second
-            values.append(out.value)
-
+        values, G = ml2_batch_loss(embedded, batch.p, batch.taus, lcfg)
     model.params.zero_grads()
-    model.backward_embed(cache, G / cfg.batch_size)
+    model.backward_embed(cache, G.reshape(E.shape) / cfg.batch_size)
     return _batch_mean(values)
 
 
@@ -334,13 +332,7 @@ def emit_run(
     )
     manifest = {
         "train_config": dataclasses.asdict(cfg),
-        "encoder_config": {
-            "input_dim": encoder_cfg.input_dim,
-            "hidden_sizes": list(encoder_cfg.hidden_sizes),
-            "embedding_dim": encoder_cfg.embedding_dim,
-            "label_count": encoder_cfg.label_count,
-            "seed": encoder_cfg.seed,
-        },
+        "encoder_config": encoder_cfg.as_dict(),
         "checkpoint": ckpt_name,
         "history": [pt.as_dict() for pt in report.points],
         "best_checkpoint": report.best_checkpoint,

@@ -326,7 +326,9 @@ def frozen_pretrain_loss(log_probs, labels, label_count):
 
 
 def frozen_metric_batch_step(model, train_ds, cfg, lcfg, rng):
-    """The per-item ML2/ML2+ optimizer step (gradients only; the caller steps)."""
+    """The per-item optimizer step of any regime (gradients only; the caller steps)."""
+    if cfg.loss in ("contrastive", "triplet"):
+        return frozen_item_batch_step(model, train_ds, cfg, lcfg, rng)
     items = frozen_build_group_minibatch(train_ds, cfg.batch_size, cfg.loss, rng)
     feats, layout = [], []
     for item in items:
@@ -371,4 +373,117 @@ def frozen_pretrain_batch_step(model, train_ds, cfg, rng):
         total += value
     model.params.zero_grads()
     model.backward_classify(cache, G / cfg.batch_size)
+    return total / cfg.batch_size
+
+
+# The Example-level pair/triplet sampler, the scalar contrastive and triplet
+# kernels, and the per-item pair/triplet training step, as they were before
+# the baselines moved onto position rows and the batched kernels.
+
+
+def _frozen_draw_partner(ds, anchor, want_shared, rng):
+    n = len(ds)
+    for _ in range(FROZEN_MAX_DRAW_ATTEMPTS):
+        ex = ds.examples[int(rng.integers(n))]
+        if ex.id == anchor.id:
+            continue
+        if bool(ex.labels & anchor.labels) == want_shared:
+            return ex
+    valid = [
+        ex
+        for ex in ds.examples
+        if ex.id != anchor.id and bool(ex.labels & anchor.labels) == want_shared
+    ]
+    if not valid:
+        return None
+    return valid[int(rng.integers(len(valid)))]
+
+
+def frozen_sample_pair(ds, anchor, rng):
+    """Returns (first, second, same)."""
+    want_shared = bool(rng.random() < 0.5)
+    partner = _frozen_draw_partner(ds, anchor, want_shared, rng)
+    if partner is None:
+        want_shared = not want_shared
+        partner = _frozen_draw_partner(ds, anchor, want_shared, rng)
+    if partner is None:
+        raise GroupRejected(f"anchor {anchor.id!r} has no pair partner")
+    return anchor, partner, want_shared
+
+
+def frozen_sample_triplet(ds, anchor, rng):
+    """Returns (anchor, positive, negative)."""
+    positive = _frozen_draw_partner(ds, anchor, True, rng)
+    if positive is None:
+        raise GroupRejected(f"anchor {anchor.id!r} has no positive candidate")
+    negative = _frozen_draw_partner(ds, anchor, False, rng)
+    if negative is None:
+        raise GroupRejected(f"anchor {anchor.id!r} has no zero-overlap negative")
+    return anchor, positive, negative
+
+
+def frozen_build_item_minibatch(ds, b, regime, rng):
+    sample = {"contrastive": frozen_sample_pair, "triplet": frozen_sample_triplet}[regime]
+    if b > len(ds):
+        raise SamplingError(f"batch size {b} exceeds split size {len(ds)}")
+    items = []
+    for pos in rng.permutation(len(ds)):
+        try:
+            items.append(sample(ds, ds.examples[int(pos)], rng))
+        except GroupRejected:
+            continue
+        if len(items) == b:
+            break
+    if len(items) < b:
+        raise SamplingError(f"only {len(items)} of {b} requested items could be assembled")
+    return items
+
+
+def frozen_triplet_loss(anchor, positive, negative, cfg):
+    """Returns (value, anchor grad, positive grad, negative grad)."""
+    anchor = np.asarray(anchor, dtype=np.float64)
+    d, g = _frozen_dists_and_grads(anchor, np.stack([positive, negative]), cfg.epsilon_dist)
+    raw = d[0] - d[1] + cfg.margin
+    if raw <= 0.0:
+        zero = np.zeros_like(anchor)
+        return 0.0, zero, zero.copy(), zero.copy()
+    return float(raw), g[0] - g[1], -g[0], g[1]
+
+
+def frozen_contrastive_loss(x1, x2, same, cfg):
+    """Returns (value, first grad, second grad)."""
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    diff = x1 - x2
+    if same:
+        return float(diff @ diff), 2.0 * diff, -2.0 * diff
+    d = float(np.linalg.norm(diff))
+    slack = cfg.margin - d
+    if slack <= 0.0:
+        zero = np.zeros_like(x1)
+        return 0.0, zero, zero.copy()
+    g = (2.0 * slack / (d + cfg.epsilon_dist)) * diff
+    return float(slack * slack), -g, g
+
+
+def frozen_item_batch_step(model, train_ds, cfg, lcfg, rng):
+    """The per-item contrastive/triplet optimizer step (gradients only)."""
+    items = frozen_build_item_minibatch(train_ds, cfg.batch_size, cfg.loss, rng)
+    width = 3 if cfg.loss == "triplet" else 2
+    feats = [ex.features for item in items for ex in item[:width]]
+    E, cache = model.embed(np.stack(feats))
+    G = np.zeros_like(E)
+    total = 0.0
+    for i, item in enumerate(items):
+        if cfg.loss == "triplet":
+            value, G[3 * i], G[3 * i + 1], G[3 * i + 2] = frozen_triplet_loss(
+                E[3 * i], E[3 * i + 1], E[3 * i + 2], lcfg
+            )
+        else:
+            value, G[2 * i], G[2 * i + 1] = frozen_contrastive_loss(
+                E[2 * i], E[2 * i + 1], item[2], lcfg
+            )
+        total += value
+    model.params.zero_grads()
+    model.backward_embed(cache, G / cfg.batch_size)
     return total / cfg.batch_size

@@ -164,6 +164,34 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["train_config"]["loss"] == "triplet"
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "iterations", "abc"),
+            ("encoder", "embedding_dim", "abc"),
+            ("encoder", "hidden_sizes", "12"),
+            ("encoder", "seed", 1.5),
+        ],
+    )
+    def test_ill_typed_config_value_exits_one(
+        self, tmp_path, data_dir, capsys, section, key, value
+    ):
+        bad = json.loads(json.dumps(TINY_CONFIG))
+        bad[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        run_dir = str(tmp_path / "run")
+        code = main(["train", "--config", str(path), "--data", str(data_dir), "--run-dir", run_dir])
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+    def test_manifest_encoder_config_keys(self, run_dir):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert list(manifest["encoder_config"]) == [
+            "input_dim", "hidden_sizes", "embedding_dim", "label_count", "seed"
+        ]
+        assert manifest["encoder_config"]["hidden_sizes"] == [12]
+
     def test_manifest_records_dataset_dir(self, run_dir, data_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["dataset_dir"] == str(data_dir)
@@ -275,6 +303,21 @@ class TestEval:
         assert "truncated header" in capsys.readouterr().err
 
 
+    def test_checkpoint_without_config_exits_one(self, tmp_path, data_dir, capsys):
+        blob = json.dumps({"format_version": 1}).encode()
+        bad = tmp_path / "noconfig.ckpt"
+        bad.write_bytes(b"MLEMBED\x01" + len(blob).to_bytes(8, "little") + blob)
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(data_dir)])
+        assert code == 1
+        assert "config" in capsys.readouterr().err
+
+    def test_non_object_jsonl_line_exits_one(self, tmp_path, data_dir, run_dir, capsys):
+        (data_dir / "test.jsonl").write_text("5\n")
+        code = main(["eval", "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir)])
+        assert code == 1
+        assert "test.jsonl:1" in capsys.readouterr().err
+
+
 class TestLoadDatasetDir:
     def test_label_count_shared_across_splits_without_manifest(self, tmp_path, data_dir):
         # drop the manifest and every val/test record carrying the top label
@@ -349,7 +392,3 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["gen-data", "--frobnicate"])
         assert excinfo.value.code == 1
-
-    def test_bad_threads_value(self, capsys, tmp_path):
-        code = main(["--threads", "0", "gen-data", "--out", str(tmp_path / "x")])
-        assert code == 1

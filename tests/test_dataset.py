@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlembed.dataset import (
     Dataset,
@@ -200,6 +202,69 @@ class TestJsonlRoundTrip:
             ],
         )
         assert load_jsonl(path).label_count == 5
+
+
+class TestJsonlBoundary:
+    """Every malformed file raises DataFormatError, never another exception."""
+
+    def _write(self, tmp_path, data: bytes):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(data)
+        return path
+
+    def test_non_object_line_rejected(self, tmp_path):
+        path = self._write(tmp_path, b'{"id": "a", "features": [1.0], "labels": [0]}\n5\n')
+        with pytest.raises(DataFormatError, match="bad.jsonl:2"):
+            load_jsonl(path)
+
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        path = self._write(tmp_path, b'{"id": "a", "features": [1.0], "labels": [0]}\n\xff\xfe\n')
+        with pytest.raises(DataFormatError, match="bad.jsonl:2"):
+            load_jsonl(path)
+
+    def test_deeply_nested_line_rejected(self, tmp_path):
+        path = self._write(tmp_path, b"[" * 100_000 + b"\n")
+        with pytest.raises(DataFormatError, match="bad.jsonl:1"):
+            load_jsonl(path)
+
+    def test_feature_too_large_for_float_rejected(self, tmp_path):
+        record = b'{"id": "big", "features": [1' + b"0" * 400 + b'], "labels": [0]}\n'
+        with pytest.raises(DataFormatError, match="big"):
+            load_jsonl(self._write(tmp_path, record))
+
+    @pytest.mark.parametrize("labels", [b"[[1]]", b'["a", 1, "a"]', b"[{}]"])
+    def test_non_integer_labels_rejected(self, tmp_path, labels):
+        record = b'{"id": "odd", "features": [1.0], "labels": ' + labels + b"}\n"
+        with pytest.raises(DataFormatError, match="odd"):
+            load_jsonl(self._write(tmp_path, record), label_count=3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=300))
+    def test_any_bytes_load_or_raise_data_format_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "f.jsonl"
+        path.write_bytes(data)
+        try:
+            ds = load_jsonl(path)
+        except DataFormatError:
+            return
+        assert isinstance(ds, Dataset)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_json_records_load_or_raise_data_format_error(self, tmp_path_factory, data):
+        # JSON lines shaped like records reach further into the reader than random bytes
+        scalars = st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats() | st.text(max_size=4)
+        values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+        record = st.fixed_dictionaries(
+            {}, optional={"id": st.text(max_size=3) | values, "features": values, "labels": values}
+        )
+        lines = data.draw(st.lists(record | values, max_size=4))
+        path = tmp_path_factory.mktemp("fuzz") / "r.jsonl"
+        path.write_text("\n".join(json.dumps(line) for line in lines))
+        try:
+            load_jsonl(path, label_count=data.draw(st.none() | st.integers(1, 4)))
+        except DataFormatError:
+            pass
 
 
 class TestDatasetInvariants:

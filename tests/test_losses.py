@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mlembed.errors import ConfigError, ContractError, DegenerateGroupError
 from mlembed.losses import (
     LossConfig,
+    contrastive_batch_loss,
     contrastive_loss,
     dist,
     group_loss,
@@ -19,6 +20,7 @@ from mlembed.losses import (
     pretrain_batch_loss,
     pretrain_loss,
     smooth_max_negative,
+    triplet_batch_loss,
     triplet_loss,
 )
 from mlembed.numeric import ParamStore, check_gradient
@@ -27,8 +29,10 @@ from conftest import make_example
 from oracles import (
     brute_force_group_loss,
     brute_force_ml2,
+    frozen_contrastive_loss,
     frozen_ml2_loss,
     frozen_pretrain_loss,
+    frozen_triplet_loss,
     log_softmax_pairs,
     random_unit,
     unit_at_distance,
@@ -557,6 +561,110 @@ class TestContrastiveLoss:
             return out.value, {"x1": out.grad_first, "x2": out.grad_second}
 
         assert grad_check(fn, {"x1": x1, "x2": x2}) <= 1e-4
+
+
+def unit_rows(rng, shape):
+    E = rng.standard_normal(shape)
+    return E / np.linalg.norm(E, axis=-1, keepdims=True)
+
+
+def near(rng, x, scale):
+    """A unit vector a small random step away from the unit vector ``x``."""
+    y = x + scale * rng.standard_normal(x.shape)
+    return y / np.linalg.norm(y)
+
+
+class TestContrastiveBatchLoss:
+    """The batched kernel against the frozen scalar kernel, bit for bit."""
+
+    def random_batch(self, rng, b=60, m=6):
+        """Similar and dissimilar pairs, far apart and within the margin."""
+        E = unit_rows(rng, (b, 2, m))
+        close = rng.random(b) < 0.5
+        for i in np.flatnonzero(close):
+            E[i, 1] = near(rng, E[i, 0], 0.05)
+        return E, rng.random(b) < 0.5
+
+    def test_bitwise_per_pair_every_branch(self):
+        rng = np.random.default_rng(400)
+        branches = set()
+        for m in (3, 64):
+            E, same = self.random_batch(rng, m=m)
+            values, G = contrastive_batch_loss(E, same, CFG)
+            for i in range(len(E)):
+                value, g1, g2 = frozen_contrastive_loss(E[i, 0], E[i, 1], bool(same[i]), CFG)
+                assert np.float64(value).tobytes() == values[i].tobytes()
+                assert g1.tobytes() == G[i, 0].tobytes()
+                assert g2.tobytes() == G[i, 1].tobytes()
+                branches.add("similar" if same[i] else "active" if value > 0.0 else "inactive")
+        assert branches == {"similar", "active", "inactive"}
+
+    def test_gradients_batch(self):
+        rng = np.random.default_rng(401)
+        while True:
+            E, same = self.random_batch(rng, b=8, m=4)
+            d = np.linalg.norm(E[:, 0] - E[:, 1], axis=1)
+            if d.min() > 1e-3 and np.abs(CFG.margin - d).min() > 1e-3 and (d < CFG.margin).any():
+                break
+
+        def fn(vals):
+            values, G = contrastive_batch_loss(vals["E"], same, CFG)
+            return float(values.sum()), {"E": G}
+
+        assert grad_check(fn, {"E": E}) <= 1e-4
+
+    def test_shape_mismatch_rejected(self):
+        E = unit_rows(np.random.default_rng(2), (3, 2, 4))
+        with pytest.raises(ContractError):
+            contrastive_batch_loss(E, np.array([True, False]), CFG)
+        with pytest.raises(ContractError):
+            contrastive_batch_loss(E[:, :1], np.array([True, False, True]), CFG)
+
+
+class TestTripletBatchLoss:
+    """The batched kernel against the frozen scalar kernel, bit for bit."""
+
+    def random_batch(self, rng, b=60, m=6):
+        """Random triplets, some with a close positive (inactive hinge)."""
+        E = unit_rows(rng, (b, 3, m))
+        for i in np.flatnonzero(rng.random(b) < 0.4):
+            E[i, 1] = near(rng, E[i, 0], 0.05)
+            E[i, 2] = -E[i, 0]
+        return E
+
+    def test_bitwise_per_triplet_every_branch(self):
+        rng = np.random.default_rng(500)
+        branches = set()
+        for m in (3, 64):
+            E = self.random_batch(rng, m=m)
+            values, G = triplet_batch_loss(E, CFG)
+            for i in range(len(E)):
+                value, ga, gp, gn = frozen_triplet_loss(E[i, 0], E[i, 1], E[i, 2], CFG)
+                assert np.float64(value).tobytes() == values[i].tobytes()
+                assert ga.tobytes() == G[i, 0].tobytes()
+                assert gp.tobytes() == G[i, 1].tobytes()
+                assert gn.tobytes() == G[i, 2].tobytes()
+                branches.add(value > 0.0)
+        assert branches == {True, False}
+
+    def test_gradients_batch(self):
+        rng = np.random.default_rng(501)
+        while True:
+            E = unit_rows(rng, (8, 3, 4))
+            d = np.linalg.norm(E[:, :1] - E[:, 1:], axis=2)
+            raw = d[:, 0] - d[:, 1] + CFG.margin
+            if d.min() > 1e-3 and np.abs(raw).min() > 1e-3 and (raw > 0).any():
+                break
+
+        def fn(vals):
+            values, G = triplet_batch_loss(vals["E"], CFG)
+            return float(values.sum()), {"E": G}
+
+        assert grad_check(fn, {"E": E}) <= 1e-4
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ContractError):
+            triplet_batch_loss(unit_rows(np.random.default_rng(3), (2, 2, 4)), CFG)
 
 
 class TestPretrainLoss:

@@ -1,7 +1,10 @@
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlembed.errors import ConfigError, ContractError, DataFormatError, DegenerateInputError
 from mlembed.losses import LossConfig, ml2_loss, pretrain_loss
@@ -64,12 +67,6 @@ class TestForwardEmbed:
     def test_wrong_input_dim_rejected(self):
         with pytest.raises(ContractError):
             small_model().embed(np.ones((2, 7)))
-
-    def test_embed_one(self):
-        model = small_model()
-        x = np.arange(4.0)
-        E, _ = model.embed(x[None, :])
-        assert np.array_equal(model.embed_one(x), E[0])
 
 
 class TestForwardClassify:
@@ -236,6 +233,134 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="truncated header"):
             EmbeddingModel.load(path)
 
+    @staticmethod
+    def rewrite(path, edit_header=None, cut=0):
+        """Rewrite a saved checkpoint with an edited header, dropping the last
+        ``cut`` bytes of array data."""
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + length])
+        if edit_header is not None:
+            edit_header(header)
+        blob = json.dumps(header).encode()
+        data = raw[16 + length : len(raw) - cut]
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + data)
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        small_model(label_count=2, seed=16).save(path)
+        return path
+
+    def test_header_without_config_rejected(self, tmp_path):
+        blob = json.dumps({"format_version": 1}).encode()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(DataFormatError, match="config"):
+            EmbeddingModel.load(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("input_dim", "4"), ("hidden_sizes", 5), ("hidden_sizes", ["5"]),
+         ("embedding_dim", 3.0), ("label_count", True), ("seed", None), ("seed", -1)],
+    )
+    def test_config_value_of_wrong_type_rejected(self, saved, key, value):
+        self.rewrite(saved, lambda header: header["config"].update({key: value}))
+        with pytest.raises(DataFormatError, match=key):
+            EmbeddingModel.load(saved)
+
+    @pytest.mark.parametrize("key", ["input_dim", "seed", "label_count"])
+    def test_config_key_missing_rejected(self, saved, key):
+        self.rewrite(saved, lambda header: header["config"].pop(key))
+        with pytest.raises(DataFormatError, match=key):
+            EmbeddingModel.load(saved)
+
+    def test_unknown_config_key_rejected(self, saved):
+        self.rewrite(saved, lambda header: header["config"].update(dropout=0.5))
+        with pytest.raises(DataFormatError, match="dropout"):
+            EmbeddingModel.load(saved)
+
+    def test_omitted_array_rejected(self, saved):
+        # leave the last slot out of the header and its bytes out of the data
+        params = EmbeddingModel.load(saved).params
+        last = params.value(params.names()[-1]).size * 8
+        self.rewrite(saved, lambda header: header["arrays"].pop(), cut=last)
+        with pytest.raises(DataFormatError):
+            EmbeddingModel.load(saved)
+
+    def test_array_entries_out_of_order_rejected(self, saved):
+        self.rewrite(saved, lambda header: header["arrays"].reverse())
+        with pytest.raises(DataFormatError, match="arrays"):
+            EmbeddingModel.load(saved)
+
+    def test_trailing_bytes_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\0" * 8)
+        with pytest.raises(DataFormatError, match="trailing"):
+            EmbeddingModel.load(saved)
+
+    def test_non_finite_array_value_rejected(self, saved):
+        raw = bytearray(saved.read_bytes())
+        raw[-8:] = struct.pack("<d", float("nan"))
+        saved.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="non-finite"):
+            EmbeddingModel.load(saved)
+
+    def test_huge_config_rejected_before_allocating(self, saved):
+        # 10^12 weights: the reader must notice the file cannot hold them
+        huge = {"input_dim": 10**6, "hidden_sizes": [10**6]}
+        self.rewrite(saved, lambda header: header["config"].update(huge))
+        with pytest.raises(DataFormatError, match="truncated"):
+            EmbeddingModel.load(saved)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=400))
+    def test_any_bytes_after_magic_load_or_raise_data_format_error(self, tmp_path_factory, tail):
+        path = tmp_path_factory.mktemp("fuzz") / "f.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + tail)
+        try:
+            model = EmbeddingModel.load(path)
+        except DataFormatError:
+            return
+        assert isinstance(model, EmbeddingModel)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_header_json_loads_or_raises_data_format_error(self, tmp_path_factory, data):
+        # structured headers reach further into the reader than random bytes
+        scalars = st.none() | st.booleans() | st.integers(-3, 10**12) | st.floats() | st.text(max_size=5)
+        json_values = st.recursive(
+            scalars,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+            max_leaves=12,
+        )
+        keys = ("input_dim", "hidden_sizes", "embedding_dim", "label_count", "seed")
+        config = data.draw(
+            st.fixed_dictionaries({}, optional={k: json_values | st.integers(1, 6) for k in keys})
+        )
+        header = {"format_version": 1, "config": config, "arrays": data.draw(json_values)}
+        blob = json.dumps(header).encode()
+        tail = data.draw(st.binary(max_size=64))
+        path = tmp_path_factory.mktemp("fuzz") / "h.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + tail)
+        try:
+            EmbeddingModel.load(path)
+        except DataFormatError:
+            pass
+
+    def test_deeply_nested_header_rejected(self, tmp_path):
+        blob = b"[" * 100_000
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(DataFormatError, match="header"):
+            EmbeddingModel.load(path)
+
+    def test_param_count_matches_slots(self):
+        for label_count in (None, 3):
+            model = small_model(hidden_sizes=(5, 7), label_count=label_count)
+            sizes = sum(model.params.value(n).size for n in model.params.names())
+            assert model.config.param_count == sizes
+
     def test_invalid_header_json_rejected(self, tmp_path):
         blob = b"{not json"
         path = tmp_path / "model.ckpt"
@@ -257,6 +382,26 @@ class TestReinitProjection:
 
 
 class TestEncoderConfig:
+    def test_dict_round_trip(self):
+        cfg = EncoderConfig(input_dim=4, hidden_sizes=(5, 6), embedding_dim=3, label_count=2, seed=7)
+        raw = cfg.as_dict()
+        assert list(raw) == ["input_dim", "hidden_sizes", "embedding_dim", "label_count", "seed"]
+        assert raw["hidden_sizes"] == [5, 6]
+        assert EncoderConfig.from_dict(json.loads(json.dumps(raw))) == cfg
+
+    @pytest.mark.parametrize(
+        "raw",
+        [[4, [5], 3, None, 0], ["embedding_dim", "hidden_sizes", "input_dim", "label_count", "seed"]],
+    )
+    def test_from_dict_rejects_non_object(self, raw):
+        with pytest.raises(DataFormatError):
+            EncoderConfig.from_dict(raw)
+
+    def test_wrong_type_is_config_error(self):
+        with pytest.raises(ConfigError, match="input_dim"):
+            EncoderConfig(input_dim="4")
+
+
     def test_invalid_embedding_dim(self):
         with pytest.raises(ConfigError):
             EncoderConfig(input_dim=4, hidden_sizes=(5,), embedding_dim=1)

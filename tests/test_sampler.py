@@ -6,14 +6,12 @@ from mlembed.losses import overlap_tau
 from mlembed.sampler import (
     AnchorGroup,
     GroupBatch,
-    Pair,
-    Triplet,
     build_minibatch,
     sample_group_ml2,
     sample_group_ml2plus,
 )
 from conftest import make_dataset, make_example
-from oracles import frozen_build_group_minibatch
+from oracles import frozen_build_group_minibatch, frozen_build_item_minibatch
 
 
 def five_label_dataset():
@@ -192,18 +190,20 @@ class TestBuildMinibatch:
     def test_deterministic_replay(self, default_splits):
         def signature(regime):
             batch = build_minibatch(default_splits.train, 8, regime, np.random.default_rng(42))
-            if isinstance(batch, GroupBatch):
-                return (batch.rows.tolist(), batch.p.tolist(), batch.taus.tolist())
-            sig = []
-            for item in batch.items:
-                if isinstance(item, Triplet):
-                    sig.append((item.anchor.id, item.positive.id, item.negative.id))
-                else:
-                    sig.append((item.first.id, item.second.id, item.same))
-            return sig
+            return (batch.rows.tolist(), batch.p.tolist(), batch.taus.tolist())
 
         for regime in ("ml2", "ml2plus", "triplet", "contrastive"):
             assert signature(regime) == signature(regime)
+
+    @pytest.mark.parametrize(
+        "regime, width", [("contrastive", 2), ("triplet", 3), ("ml2", 6), ("ml2plus", 6)]
+    )
+    def test_every_regime_gives_group_batch(self, default_splits, regime, width):
+        batch = build_minibatch(default_splits.train, 7, regime, np.random.default_rng(3))
+        assert isinstance(batch, GroupBatch)
+        assert batch.rows.shape == (7, width)
+        assert batch.p.shape == (7,)
+        assert batch.taus.shape == (7, width - 1)
 
     def test_batch_too_large(self):
         ds = five_label_dataset()
@@ -242,22 +242,24 @@ class TestBuildMinibatch:
         ds = default_splits.train
         rng = np.random.default_rng(10)
         batch = build_minibatch(ds, 50, "triplet", rng)
-        for item in batch.items:
-            assert isinstance(item, Triplet)
-            assert item.positive.labels & item.anchor.labels
-            assert not (item.negative.labels & item.anchor.labels)
-            assert item.anchor.id not in (item.positive.id, item.negative.id)
+        assert batch.rows.shape == (50, 3)
+        assert batch.p.tolist() == [1] * 50
+        for a, pos, neg in batch.rows.tolist():
+            anchor = ds.examples[a]
+            assert ds.examples[pos].labels & anchor.labels
+            assert not (ds.examples[neg].labels & anchor.labels)
+            assert a not in (pos, neg)
 
     def test_pairs_have_consistent_flags(self, default_splits):
         ds = default_splits.train
         rng = np.random.default_rng(11)
         batch = build_minibatch(ds, 100, "contrastive", rng)
+        assert batch.rows.shape == (100, 2)
         same_count = 0
-        for item in batch.items:
-            assert isinstance(item, Pair)
-            assert item.first.id != item.second.id
-            assert item.same == bool(item.first.labels & item.second.labels)
-            same_count += item.same
+        for (first, second), p in zip(batch.rows.tolist(), batch.p.tolist()):
+            assert first != second
+            assert p == bool(ds.examples[first].labels & ds.examples[second].labels)
+            same_count += p
         assert 20 <= same_count <= 80  # both kinds occur
 
     def test_anchors_unique_within_batch(self, default_splits):
@@ -338,15 +340,27 @@ class TestUniformDraws:
                 assert abs(counts.get(ex_id, 0) - expected) <= 5.0 * sigma, (label, ex_id)
 
 
-def tricky_dataset():
-    """Rejections and the ML2+ zero-overlap fallback happen often: most
-    label-2 examples also carry label 1, and one example carries every label."""
+def tricky_specs():
     specs = [(f"n0-{i}", {0}) for i in range(3)]
     specs += [(f"s1-{i}", {1}) for i in range(4)]
     specs += [(f"x12-{i}", {1, 2}) for i in range(250)]
     specs += [("s2", {2}), ("s2b", {2}), ("s3", {3}), ("s3b", {3})]
     specs += [("x23", {2, 3}), ("all", {0, 1, 2, 3})]
-    return make_dataset(specs, label_count=4)
+    return specs
+
+
+def tricky_dataset():
+    """Rejections and the ML2+ zero-overlap fallback happen often: most
+    label-2 examples also carry label 1, and one example carries every label."""
+    return make_dataset(tricky_specs(), label_count=4)
+
+
+def partner_fallback_dataset():
+    """The pair and triplet partner draws often exhaust their 100 rejection
+    draws: anchors with label 0 or 3 share a label with 3 of 264 examples.
+    ``all`` has no dissimilar partner and ``lonely`` no similar one, so a
+    pair switches kind and a triplet anchor is rejected."""
+    return make_dataset(tricky_specs() + [("lonely", {4})], label_count=5)
 
 
 class TestStreamEquivalence:
@@ -366,6 +380,25 @@ class TestStreamEquivalence:
             assert batch.p.tolist() == [len(g.positives) for g in groups]
             for taus, p, g in zip(batch.taus.tolist(), batch.p.tolist(), groups):
                 assert taus == list(g.tau_values) + [0.0] * (ds.label_count - p)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    @pytest.mark.parametrize("regime", ["contrastive", "triplet"])
+    @pytest.mark.parametrize("which", ["default", "fallback"])
+    def test_same_rows_as_per_item_partner_sampler(self, default_splits, regime, which):
+        ds, b = (default_splits.train, 36) if which == "default" else (partner_fallback_dataset(), 5)
+        new_rng, old_rng = np.random.default_rng(78), np.random.default_rng(78)
+        for _ in range(300):
+            batch = build_minibatch(ds, b, regime, new_rng)
+            items = frozen_build_item_minibatch(ds, b, regime, old_rng)
+            if regime == "triplet":
+                rows = [[ds.position(ex.id) for ex in item] for item in items]
+                p = [1] * b
+            else:
+                rows = [[ds.position(first.id), ds.position(second.id)] for first, second, _ in items]
+                p = [int(same) for _, _, same in items]
+            assert batch.rows.tolist() == rows
+            assert batch.p.tolist() == p
+            assert not batch.taus.any()
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 

@@ -193,6 +193,31 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(splits, tiny_config(momentum=1.5), TINY_ENCODER)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("iterations", "abc"),
+            ("iterations", 2.5),
+            ("iterations", True),
+            ("batch_size", "4"),
+            ("learning_rate", "0.1"),
+            ("learning_rate", float("nan")),
+            ("margin", float("inf")),
+            ("momentum", None),
+            ("loss", 3),
+            ("pretrain", 1),
+            ("seed", -1),
+            ("eval_every", [10]),
+        ],
+    )
+    def test_ill_typed_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            tiny_config(**{key: value}).validate()
+
+    def test_int_accepted_for_float_field(self):
+        cfg = tiny_config(learning_rate=1, margin=1)
+        cfg.validate()
+
     def test_mismatched_head_count_rejected(self):
         splits = tiny_splits()
         enc = EncoderConfig(
@@ -211,6 +236,8 @@ class TestArrayPathMatchesPerItemPath:
         [
             dict(loss="ml2plus", pretrain=True, pretrain_iterations=40),
             dict(loss="ml2"),
+            dict(loss="contrastive"),
+            dict(loss="triplet"),
         ],
     )
     @pytest.mark.parametrize("data", ["tiny", "default"])
