@@ -13,7 +13,6 @@ from .dataset import (
     SyntheticSpec,
     default_synthetic_spec,
     generate_synthetic,
-    label_complement,
     load_jsonl,
     load_jsonl_files,
     save_jsonl,
@@ -38,7 +37,6 @@ from .losses import (
 from .model import EmbeddingModel, EncoderConfig
 from .numeric import ParamStore, check_gradient, l2_normalize, matmul
 from .sampler import (
-    AnchorGroup,
     GroupBatch,
     build_minibatch,
     sample_group_ml2,
@@ -48,9 +46,9 @@ from .trainer import TrainConfig, TrainReport, lr_schedule, sgd_step, train
 from .evaluation import (
     ClassificationMetrics,
     MetricsReport,
-    Partition,
     evaluate_embeddings,
     kmeans,
+    label_set_clusters,
     logistic_probe,
     nmi,
     project_2d,

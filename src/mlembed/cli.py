@@ -21,21 +21,23 @@ from .dataset import DatasetSplits, SyntheticSpec, generate_synthetic, load_json
 from .errors import ConfigError, ContractError, DataFormatError, SamplingError, TrainingAbort
 from .evaluation import abnormal_labels, evaluate_embeddings, project_2d
 from .model import EmbeddingModel, EncoderConfig
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, check_type, train
 
 RUN_DIR_ENV = "MLEMBED_RUN_DIR"
 
-_DATA_KEYS = {
-    "label_count",
-    "feature_dim",
-    "train_examples",
-    "val_examples",
-    "test_examples",
-    "noise_sigma",
-    "seed",
-    "prototypes",
-    "cooccurrence",
-    "exclusive_labels",
+# The data, eval and paths values are used as read, so their types are
+# checked here; TrainConfig and EncoderConfig check the train and encoder ones.
+_DATA_TYPES = {
+    "label_count": "int",
+    "feature_dim": "int",
+    "train_examples": "int",
+    "val_examples": "int",
+    "test_examples": "int",
+    "noise_sigma": "float",
+    "seed": "int",
+    "prototypes": "list[list[float]] | None",
+    "cooccurrence": "list[list[float]] | None",
+    "exclusive_labels": "list[int] | None",
 }
 _ENCODER_KEYS = {"hidden_sizes", "embedding_dim", "seed"}
 _TRAIN_KEYS = {
@@ -53,14 +55,15 @@ _TRAIN_KEYS = {
     "pretrain",
     "pretrain_iterations",
 }
-_EVAL_KEYS = {"recall_ks", "kmeans_seed", "normal_label", "split"}
-_PATH_KEYS = {"dataset_dir", "run_dir"}
+_EVAL_TYPES = {"recall_ks": "list[int]", "kmeans_seed": "int", "normal_label": "int", "split": "str"}
+_PATH_TYPES = {"dataset_dir": "str", "run_dir": "str"}
+# A dict names the type of each key, which load_config checks; a set only the keys.
 _SECTIONS = {
-    "data": _DATA_KEYS,
+    "data": _DATA_TYPES,
     "encoder": _ENCODER_KEYS,
     "train": _TRAIN_KEYS,
-    "eval": _EVAL_KEYS,
-    "paths": _PATH_KEYS,
+    "eval": _EVAL_TYPES,
+    "paths": _PATH_TYPES,
 }
 
 
@@ -80,30 +83,38 @@ def load_config(path: str | None) -> dict:
             raise ConfigError(f"{path}: unknown section {section!r}")
         if not isinstance(body, dict):
             raise ConfigError(f"{path}: section {section!r} must be an object")
-        for key in body:
-            if key not in _SECTIONS[section]:
+        keys = _SECTIONS[section]
+        for key, value in body.items():
+            if key not in keys:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
+            if isinstance(keys, dict):
+                check_type(f"{section}.{key}", value, keys[key])
         config[section].update(body)
     return config
 
 
 def synthetic_spec_from_config(data_cfg: dict) -> SyntheticSpec:
-    """Build a generator spec, filling prototypes/co-occurrence defaults."""
+    """Build a generator spec, filling prototypes/co-occurrence defaults.
+    Values must already have their types (see :func:`load_config`)."""
+    if data_cfg.get("seed", 0) < 0:
+        raise ConfigError(f"data.seed must be >= 0, got {data_cfg['seed']}")
+    if data_cfg.get("feature_dim", 1) < 1:
+        raise ConfigError(f"data.feature_dim must be >= 1, got {data_cfg['feature_dim']}")
     base = ds_mod.default_synthetic_spec(
-        label_count=int(data_cfg.get("label_count", 5)),
-        feature_dim=int(data_cfg.get("feature_dim", 32)),
+        label_count=data_cfg.get("label_count", 5),
+        feature_dim=data_cfg.get("feature_dim", 32),
         noise_sigma=float(data_cfg.get("noise_sigma", 0.15)),
-        train_examples=int(data_cfg.get("train_examples", 2000)),
-        val_examples=int(data_cfg.get("val_examples", 500)),
-        test_examples=int(data_cfg.get("test_examples", 500)),
-        seed=int(data_cfg.get("seed", 7)),
+        train_examples=data_cfg.get("train_examples", 2000),
+        val_examples=data_cfg.get("val_examples", 500),
+        test_examples=data_cfg.get("test_examples", 500),
+        seed=data_cfg.get("seed", 7),
     )
     if data_cfg.get("prototypes") is not None:
         base.prototypes = np.asarray(data_cfg["prototypes"], dtype=np.float64)
     if data_cfg.get("cooccurrence") is not None:
         base.cooccurrence = np.asarray(data_cfg["cooccurrence"], dtype=np.float64)
     if data_cfg.get("exclusive_labels") is not None:
-        base.exclusive_labels = tuple(int(x) for x in data_cfg["exclusive_labels"])
+        base.exclusive_labels = tuple(data_cfg["exclusive_labels"])
     base.validate()
     return base
 
@@ -229,6 +240,12 @@ def cmd_eval(args) -> int:
     split_name = args.split or eval_cfg.get("split", "test")
     if split_name not in ("train", "val", "test"):
         raise ConfigError(f"unknown split {split_name!r}")
+    recall_ks = tuple(eval_cfg.get("recall_ks", (1, 2, 4, 8)))
+    if any(k < 1 for k in recall_ks):
+        raise ConfigError(f"eval.recall_ks must hold ints >= 1, got {list(recall_ks)}")
+    kmeans_seed = eval_cfg.get("kmeans_seed", 0)
+    if kmeans_seed < 0:
+        raise ConfigError(f"eval.kmeans_seed must be >= 0, got {kmeans_seed}")
 
     splits = load_dataset_dir(args.data)
     model = _load_model_for(splits, args.checkpoint)
@@ -236,12 +253,12 @@ def cmd_eval(args) -> int:
 
     eval_E, _ = model.embed(eval_ds.feature_matrix())
     train_E, _ = model.embed(splits.train.feature_matrix())
-    normal_label = int(eval_cfg.get("normal_label", 0))
+    normal_label = eval_cfg.get("normal_label", 0)
     report = evaluate_embeddings(
         eval_E,
         eval_ds,
-        recall_ks=tuple(eval_cfg.get("recall_ks", (1, 2, 4, 8))),
-        kmeans_seed=int(eval_cfg.get("kmeans_seed", 0)),
+        recall_ks=recall_ks,
+        kmeans_seed=kmeans_seed,
         probe_train=(train_E, abnormal_labels(splits.train, normal_label)),
         normal_label=normal_label,
     )

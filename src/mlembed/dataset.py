@@ -33,19 +33,6 @@ def validate_labels(labels, label_count: int) -> frozenset[int]:
     return frozenset(int(x) for x in items)
 
 
-def label_complement(labels, label_count: int) -> frozenset[int]:
-    """All label indices in [0, label_count) not present in ``labels``.
-
-    Unlike example label sets, the input here may be empty (and the output
-    may be too), so that the complement is an involution.
-    """
-    s = frozenset(int(x) for x in labels)
-    for lab in s:
-        if lab < 0 or lab >= label_count:
-            raise DataFormatError(f"label {lab} outside [0, {label_count})")
-    return frozenset(range(label_count)) - s
-
-
 @dataclass(frozen=True, eq=False)
 class Example:
     id: str
@@ -369,12 +356,16 @@ def _read_jsonl(path: Path) -> list[tuple[str, np.ndarray, list]]:
                 raise DataFormatError(f"record {rid!r}: features must be a non-empty list")
             if not isinstance(record["labels"], list):
                 raise DataFormatError(f"record {rid!r}: labels must be a list")
+            # float64 conversion would take strings and booleans as numbers
+            if not set(map(type, record["features"])) <= {int, float}:
+                bad = next(x for x in record["features"] if type(x) not in (int, float))
+                raise DataFormatError(f"record {rid!r}: feature {bad!r} is not a number")
             try:
                 feats = np.asarray(record["features"], dtype=np.float64)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise DataFormatError(f"record {rid!r}: non-numeric feature") from exc
-            if feats.ndim != 1 or not np.all(np.isfinite(feats)):
-                raise DataFormatError(f"record {rid!r}: features must be finite scalars")
+            except OverflowError as exc:
+                raise DataFormatError(f"record {rid!r}: feature too large for a float") from exc
+            if not np.all(np.isfinite(feats)):
+                raise DataFormatError(f"record {rid!r}: features must be finite")
             raw.append((rid, feats, record["labels"]))
     return raw
 

@@ -17,39 +17,17 @@ from .errors import ContractError
 KMEANS_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Example id -> cluster id, with cluster ids in [0, k)."""
-
-    assignment: dict[str, int]
-    k: int
-
-    def __post_init__(self):
-        for ex_id, cluster in self.assignment.items():
-            if not 0 <= cluster < self.k:
-                raise ContractError(f"cluster {cluster} for {ex_id!r} outside [0, {self.k})")
-
-    @classmethod
-    def from_labels(cls, ids, labels, k: int) -> "Partition":
-        return cls(dict(zip(ids, (int(x) for x in labels))), k)
-
-    @classmethod
-    def from_label_sets(cls, ids, label_sets) -> "Partition":
-        """One cluster per distinct label set, in first-appearance order."""
-        cluster_of: dict[frozenset, int] = {}
-        assignment = {}
-        for ex_id, labels in zip(ids, label_sets):
-            key = frozenset(labels)
-            if key not in cluster_of:
-                cluster_of[key] = len(cluster_of)
-            assignment[ex_id] = cluster_of[key]
-        return cls(assignment, max(len(cluster_of), 1))
+def label_set_clusters(label_sets) -> tuple[np.ndarray, int]:
+    """Ground-truth clusters: one per distinct label set, numbered in order
+    of first appearance. Returns the cluster of each example and their count."""
+    cluster_of: dict[frozenset, int] = {}
+    clusters = [cluster_of.setdefault(frozenset(s), len(cluster_of)) for s in label_sets]
+    return np.array(clusters, dtype=np.intp), max(len(cluster_of), 1)
 
 
 @dataclass
 class KMeansResult:
-    partition: Partition
-    centers: np.ndarray
+    assignment: np.ndarray  # (n,) cluster of each point, in [0, k)
     objective_history: list[float]  # post-assignment objective per sweep
 
 
@@ -57,7 +35,7 @@ def _squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
-def kmeans(X: np.ndarray, k: int, seed: int, ids=None) -> KMeansResult:
+def kmeans(X: np.ndarray, k: int, seed: int) -> KMeansResult:
     """Lloyd iterations from greedy D^2-weighted seeding.
 
     Runs until the assignment reaches a fixpoint or the sweep cap; empty
@@ -70,11 +48,6 @@ def kmeans(X: np.ndarray, k: int, seed: int, ids=None) -> KMeansResult:
         raise ContractError(f"k must be >= 1, got {k}")
     if k > n:
         raise ContractError(f"k={k} exceeds point count {n}")
-    if ids is None:
-        ids = [str(i) for i in range(n)]
-    ids = list(ids)
-    if len(ids) != n:
-        raise ContractError(f"{len(ids)} ids for {n} points")
 
     rng = np.random.default_rng(seed)
     centers = np.empty((k, X.shape[1]))
@@ -114,8 +87,7 @@ def kmeans(X: np.ndarray, k: int, seed: int, ids=None) -> KMeansResult:
             taken.add(pick)
             centers[j] = X[pick]
 
-    partition = Partition.from_labels(ids, assign, k)
-    return KMeansResult(partition, centers, history)
+    return KMeansResult(assign, history)
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -123,36 +95,36 @@ def _entropy(counts: np.ndarray, n: int) -> float:
     return float(-(probs * np.log(probs)).sum())
 
 
-def nmi(pred: Partition, truth: Partition) -> float:
-    """Normalized mutual information: 2 I(pred; truth) / (H(pred) + H(truth)).
+def nmi(pred, truth) -> float:
+    """Normalized mutual information of two partitions given as int arrays
+    of cluster ids, one per example: 2 I(pred; truth) / (H(pred) + H(truth)).
 
     0 log 0 counts as 0. When both partitions are single-cluster they are
     identical up to relabeling, so the 0/0 case resolves to 1.
     """
-    if set(pred.assignment) != set(truth.assignment):
-        raise ContractError("partitions cover different id universes")
-    n = len(pred.assignment)
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    if pred.ndim != 1 or pred.shape != truth.shape:
+        raise ContractError(f"partitions of shapes {pred.shape} and {truth.shape}")
+    n = len(pred)
     if n == 0:
         raise ContractError("empty partitions")
+    if pred.min() < 0 or truth.min() < 0:
+        raise ContractError("cluster ids must be >= 0")
 
-    table = np.zeros((pred.k, truth.k))
-    for ex_id, a in pred.assignment.items():
-        table[a, truth.assignment[ex_id]] += 1.0
+    k_pred, k_truth = int(pred.max()) + 1, int(truth.max()) + 1
+    table = np.bincount(pred * k_truth + truth, minlength=k_pred * k_truth)
+    table = table.reshape(k_pred, k_truth).astype(np.float64)
     row = table.sum(axis=1)
     col = table.sum(axis=0)
 
     info = 0.0
-    for i in range(pred.k):
-        for j in range(truth.k):
-            nij = table[i, j]
-            if nij > 0:
-                info += (nij / n) * math.log(nij * n / (row[i] * col[j]))
+    for i, j in zip(*np.nonzero(table)):  # row-major, as the sum has always run
+        nij = table[i, j]
+        info += (nij / n) * math.log(nij * n / (row[i] * col[j]))
     h_pred = _entropy(row, n)
     h_truth = _entropy(col, n)
     if h_pred == 0.0 and h_truth == 0.0:
         return 1.0
-    if h_pred + h_truth == 0.0:
-        return 0.0
     return float(min(1.0, max(0.0, 2.0 * info / (h_pred + h_truth))))
 
 
@@ -168,16 +140,17 @@ def recall_at_k(embeddings: np.ndarray, label_sets, k: int) -> float:
     sets = [frozenset(s) for s in label_sets]
     if len(sets) != n:
         raise ContractError(f"{len(sets)} label sets for {n} embeddings")
+    column = {label: c for c, label in enumerate(set().union(*sets))}
+    members = np.zeros((n, len(column)), dtype=bool)  # the label matrix
+    for i, labels in enumerate(sets):
+        members[i, [column[label] for label in labels]] = True
 
     sq = (X**2).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.fill_diagonal(d2, np.inf)
-    hits = 0
-    for i in range(n):
-        neighbors = np.argsort(d2[i], kind="stable")[:k]
-        if any(sets[i] & sets[int(j)] for j in neighbors):
-            hits += 1
-    return hits / n
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    hits = (members[neighbors] & members[:, None, :]).any(axis=(1, 2))
+    return int(np.count_nonzero(hits)) / n
 
 
 @dataclass
@@ -329,10 +302,9 @@ def evaluate_embeddings(
     for fitting the normal-vs-abnormal logistic probe; when omitted or
     single-class, the classification block is left empty.
     """
-    ids = eval_ds.ids()
     label_sets = [ex.labels for ex in eval_ds.examples]
-    truth = Partition.from_label_sets(ids, label_sets)
-    predicted = kmeans(eval_embeddings, truth.k, seed=kmeans_seed, ids=ids).partition
+    truth, k_truth = label_set_clusters(label_sets)
+    predicted = kmeans(eval_embeddings, k_truth, seed=kmeans_seed).assignment
     score = nmi(predicted, truth)
 
     recall = {}
@@ -346,7 +318,7 @@ def evaluate_embeddings(
         test_y = abnormal_labels(eval_ds, normal_label)
         if len(np.unique(train_y)) == 2:
             classification = logistic_probe(train_E, train_y, eval_embeddings, test_y)
-    return MetricsReport(score, recall, classification, truth.k)
+    return MetricsReport(score, recall, classification, k_truth)
 
 
 def abnormal_labels(ds, normal_label: int = 0) -> np.ndarray:

@@ -12,14 +12,10 @@ scales how much of the margin a positive pair is allowed to keep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DegenerateGroupError
-
-if TYPE_CHECKING:
-    from .sampler import AnchorGroup
 
 
 @dataclass(frozen=True)
@@ -315,26 +311,12 @@ def contrastive_batch_loss(E: np.ndarray, same, cfg: LossConfig) -> tuple[np.nda
     return values, G
 
 
-def ml2plus_loss(
-    group: AnchorGroup, emb: Mapping[str, np.ndarray], cfg: LossConfig
-) -> GroupLossOutput:
-    """ML2 with the fixed overlap tau = (p - 1) / p of single-label positives.
-
-    ``emb`` maps example ids to embedding rows. Raises if any positive
-    carries more than one label.
-    """
-    for pos in group.positives:
-        if len(pos.labels) != 1:
-            raise ContractError(
-                f"positive {pos.id!r} has {len(pos.labels)} labels; "
-                f"single-label positives required"
-            )
-    p = len(group.positives)
-    tau = (p - 1) / p
-    anchor = emb[group.anchor.id]
-    P = np.stack([emb[ex.id] for ex in group.positives])
-    N = np.stack([emb[ex.id] for ex in group.negatives]) if group.negatives else np.empty((0, anchor.shape[0]))
-    return ml2_loss(anchor, P, N, np.full(p, tau), cfg)
+def ml2plus_loss(anchor, positives, negatives, cfg: LossConfig) -> GroupLossOutput:
+    """ML2 with the fixed overlap tau = (p - 1) / p of p single-label
+    positives; the caller guarantees that they are single-label."""
+    P = _as_matrix(positives, "positive")
+    p = P.shape[0]
+    return ml2_loss(anchor, P, negatives, np.full(p, (p - 1) / p), cfg)
 
 
 def pretrain_loss(log_probs: np.ndarray, labels, label_count: int) -> PretrainLossOutput:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,20 @@ from .numeric import EPS_NORM, ParamStore
 
 CHECKPOINT_MAGIC = b"MLEMBED\x01"
 CHECKPOINT_VERSION = 1
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and move it into
+    place with ``os.replace``, so ``path`` holds either its old bytes or all
+    of the new ones. The temporary file is removed when the write fails."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _is_int(value) -> bool:
@@ -250,7 +265,8 @@ class EmbeddingModel:
     # -- checkpoint io ------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Versioned header plus named little-endian float64 arrays."""
+        """Versioned header plus named little-endian float64 arrays, written
+        whole or not at all (:func:`write_atomic`)."""
         path = Path(path)
         names = self.params.names()
         header = {
@@ -262,12 +278,10 @@ class EmbeddingModel:
             ],
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        with path.open("wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            for name in names:
-                fh.write(np.ascontiguousarray(self.params.value(name), dtype="<f8").tobytes())
+        parts = [CHECKPOINT_MAGIC, struct.pack("<Q", len(blob)), blob]
+        for name in names:
+            parts.append(np.ascontiguousarray(self.params.value(name), dtype="<f8").tobytes())
+        write_atomic(path, b"".join(parts))
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingModel":

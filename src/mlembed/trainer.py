@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import Dataset, DatasetSplits
 from .errors import ConfigError, SamplingError, TrainingAbort
-from .evaluation import Partition, kmeans, nmi, recall_at_k
+from .evaluation import kmeans, label_set_clusters, nmi, recall_at_k
 from .losses import (
     LossConfig,
     contrastive_batch_loss,
@@ -33,7 +33,7 @@ from .losses import (
 # The benchmark's tracer (bench/tracer.py) hooks these names here. Training
 # no longer calls them: every regime and pre-training use the batched kernels.
 from .losses import contrastive_loss, ml2plus_loss, pretrain_loss  # noqa: F401
-from .model import EmbeddingModel, EncoderConfig
+from .model import EmbeddingModel, EncoderConfig, write_atomic
 from .numeric import ParamStore
 from .sampler import REGIMES, build_minibatch
 
@@ -43,6 +43,27 @@ CHECKPOINT_SUFFIX = ".ckpt"
 _FIELD_TYPES = {
     "str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool, "None": type(None)
 }
+
+
+def check_type(name: str, value, annotation: str) -> None:
+    """Raise ConfigError unless ``value`` fits ``annotation``: a union
+    (``" | "``) of str, int, float, bool, None and ``list[...]`` of those.
+    Ints are accepted for floats, bool only where declared, and a float
+    must be finite."""
+    if not _fits(value, annotation):
+        raise ConfigError(f"{name} must be {annotation}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def _fits(value, annotation: str) -> bool:
+    for kind in annotation.split(" | "):
+        if kind.startswith("list["):
+            if isinstance(value, list) and all(_fits(item, kind[5:-1]) for item in value):
+                return True
+        elif isinstance(value, _FIELD_TYPES[kind]) and isinstance(value, bool) == (kind == "bool"):
+            return True
+    return False
 
 
 @dataclass
@@ -63,14 +84,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            kinds = field.type.split(" | ")
-            if isinstance(value, bool) != ("bool" in kinds) or not any(
-                isinstance(value, _FIELD_TYPES[kind]) for kind in kinds
-            ):
-                raise ConfigError(f"{field.name} must be {field.type}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{field.name} must be finite, got {value!r}")
+            check_type(field.name, getattr(self, field.name), field.type)
         if self.loss not in REGIMES:
             raise ConfigError(f"unknown loss {self.loss!r}; expected one of {REGIMES}")
         if self.batch_size is None:
@@ -156,10 +170,9 @@ def sgd_step(params: ParamStore, lr: float, momentum: float, weight_decay: float
 
 def _validation_scores(model: EmbeddingModel, ds: Dataset, kmeans_seed: int):
     E, _ = model.embed(ds.feature_matrix())
-    ids = ds.ids()
     label_sets = [ex.labels for ex in ds.examples]
-    truth = Partition.from_label_sets(ids, label_sets)
-    predicted = kmeans(E, truth.k, seed=kmeans_seed, ids=ids).partition
+    truth, k_truth = label_set_clusters(label_sets)
+    predicted = kmeans(E, k_truth, seed=kmeans_seed).assignment
     return nmi(predicted, truth), recall_at_k(E, label_sets, 1)
 
 
@@ -323,13 +336,12 @@ def emit_run(
     encoder_cfg: EncoderConfig,
     manifest_extra: dict | None = None,
 ) -> None:
-    """Write checkpoint, deterministic report.json, and manifest.json."""
+    """Write checkpoint, deterministic report.json, and manifest.json, each
+    moved into place whole (see :func:`~mlembed.model.write_atomic`)."""
     run_dir.mkdir(parents=True, exist_ok=True)
     ckpt_name = (report.best_checkpoint or "final") + CHECKPOINT_SUFFIX
     model.save(run_dir / ckpt_name)
-    (run_dir / "report.json").write_text(
-        json.dumps(report.report_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(run_dir / "report.json", _json_bytes(report.report_dict()))
     manifest = {
         "train_config": dataclasses.asdict(cfg),
         "encoder_config": encoder_cfg.as_dict(),
@@ -342,6 +354,8 @@ def emit_run(
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(run_dir / "manifest.json", _json_bytes(manifest))
+
+
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")

@@ -51,6 +51,33 @@ def brute_force_recall_at_k(embeddings, label_sets, k):
     return hits / n
 
 
+def frozen_nmi(pred, truth):
+    """NMI exactly as the id-keyed implementation summed it: a float
+    contingency table filled one example at a time, then a row-major loop
+    over its nonzero cells."""
+    n = len(pred)
+    k_pred, k_truth = max(pred) + 1, max(truth) + 1
+    table = np.zeros((k_pred, k_truth))
+    for a, b in zip(pred, truth):
+        table[a, b] += 1.0
+    row, col = table.sum(axis=1), table.sum(axis=0)
+    info = 0.0
+    for i in range(k_pred):
+        for j in range(k_truth):
+            nij = table[i, j]
+            if nij > 0:
+                info += (nij / n) * math.log(nij * n / (row[i] * col[j]))
+
+    def entropy(counts):
+        probs = counts[counts > 0] / n
+        return float(-(probs * np.log(probs)).sum())
+
+    h_pred, h_truth = entropy(row), entropy(col)
+    if h_pred == 0.0 and h_truth == 0.0:
+        return 1.0
+    return float(min(1.0, max(0.0, 2.0 * info / (h_pred + h_truth))))
+
+
 def unit_at_distance(d, dim=2):
     """A unit vector at exact chord distance d from e1 (0 <= d <= 2)."""
     theta = 2.0 * math.asin(d / 2.0)

@@ -25,8 +25,8 @@ import pytest
 from mlembed.cli import main as cli_main
 from mlembed.errors import GroupRejected
 from mlembed.evaluation import (
-    Partition,
     kmeans,
+    label_set_clusters,
     logistic_probe,
     nmi,
     recall_at_k,
@@ -47,7 +47,6 @@ from mlembed.model import EmbeddingModel, EncoderConfig
 from mlembed.numeric import ParamStore, check_gradient
 from mlembed.sampler import build_minibatch, sample_group_ml2, sample_group_ml2plus
 from mlembed.trainer import TrainConfig, train
-from conftest import make_example
 from oracles import (
     brute_force_group_loss,
     brute_force_recall_at_k,
@@ -110,9 +109,8 @@ def _best_point(report):
 
 def _test_nmi(model, ds):
     E, _ = model.embed(ds.feature_matrix())
-    truth = Partition.from_label_sets(ds.ids(), [ex.labels for ex in ds.examples])
-    pred = kmeans(E, truth.k, seed=0, ids=ds.ids()).partition
-    return nmi(pred, truth)
+    truth, k = label_set_clusters(ex.labels for ex in ds.examples)
+    return nmi(kmeans(E, k, seed=0).assignment, truth)
 
 
 def test_criterion_1_formula_oracles():
@@ -210,17 +208,8 @@ def _check_ml2(rng):
     return _grad_check(fn, {"a": a, "P": P, "N": N})
 
 
-def _ml2plus_probe_group():
-    from mlembed.sampler import AnchorGroup
-
-    anchor = make_example("a", {1, 2})
-    positives = (make_example("p0", {1}), make_example("p1", {2}))
-    negatives = (make_example("n0", {0}), make_example("n1", {3}))
-    return AnchorGroup(anchor, positives, negatives, (0.5, 0.5))
-
-
 def _check_ml2plus(rng):
-    group = _ml2plus_probe_group()
+    # anchor {1, 2}, single-label positives {1} and {2}, so tau = 1/2
     while True:
         a, P, N, _ = _non_kink_draw(rng, 4, 2, 2, CFG.margin)
         lse = math.log(np.sum(np.exp(CFG.margin - np.linalg.norm(a - N, axis=1))))
@@ -229,14 +218,7 @@ def _check_ml2plus(rng):
             break
 
     def fn(vals):
-        emb = {
-            "a": vals["a"],
-            "p0": vals["P"][0],
-            "p1": vals["P"][1],
-            "n0": vals["N"][0],
-            "n1": vals["N"][1],
-        }
-        out = ml2plus_loss(group, emb, CFG)
+        out = ml2plus_loss(vals["a"], vals["P"], vals["N"], CFG)
         return out.value, {"a": out.anchor_grad, "P": out.positive_grads, "N": out.negative_grads}
 
     return _grad_check(fn, {"a": a, "P": P, "N": N})
@@ -362,13 +344,12 @@ def test_criterion_3_tau_properties(default_splits):
     ds = default_splits.train
     checked = 0
     for pos in rng.permutation(len(ds))[:300]:
-        anchor = ds.examples[int(pos)]
         try:
-            group = sample_group_ml2plus(ds, anchor, rng)
+            _, p, taus = sample_group_ml2plus(ds, int(pos), rng)
         except GroupRejected:
             continue
-        p = len(group.positives)
-        assert group.tau_values == ((p - 1) / p,) * p
+        assert p == len(ds.examples[int(pos)].labels)
+        assert taus == [(p - 1) / p] * p + [0.0] * (ds.label_count - p)
         checked += 1
     assert checked >= 200
     print(f"\nACCEPTANCE 3 PASS: tau properties on 10k pairs; {checked} ML2+ groups exact")
@@ -385,18 +366,18 @@ def test_criterion_4_sampler_contract(default_splits):
             anchor = ds.examples[int(pos)]
             for regime, sample in (("ml2", sample_group_ml2), ("ml2plus", sample_group_ml2plus)):
                 try:
-                    group = sample(ds, anchor, rng)
+                    row, p, _ = sample(ds, int(pos), rng)
                 except GroupRejected:
                     signatures.append((regime, anchor.id, None))
                     continue
-                assert len(group.positives) + len(group.negatives) == l
-                ids = [ex.id for ex in group.positives + group.negatives]
+                assert row[0] == pos and len(row) == 1 + l
+                ids = [ds.examples[i].id for i in row[1:]]
                 assert anchor.id not in ids and len(ids) == len(set(ids))
-                for pos_ex in group.positives:
+                for pos_ex in (ds.examples[i] for i in row[1 : 1 + p]):
                     assert pos_ex.labels & anchor.labels
                     if regime == "ml2plus":
                         assert len(pos_ex.labels) == 1
-                for neg_ex in group.negatives:
+                for neg_ex in (ds.examples[i] for i in row[1 + p :]):
                     assert not (neg_ex.labels & anchor.labels)
                 signatures.append((regime, anchor.id, tuple(ids)))
         return signatures
@@ -411,10 +392,9 @@ def test_criterion_4_sampler_contract(default_splits):
 def test_criterion_5_training_analogue(default_splits, default_spec, ml2plus_runs, contrastive_runs):
     # Oracle first: raw features must make the label sets recoverable.
     test_ds = default_splits.test
-    assignment, k = nearest_label_set_partition(test_ds, default_spec.prototypes)
-    oracle_pred = Partition.from_labels(test_ds.ids(), assignment, k)
-    truth = Partition.from_label_sets(test_ds.ids(), [ex.labels for ex in test_ds.examples])
-    oracle_nmi = nmi(oracle_pred, truth)
+    assignment, _ = nearest_label_set_partition(test_ds, default_spec.prototypes)
+    truth, _ = label_set_clusters(ex.labels for ex in test_ds.examples)
+    oracle_nmi = nmi(np.array(assignment), truth)
     assert oracle_nmi >= ORACLE_NMI_FLOOR, f"oracle NMI {oracle_nmi:.3f}"
 
     ml2plus_val_nmi = np.mean([r.best_val_nmi for _, r in ml2plus_runs])
@@ -470,10 +450,10 @@ def test_criterion_7_classification_probe(default_splits, ml2plus_runs):
 
 def test_criterion_8_evaluation_correctness():
     # NMI hand-computed contingency: all four cells equal, information zero.
-    pred = Partition({"a": 0, "b": 0, "c": 1, "d": 1}, 2)
-    truth = Partition({"a": 0, "b": 1, "c": 0, "d": 1}, 2)
+    pred = np.array([0, 0, 1, 1])
+    truth = np.array([0, 1, 0, 1])
     assert abs(nmi(pred, truth) - 0.0) <= 1e-12
-    ident = Partition({"a": 0, "b": 0, "c": 1, "d": 1}, 2)
+    ident = np.array([0, 0, 1, 1])
     assert abs(nmi(pred, ident) - 1.0) <= 1e-12
 
     rng = np.random.default_rng(108)

@@ -94,6 +94,34 @@ class TestGenData:
         assert code == 1
         assert "data.sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("label_count", "abc"),
+            ("label_count", 1.5),
+            ("train_examples", 80.5),
+            ("feature_dim", True),
+            ("feature_dim", 0),
+            ("feature_dim", -1),
+            ("noise_sigma", "0.15"),
+            ("seed", [19]),
+            ("seed", -1),
+            ("exclusive_labels", ["0"]),
+            ("prototypes", "abc"),
+            ("cooccurrence", [[0.3, "x"]]),
+        ],
+    )
+    def test_ill_typed_data_value_exits_one(self, tmp_path, capsys, key, value):
+        bad = json.loads(json.dumps(TINY_CONFIG))
+        bad["data"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        code = main(["gen-data", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert f"data.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_run_artifacts(self, run_dir):
@@ -171,13 +199,15 @@ class TestTrain:
             ("encoder", "embedding_dim", "abc"),
             ("encoder", "hidden_sizes", "12"),
             ("encoder", "seed", 1.5),
+            ("paths", "dataset_dir", 5),
+            ("paths", "run_dir", ["run"]),
         ],
     )
     def test_ill_typed_config_value_exits_one(
         self, tmp_path, data_dir, capsys, section, key, value
     ):
         bad = json.loads(json.dumps(TINY_CONFIG))
-        bad[section][key] = value
+        bad.setdefault(section, {})[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         run_dir = str(tmp_path / "run")
@@ -310,6 +340,29 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(bad), "--data", str(data_dir)])
         assert code == 1
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("recall_ks", "1"),
+            ("recall_ks", [0]),
+            ("recall_ks", [1.5]),
+            ("recall_ks", [True]),
+            ("kmeans_seed", "0"),
+            ("kmeans_seed", -1),
+            ("normal_label", 0.5),
+            ("split", 3),
+        ],
+    )
+    def test_ill_typed_eval_value_exits_one(self, tmp_path, data_dir, run_dir, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"eval": {key: value}}))
+        code = main(
+            ["eval", "--config", str(path), "--checkpoint", str(checkpoint_in(run_dir)),
+             "--data", str(data_dir)]
+        )
+        assert code == 1
+        assert f"eval.{key}" in capsys.readouterr().err
 
     def test_non_object_jsonl_line_exits_one(self, tmp_path, data_dir, run_dir, capsys):
         (data_dir / "test.jsonl").write_text("5\n")

@@ -11,7 +11,6 @@ from mlembed.dataset import (
     SyntheticSpec,
     default_synthetic_spec,
     generate_synthetic,
-    label_complement,
     load_jsonl,
     save_jsonl,
 )
@@ -35,25 +34,6 @@ def small_spec(**overrides):
         if key not in kwargs:
             setattr(spec, key, value)
     return spec
-
-
-class TestLabelComplement:
-    def test_singleton(self):
-        assert label_complement({0}, 5) == frozenset({1, 2, 3, 4})
-
-    def test_full_set(self):
-        assert label_complement(set(range(5)), 5) == frozenset()
-
-    def test_involution(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            l = int(rng.integers(1, 8))
-            s = frozenset(int(x) for x in rng.choice(l, size=rng.integers(0, l + 1), replace=False))
-            assert label_complement(label_complement(s, l), l) == s
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DataFormatError):
-            label_complement({5}, 5)
 
 
 class TestSyntheticGenerator:
@@ -238,6 +218,14 @@ class TestJsonlBoundary:
         with pytest.raises(DataFormatError, match="odd"):
             load_jsonl(self._write(tmp_path, record), label_count=3)
 
+    @pytest.mark.parametrize(
+        "features", [b'["1.5", 2.0]', b"[1.5, true]", b"[false]", b"[null]", b"[[1.0]]", b"[{}]"]
+    )
+    def test_non_number_features_rejected(self, tmp_path, features):
+        record = b'{"id": "odd", "features": ' + features + b', "labels": [0]}\n'
+        with pytest.raises(DataFormatError, match="odd"):
+            load_jsonl(self._write(tmp_path, record), label_count=3)
+
     @settings(max_examples=300, deadline=None)
     @given(st.binary(max_size=300))
     def test_any_bytes_load_or_raise_data_format_error(self, tmp_path_factory, data):
@@ -264,7 +252,9 @@ class TestJsonlBoundary:
         try:
             load_jsonl(path, label_count=data.draw(st.none() | st.integers(1, 4)))
         except DataFormatError:
-            pass
+            return
+        # a file that loads holds only records, and their features are numbers
+        assert all(type(x) in (int, float) for line in lines for x in line["features"])
 
 
 class TestDatasetInvariants:

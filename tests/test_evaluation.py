@@ -5,15 +5,15 @@ import pytest
 
 from mlembed.errors import ContractError
 from mlembed.evaluation import (
-    Partition,
     evaluate_embeddings,
     kmeans,
+    label_set_clusters,
     logistic_probe,
     nmi,
     project_2d,
     recall_at_k,
 )
-from oracles import brute_force_recall_at_k
+from oracles import brute_force_recall_at_k, frozen_nmi
 
 
 class TestKMeans:
@@ -22,7 +22,7 @@ class TestKMeans:
         X = rng.standard_normal((6, 3))
         result = kmeans(X, k=6, seed=1)
         assert result.objective_history[-1] <= 1e-20
-        assert result.partition.k == 6
+        assert sorted(result.assignment.tolist()) == list(range(6))
 
     def test_separated_blobs_recovered(self):
         rng = np.random.default_rng(2)
@@ -30,8 +30,8 @@ class TestKMeans:
         blob_b = rng.normal(0.0, 0.05, size=(40, 4)) + 10.0
         X = np.vstack([blob_a, blob_b])
         result = kmeans(X, k=2, seed=3)
-        first = {result.partition.assignment[str(i)] for i in range(40)}
-        second = {result.partition.assignment[str(i)] for i in range(40, 80)}
+        first = set(result.assignment[:40].tolist())
+        second = set(result.assignment[40:].tolist())
         assert len(first) == 1 and len(second) == 1 and first != second
 
     def test_objective_non_increasing(self):
@@ -46,7 +46,7 @@ class TestKMeans:
         X = rng.standard_normal((50, 4))
         a = kmeans(X, k=5, seed=11)
         b = kmeans(X, k=5, seed=11)
-        assert a.partition.assignment == b.partition.assignment
+        assert np.array_equal(a.assignment, b.assignment)
         assert a.objective_history == b.objective_history
 
     def test_duplicate_points_and_large_k(self):
@@ -56,7 +56,8 @@ class TestKMeans:
         result = kmeans(X, k=3, seed=7)
         hist = result.objective_history
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
-        assert set(result.partition.assignment.values()) <= {0, 1, 2}
+        assert result.assignment.shape == (10,)
+        assert set(result.assignment.tolist()) <= {0, 1, 2}
 
     def test_invalid_k(self):
         X = np.zeros((3, 2))
@@ -68,50 +69,67 @@ class TestKMeans:
 
 class TestNmi:
     def test_identical_partitions(self):
-        p = Partition({"a": 0, "b": 1, "c": 0}, 2)
-        q = Partition({"a": 1, "b": 0, "c": 1}, 2)  # same up to relabeling
+        p = np.array([0, 1, 0])
+        q = np.array([1, 0, 1])  # same up to relabeling
         assert nmi(p, p) == 1.0
         assert nmi(p, q) == 1.0
 
     def test_single_cluster_prediction_is_zero(self):
-        pred = Partition({"a": 0, "b": 0, "c": 0, "d": 0}, 1)
-        truth = Partition({"a": 0, "b": 0, "c": 1, "d": 1}, 2)
+        pred = np.array([0, 0, 0, 0])
+        truth = np.array([0, 0, 1, 1])
         assert nmi(pred, truth) == 0.0
 
     def test_four_point_hand_contingency(self):
         # pred {a,b},{c,d} vs truth {a,c},{b,d}: all cells n_ij = 1, so
         # I = sum (1/4) log(1*4 / (2*2)) = 0 exactly.
-        pred = Partition({"a": 0, "b": 0, "c": 1, "d": 1}, 2)
-        truth = Partition({"a": 0, "b": 1, "c": 0, "d": 1}, 2)
+        pred = np.array([0, 0, 1, 1])
+        truth = np.array([0, 1, 0, 1])
         assert abs(nmi(pred, truth)) <= 1e-12
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(6)
-        ids = [f"x{i}" for i in range(30)]
         for _ in range(20):
-            p = Partition.from_labels(ids, rng.integers(0, 4, size=30), 4)
-            q = Partition.from_labels(ids, rng.integers(0, 3, size=30), 3)
+            p = rng.integers(0, 4, size=30)
+            q = rng.integers(0, 3, size=30)
             forward, backward = nmi(p, q), nmi(q, p)
             assert abs(forward - backward) <= 1e-12
             assert 0.0 <= forward <= 1.0
 
     def test_relabeling_invariance(self):
-        ids = [f"x{i}" for i in range(12)]
-        labels = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
-        p = Partition.from_labels(ids, labels, 3)
-        relabeled = Partition.from_labels(ids, [(x + 1) % 3 for x in labels], 3)
-        truth = Partition.from_labels(ids, [x % 2 for x in range(12)], 2)
+        p = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2])
+        relabeled = (p + 1) % 3
+        truth = np.arange(12) % 2
         assert nmi(p, truth) == nmi(relabeled, truth)
 
     def test_id_mismatch_rejected(self):
-        p = Partition({"a": 0}, 1)
-        q = Partition({"b": 0}, 1)
+        # partitions of different example sets: here, of different sizes
         with pytest.raises(ContractError):
-            nmi(p, q)
+            nmi(np.array([0]), np.array([0, 0]))
+        with pytest.raises(ContractError):
+            nmi(np.array([0, -1]), np.array([0, 0]))
+
+    def test_bitwise_equal_to_frozen_contingency_loop(self):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            n = int(rng.integers(1, 400))
+            pred = rng.integers(0, rng.integers(1, 12), size=n)
+            truth = rng.integers(0, rng.integers(1, 12), size=n)
+            assert nmi(pred, truth) == frozen_nmi(pred.tolist(), truth.tolist())
 
     def test_both_single_cluster_is_one(self):
-        p = Partition({"a": 0, "b": 0}, 1)
+        p = np.array([0, 0])
         assert nmi(p, p) == 1.0
+
+
+class TestLabelSetClusters:
+    def test_first_appearance_order(self):
+        clusters, k = label_set_clusters([{2}, {0, 1}, {2}, {1, 0}, {3}])
+        assert clusters.tolist() == [0, 1, 0, 1, 2]
+        assert k == 3
+
+    def test_empty(self):
+        clusters, k = label_set_clusters([])
+        assert clusters.shape == (0,) and k == 1
 
 
 class TestRecallAtK:

@@ -24,8 +24,6 @@ from mlembed.losses import (
     triplet_loss,
 )
 from mlembed.numeric import ParamStore, check_gradient
-from mlembed.sampler import AnchorGroup
-from conftest import make_example
 from oracles import (
     brute_force_group_loss,
     brute_force_ml2,
@@ -462,63 +460,32 @@ class TestMl2BatchLoss:
             ml2_batch_loss(E, np.array([1, 0]), taus, CFG)
 
 
-def build_group(anchor_labels, positive_labels, negative_labels, taus=None):
-    anchor = make_example("anchor", anchor_labels)
-    positives = tuple(
-        make_example(f"p{i}", labels) for i, labels in enumerate(positive_labels)
-    )
-    negatives = tuple(
-        make_example(f"n{j}", labels) for j, labels in enumerate(negative_labels)
-    )
-    if taus is None:
-        taus = tuple(overlap_tau(anchor.labels, pos.labels) for pos in positives)
-    return AnchorGroup(anchor, positives, negatives, tuple(taus))
-
-
-def build_emb(group, rng, dim=6):
-    emb = {group.anchor.id: random_unit(rng, dim)}
-    for ex in group.positives + group.negatives:
-        emb[ex.id] = random_unit(rng, dim)
-    return emb
+def random_units(rng, count, dim=6):
+    return np.stack([random_unit(rng, dim) for _ in range(count)])
 
 
 class TestMl2PlusLoss:
     def test_single_positive_reduces_to_tau_zero(self):
         rng = np.random.default_rng(41)
-        group = build_group({2}, [{2}], [{0}, {1}])
-        emb = build_emb(group, rng)
-        out = ml2plus_loss(group, emb, CFG)
-        P = emb["p0"][None, :]
-        N = np.stack([emb["n0"], emb["n1"]])
-        ref = ml2_loss(emb["anchor"], P, N, np.array([0.0]), CFG)
+        a, P, N = random_unit(rng, 6), random_units(rng, 1), random_units(rng, 2)
+        out = ml2plus_loss(a, P, N, CFG)
+        ref = ml2_loss(a, P, N, np.array([0.0]), CFG)
         assert out.value == ref.value
 
     def test_p4_margin_scaled_three_quarters(self):
         rng = np.random.default_rng(43)
-        group = build_group({1, 2, 3, 4}, [{1}, {2}, {3}, {4}], [{0}])
-        emb = build_emb(group, rng)
-        out = ml2plus_loss(group, emb, CFG)
-        P = np.stack([emb[f"p{i}"] for i in range(4)])
-        ref = ml2_loss(emb["anchor"], P, emb["n0"][None, :], np.full(4, 0.75), CFG)
+        a, P, N = random_unit(rng, 6), random_units(rng, 4), random_units(rng, 1)
+        out = ml2plus_loss(a, P, N, CFG)
+        ref = ml2_loss(a, P, N, np.full(4, 0.75), CFG)
         assert out.value == ref.value
         assert np.array_equal(out.positive_grads, ref.positive_grads)
 
     def test_equals_ml2_with_overwritten_taus(self):
         rng = np.random.default_rng(47)
-        group = build_group({1, 3}, [{1}, {3}], [{0}, {2}])
-        emb = build_emb(group, rng)
-        out = ml2plus_loss(group, emb, CFG)
-        P = np.stack([emb["p0"], emb["p1"]])
-        N = np.stack([emb["n0"], emb["n1"]])
-        ref = ml2_loss(emb["anchor"], P, N, np.full(2, 0.5), CFG)
+        a, P, N = random_unit(rng, 6), random_units(rng, 2), random_units(rng, 2)
+        out = ml2plus_loss(a, P, N, CFG)
+        ref = ml2_loss(a, P, N, np.full(2, 0.5), CFG)
         assert out.value == ref.value
-
-    def test_multi_label_positive_rejected(self):
-        rng = np.random.default_rng(53)
-        group = build_group({1, 2}, [{1, 2}, {2}], [{0}], taus=(0.0, 0.5))
-        emb = build_emb(group, rng)
-        with pytest.raises(ContractError, match="single-label"):
-            ml2plus_loss(group, emb, CFG)
 
 
 class TestContrastiveLoss:

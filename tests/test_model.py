@@ -195,6 +195,26 @@ class TestCheckpoint:
         for name in model.params.names():
             assert np.array_equal(loaded.params.value(name), model.params.value(name))
 
+    def test_failed_save_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        model = small_model(seed=14)
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        good = path.read_bytes()
+        real_value, calls = model.params.value, []
+
+        def failing_value(name):
+            # the header reads every slot once; fail on the second array
+            calls.append(name)
+            if len(calls) == len(model.params.names()) + 2:
+                raise RuntimeError("injected failure")
+            return real_value(name)
+
+        monkeypatch.setattr(model.params, "value", failing_value)
+        with pytest.raises(RuntimeError, match="injected"):
+            model.save(path)
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_save_load_save_identical_bytes(self, tmp_path):
         model = small_model(seed=13)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

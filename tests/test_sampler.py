@@ -3,14 +3,8 @@ import pytest
 
 from mlembed.errors import ContractError, GroupRejected, SamplingError
 from mlembed.losses import overlap_tau
-from mlembed.sampler import (
-    AnchorGroup,
-    GroupBatch,
-    build_minibatch,
-    sample_group_ml2,
-    sample_group_ml2plus,
-)
-from conftest import make_dataset, make_example
+from mlembed.sampler import GroupBatch, build_minibatch, sample_group_ml2, sample_group_ml2plus
+from conftest import make_dataset
 from oracles import frozen_build_group_minibatch, frozen_build_item_minibatch
 
 
@@ -32,24 +26,36 @@ def five_label_dataset():
     return make_dataset(specs, label_count=5)
 
 
+def drawn_group(sample, ds, anchor_id, rng):
+    """One row drawn for the anchor, checked for shape and split into its
+    positive examples, negative examples and the positives' taus."""
+    row, p, taus = sample(ds, ds.position(anchor_id), rng)
+    assert row[0] == ds.position(anchor_id)
+    assert len(row) == 1 + ds.label_count and len(taus) == ds.label_count
+    assert taus[p:] == [0.0] * (ds.label_count - p)
+    members = [ds.examples[i] for i in row[1:]]
+    return members[:p], members[p:], taus[:p]
+
+
 class TestSampleGroupMl2:
     def test_partition_counts(self):
         ds = five_label_dataset()
-        anchor = ds.by_id("anchor")
         rng = np.random.default_rng(0)
-        group = sample_group_ml2(ds, anchor, rng)
-        assert len(group.positives) == 2
-        assert len(group.negatives) == 3
-        assert len(group.positives) + len(group.negatives) == ds.label_count
+        positives, negatives, _ = drawn_group(sample_group_ml2, ds, "anchor", rng)
+        assert len(positives) == 2
+        assert len(negatives) == 3
+        assert len(positives) + len(negatives) == ds.label_count
 
     def test_positives_share_negatives_do_not(self):
         ds = five_label_dataset()
         anchor = ds.by_id("anchor")
         for seed in range(30):
-            group = sample_group_ml2(ds, anchor, np.random.default_rng(seed))
-            for pos in group.positives:
+            positives, negatives, _ = drawn_group(
+                sample_group_ml2, ds, "anchor", np.random.default_rng(seed)
+            )
+            for pos in positives:
                 assert pos.labels & anchor.labels
-            for neg in group.negatives:
+            for neg in negatives:
                 assert not (neg.labels & anchor.labels)
 
     def test_outside_label_draw_sharing_becomes_positive(self):
@@ -63,24 +69,27 @@ class TestSampleGroupMl2:
             ("n2", {2}),
         ]
         ds = make_dataset(specs, label_count=4)
-        group = sample_group_ml2(ds, ds.by_id("anchor"), np.random.default_rng(1))
-        positive_ids = {ex.id for ex in group.positives}
+        positives, negatives, _ = drawn_group(
+            sample_group_ml2, ds, "anchor", np.random.default_rng(1)
+        )
+        positive_ids = {ex.id for ex in positives}
         assert "x13" in positive_ids
-        assert len(group.positives) == 2 and len(group.negatives) == 2
+        assert len(positives) == 2 and len(negatives) == 2
 
     def test_tau_values_match_overlap(self):
         ds = five_label_dataset()
         anchor = ds.by_id("anchor")
-        group = sample_group_ml2(ds, anchor, np.random.default_rng(2))
-        for pos, tau in zip(group.positives, group.tau_values):
+        positives, _, taus = drawn_group(sample_group_ml2, ds, "anchor", np.random.default_rng(2))
+        for pos, tau in zip(positives, taus, strict=True):
             assert tau == overlap_tau(anchor.labels, pos.labels)
 
     def test_anchor_excluded(self):
         ds = five_label_dataset()
-        anchor = ds.by_id("anchor")
         for seed in range(20):
-            group = sample_group_ml2(ds, anchor, np.random.default_rng(seed))
-            ids = [ex.id for ex in group.positives + group.negatives]
+            positives, negatives, _ = drawn_group(
+                sample_group_ml2, ds, "anchor", np.random.default_rng(seed)
+            )
+            ids = [ex.id for ex in positives + negatives]
             assert "anchor" not in ids
             assert len(ids) == len(set(ids))
 
@@ -88,13 +97,13 @@ class TestSampleGroupMl2:
         specs = [("anchor", {0, 1}), ("x0", {0}), ("x1", {1}), ("x01", {0, 1})]
         ds = make_dataset(specs, label_count=2)
         with pytest.raises(GroupRejected, match="empty negative"):
-            sample_group_ml2(ds, ds.by_id("anchor"), np.random.default_rng(0))
+            sample_group_ml2(ds, ds.position("anchor"), np.random.default_rng(0))
 
     def test_label_without_candidate_named(self):
         specs = [("anchor", {0, 1}), ("x0", {0}), ("x2", {2})]
         ds = make_dataset(specs, label_count=3)
         with pytest.raises(SamplingError, match="label 1"):
-            sample_group_ml2(ds, ds.by_id("anchor"), np.random.default_rng(0))
+            sample_group_ml2(ds, ds.position("anchor"), np.random.default_rng(0))
 
     def test_duplicate_pool_exhaustion_rejected(self):
         # the only example carrying labels 1 and 2 is the same record, so the
@@ -102,7 +111,7 @@ class TestSampleGroupMl2:
         specs = [("anchor", {0}), ("x0", {0}), ("x12", {1, 2})]
         ds = make_dataset(specs, label_count=3)
         with pytest.raises(GroupRejected, match="distinct"):
-            sample_group_ml2(ds, ds.by_id("anchor"), np.random.default_rng(0))
+            sample_group_ml2(ds, ds.position("anchor"), np.random.default_rng(0))
 
 
 class TestSampleGroupMl2Plus:
@@ -116,16 +125,20 @@ class TestSampleGroupMl2Plus:
             ("n4", {4}),
         ]
         ds = make_dataset(specs, label_count=5)
-        group = sample_group_ml2plus(ds, ds.by_id("anchor"), np.random.default_rng(0))
-        assert len(group.positives) == 3
-        assert group.tau_values == (2 / 3, 2 / 3, 2 / 3)
+        positives, _, taus = drawn_group(
+            sample_group_ml2plus, ds, "anchor", np.random.default_rng(0)
+        )
+        assert len(positives) == 3
+        assert taus == [2 / 3, 2 / 3, 2 / 3]
 
     def test_single_label_anchor_tau_zero(self):
         specs = [("anchor", {1}), ("s1", {1}), ("n0", {0}), ("n2", {2})]
         ds = make_dataset(specs, label_count=3)
-        group = sample_group_ml2plus(ds, ds.by_id("anchor"), np.random.default_rng(0))
-        assert group.tau_values == (0.0,)
-        assert group.positives[0].labels == frozenset({1})
+        positives, _, taus = drawn_group(
+            sample_group_ml2plus, ds, "anchor", np.random.default_rng(0)
+        )
+        assert taus == [0.0]
+        assert positives[0].labels == frozenset({1})
 
     def test_positives_single_label_one_per_anchor_label(self, default_splits):
         ds = default_splits.train
@@ -134,12 +147,12 @@ class TestSampleGroupMl2Plus:
         for pos in rng.permutation(len(ds))[:100]:
             anchor = ds.examples[int(pos)]
             try:
-                group = sample_group_ml2plus(ds, anchor, rng)
+                positives, _, _ = drawn_group(sample_group_ml2plus, ds, anchor.id, rng)
             except GroupRejected:
                 continue
-            assert len(group.positives) == len(anchor.labels)
+            assert len(positives) == len(anchor.labels)
             drawn_labels = set()
-            for ex in group.positives:
+            for ex in positives:
                 assert len(ex.labels) == 1
                 drawn_labels |= ex.labels
             assert drawn_labels == anchor.labels
@@ -152,30 +165,30 @@ class TestSampleGroupMl2Plus:
         for pos in rng.permutation(len(ds))[:200]:
             anchor = ds.examples[int(pos)]
             try:
-                group = sample_group_ml2plus(ds, anchor, rng)
+                _, negatives, _ = drawn_group(sample_group_ml2plus, ds, anchor.id, rng)
             except GroupRejected:
                 continue
-            for neg in group.negatives:
+            for neg in negatives:
                 assert not (neg.labels & anchor.labels)
 
     def test_missing_single_label_candidate_named(self):
         specs = [("anchor", {1, 2}), ("s1", {1}), ("x2", {2, 3}), ("n0", {0})]
         ds = make_dataset(specs, label_count=4)
         with pytest.raises(SamplingError, match="label 2"):
-            sample_group_ml2plus(ds, ds.by_id("anchor"), np.random.default_rng(0))
+            sample_group_ml2plus(ds, ds.position("anchor"), np.random.default_rng(0))
 
     def test_no_zero_overlap_negative_named(self):
         # every example with label 2 also carries anchor label 1
         specs = [("anchor", {1}), ("s1", {1}), ("x12", {1, 2}), ("n0", {0})]
         ds = make_dataset(specs, label_count=3)
         with pytest.raises(SamplingError, match="label 2"):
-            sample_group_ml2plus(ds, ds.by_id("anchor"), np.random.default_rng(0))
+            sample_group_ml2plus(ds, ds.position("anchor"), np.random.default_rng(0))
 
     def test_full_label_anchor_rejected(self):
         specs = [("anchor", {0, 1}), ("s0", {0}), ("s1", {1})]
         ds = make_dataset(specs, label_count=2)
         with pytest.raises(GroupRejected, match="all labels"):
-            sample_group_ml2plus(ds, ds.by_id("anchor"), np.random.default_rng(0))
+            sample_group_ml2plus(ds, ds.position("anchor"), np.random.default_rng(0))
 
 
 class TestBuildMinibatch:
@@ -268,20 +281,6 @@ class TestBuildMinibatch:
         assert len(anchors) == len(set(anchors))
 
 
-class TestAnchorGroupValidation:
-    def test_tau_count_mismatch(self):
-        anchor = make_example("a", {1})
-        pos = make_example("p", {1})
-        with pytest.raises(ContractError):
-            AnchorGroup(anchor, (pos,), (), ())
-
-    def test_tau_range(self):
-        anchor = make_example("a", {1})
-        pos = make_example("p", {1})
-        with pytest.raises(ContractError):
-            AnchorGroup(anchor, (pos,), (), (1.5,))
-
-
 def disjoint_pools_dataset():
     """l=4; every example but the anchor ``ab`` carries one label, so no
     draw for ``ab`` collides with an earlier one. ``s1`` is a single-label
@@ -326,8 +325,8 @@ class TestUniformDraws:
         rng = np.random.default_rng(2024)
         counts = {}
         for _ in range(self.DRAWS):
-            group = sample(ds, anchor, rng)
-            for ex in group.positives + group.negatives:
+            positives, negatives, _ = drawn_group(sample, ds, anchor_id, rng)
+            for ex in positives + negatives:
                 counts[ex.id] = counts.get(ex.id, 0) + 1
         assert anchor_id not in counts
         strict = sample is sample_group_ml2plus

@@ -1,4 +1,6 @@
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +227,54 @@ class TestTrain:
         )
         with pytest.raises(ConfigError, match="label_count"):
             train(splits, tiny_config(pretrain=True), enc)
+
+
+class _HalfWriter:
+    """A file that takes half of what it is given, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestAtomicRunFiles:
+    """A run-dir write that fails partway leaves no partial file at its
+    target and no temporary file; a file already there keeps its bytes."""
+
+    @pytest.mark.parametrize("target", ["checkpoint", "report.json", "manifest.json"])
+    def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch, target):
+        cfg = tiny_config()
+        model, report = train(tiny_splits(), cfg, TINY_ENCODER)
+        name = report.best_checkpoint + ".ckpt" if target == "checkpoint" else target
+        real_open = Path.open
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return _HalfWriter(fh) if "w" in mode and name in path.name else fh
+
+        def emit_failing(run_dir):
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "open", failing_open)
+                with pytest.raises(OSError, match="No space"):
+                    trainer.emit_run(run_dir, model, report, cfg, TINY_ENCODER)
+
+        emit_failing(tmp_path / "fresh")
+        assert name not in {p.name for p in (tmp_path / "fresh").iterdir()}
+        assert not [p for p in (tmp_path / "fresh").iterdir() if p.name.endswith(".tmp")]
+
+        trainer.emit_run(tmp_path / "done", model, report, cfg, TINY_ENCODER)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "done").iterdir()}
+        emit_failing(tmp_path / "done")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "done").iterdir()} == before
 
 
 class TestArrayPathMatchesPerItemPath:
