@@ -9,7 +9,6 @@ scratch, and a clustering/retrieval/classification evaluation stack.
 from .dataset import (
     Dataset,
     DatasetSplits,
-    Example,
     SyntheticSpec,
     default_synthetic_spec,
     generate_synthetic,
@@ -35,7 +34,7 @@ from .losses import (
     triplet_loss,
 )
 from .model import EmbeddingModel, EncoderConfig
-from .numeric import ParamStore, check_gradient, l2_normalize, matmul
+from .numeric import ParamStore, check_gradient, l2_normalize
 from .sampler import (
     GroupBatch,
     build_minibatch,

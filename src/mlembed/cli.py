@@ -20,7 +20,7 @@ from . import dataset as ds_mod
 from .dataset import DatasetSplits, SyntheticSpec, generate_synthetic, load_jsonl_files, save_jsonl
 from .errors import ConfigError, ContractError, DataFormatError, SamplingError, TrainingAbort
 from .evaluation import abnormal_labels, evaluate_embeddings, project_2d
-from .model import EmbeddingModel, EncoderConfig
+from .model import EmbeddingModel, EncoderConfig, write_atomic
 from .trainer import TrainConfig, check_type, train
 
 RUN_DIR_ENV = "MLEMBED_RUN_DIR"
@@ -128,14 +128,30 @@ def load_dataset_dir(path: str | Path) -> DatasetSplits:
     label_count = None
     manifest_path = directory / "manifest.json"
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise DataFormatError(f"{manifest_path}: top level must be an object")
         label_count = manifest.get("label_count")
+        if label_count is not None and (type(label_count) is not int or label_count < 1):
+            raise DataFormatError(
+                f"{manifest_path}: label_count must be an int >= 1, got {label_count!r}"
+            )
     files = [directory / f"{split}.jsonl" for split in ("train", "val", "test")]
     for file in files:
         if not file.exists():
             raise FileNotFoundError(f"missing dataset file {file}")
     train, val, test = load_jsonl_files(files, label_count=label_count)
     return DatasetSplits(train=train, val=val, test=test)
+
+
+def _nonempty(splits: DatasetSplits, name: str) -> ds_mod.Dataset:
+    split = splits.named()[name]
+    if len(split) == 0:
+        raise ConfigError(f"{name} split is empty")
+    return split
 
 
 def _labels_field(labels) -> str:
@@ -172,7 +188,7 @@ def cmd_gen_data(args) -> int:
         "prototypes": np.asarray(spec.prototypes).tolist(),
         "files": {name: f"{name}.jsonl" for name in ("train", "val", "test")},
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    write_atomic(out / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
     print(f"wrote {len(splits.train)}/{len(splits.val)}/{len(splits.test)} examples to {out}")
     return 0
 
@@ -225,11 +241,12 @@ def cmd_train(args) -> int:
 
 
 def _load_model_for(splits: DatasetSplits, checkpoint: str) -> EmbeddingModel:
+    train_ds = _nonempty(splits, "train")
     model = EmbeddingModel.load(checkpoint)
-    if model.config.input_dim != splits.train.feature_dim:
+    if model.config.input_dim != train_ds.feature_dim:
         raise ContractError(
             f"checkpoint expects feature dim {model.config.input_dim}, "
-            f"dataset has {splits.train.feature_dim}"
+            f"dataset has {train_ds.feature_dim}"
         )
     return model
 
@@ -248,12 +265,16 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"eval.kmeans_seed must be >= 0, got {kmeans_seed}")
 
     splits = load_dataset_dir(args.data)
-    model = _load_model_for(splits, args.checkpoint)
-    eval_ds = splits.named()[split_name]
-
-    eval_E, _ = model.embed(eval_ds.feature_matrix())
-    train_E, _ = model.embed(splits.train.feature_matrix())
+    eval_ds = _nonempty(splits, split_name)
     normal_label = eval_cfg.get("normal_label", 0)
+    if not 0 <= normal_label < eval_ds.label_count:
+        raise ConfigError(
+            f"eval.normal_label must lie in [0, {eval_ds.label_count}), got {normal_label}"
+        )
+    model = _load_model_for(splits, args.checkpoint)
+
+    eval_E, _ = model.embed(eval_ds.X)
+    train_E, _ = model.embed(splits.train.X)
     report = evaluate_embeddings(
         eval_E,
         eval_ds,
@@ -273,31 +294,31 @@ def cmd_eval(args) -> int:
 
 def cmd_embed(args) -> int:
     splits = load_dataset_dir(args.data)
+    eval_ds = _nonempty(splits, args.split)
     model = _load_model_for(splits, args.checkpoint)
-    eval_ds = splits.named()[args.split]
-    E, _ = model.embed(eval_ds.feature_matrix())
+    E, _ = model.embed(eval_ds.X)
     with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", *[f"e{i}" for i in range(E.shape[1])], "labels"])
-        for ex, row in zip(eval_ds.examples, E):
-            writer.writerow([ex.id, *[repr(float(v)) for v in row], _labels_field(ex.labels)])
+        for rid, row, labels in zip(eval_ds.ids, E, eval_ds.labels):
+            writer.writerow([rid, *[repr(float(v)) for v in row], _labels_field(labels)])
     print(f"wrote {E.shape[0]} embeddings to {args.out}")
     return 0
 
 
 def cmd_project(args) -> int:
     splits = load_dataset_dir(args.data)
+    eval_ds = _nonempty(splits, args.split)
     model = _load_model_for(splits, args.checkpoint)
-    eval_ds = splits.named()[args.split]
-    E, _ = model.embed(eval_ds.feature_matrix())
+    E, _ = model.embed(eval_ds.X)
     result = project_2d(E)
     if result.degenerate:
         print("warning: zero-variance embeddings; projection is all zeros", file=sys.stderr)
     with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "x", "y", "labels"])
-        for ex, (x, y) in zip(eval_ds.examples, result.coords):
-            writer.writerow([ex.id, repr(float(x)), repr(float(y)), _labels_field(ex.labels)])
+        for rid, (x, y), labels in zip(eval_ds.ids, result.coords, eval_ds.labels):
+            writer.writerow([rid, repr(float(x)), repr(float(y)), _labels_field(labels)])
     print(f"wrote {result.coords.shape[0]} projected points to {args.out}")
     return 0
 

@@ -9,13 +9,14 @@ single-label examples and participate in sampling like any other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, ContractError, DataFormatError
+from .model import write_atomic
 
 
 def validate_labels(labels, label_count: int) -> frozenset[int]:
@@ -33,58 +34,52 @@ def validate_labels(labels, label_count: int) -> frozenset[int]:
     return frozenset(int(x) for x in items)
 
 
-@dataclass(frozen=True, eq=False)
-class Example:
-    id: str
-    features: np.ndarray
-    labels: frozenset[int]
-
-
 class Dataset:
-    """Immutable collection of examples.
+    """Immutable split: example ids, one feature matrix and one label set per row.
 
-    The arrays the training hot path reads (feature matrix, label bitmasks,
-    label matrix, per-label positions) are built on first use and cached.
+    ``X`` is a read-only (n, w) float64 matrix built once here. The label
+    arrays the training hot path reads (bitmasks, label matrix, per-label
+    positions) are built on first use and cached, so a caller pays only
+    for the ones it reads.
     """
 
-    def __init__(self, examples: list[Example], label_count: int):
+    def __init__(self, ids: list[str], X, labels: list, label_count: int):
         if label_count < 1:
             raise DataFormatError("label_count must be >= 1")
-        feature_dim = None
+        ids, labels = list(ids), list(labels)
+        X = np.array(X, dtype=np.float64)
+        if X.shape == (0,):  # an empty list of rows
+            X = X.reshape(0, 0)
+        if X.ndim != 2 or X.shape[0] != len(ids) or len(labels) != len(ids):
+            raise ContractError(
+                f"{len(ids)} ids, {len(labels)} label sets and features of shape {X.shape}"
+            )
         positions: dict[str, int] = {}
-        for pos, ex in enumerate(examples):
-            if ex.id in positions:
-                raise DataFormatError(f"duplicate example id {ex.id!r}")
-            if feature_dim is None:
-                feature_dim = ex.features.shape[0]
-            elif ex.features.shape[0] != feature_dim:
-                raise DataFormatError(
-                    f"record {ex.id!r}: feature length {ex.features.shape[0]} != {feature_dim}"
-                )
-            if not np.all(np.isfinite(ex.features)):
-                raise DataFormatError(f"record {ex.id!r}: non-finite feature value")
-            validate_labels(ex.labels, label_count)
-            positions[ex.id] = pos
-        self.examples = list(examples)
+        for pos, rid in enumerate(ids):
+            if rid in positions:
+                raise DataFormatError(f"duplicate example id {rid!r}")
+            try:
+                labels[pos] = validate_labels(labels[pos], label_count)
+            except DataFormatError as exc:
+                raise DataFormatError(f"record {rid!r}: {exc}") from exc
+            positions[rid] = pos
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            rid = ids[int(np.argmin(finite))]
+            raise DataFormatError(f"record {rid!r}: non-finite feature value")
+        X.flags.writeable = False
+        self.ids = ids
+        self.X = X
+        self.labels = labels
         self.label_count = label_count
-        self.feature_dim = feature_dim if feature_dim is not None else 0
+        self.feature_dim = X.shape[1]
         self._positions = positions
 
     def __len__(self) -> int:
-        return len(self.examples)
-
-    def by_id(self, example_id: str) -> Example:
-        return self.examples[self._positions[example_id]]
+        return len(self.ids)
 
     def position(self, example_id: str) -> int:
         return self._positions[example_id]
-
-    @cached_property
-    def X(self) -> np.ndarray:
-        """Read-only (n, w) feature matrix, rows in example order."""
-        X = np.stack([ex.features for ex in self.examples])
-        X.flags.writeable = False
-        return X
 
     @cached_property
     def label_masks(self) -> list[int]:
@@ -93,14 +88,14 @@ class Dataset:
         Python ints, so any label count fits and the sampler's per-draw
         overlap test (``mask_a & mask_b``) stays a scalar operation.
         """
-        return [sum(1 << lab for lab in ex.labels) for ex in self.examples]
+        return [sum(1 << lab for lab in labs) for labs in self.labels]
 
     @cached_property
     def label_matrix(self) -> np.ndarray:
         """Read-only (n, label_count) bool matrix of label membership."""
-        L = np.zeros((len(self.examples), self.label_count), dtype=bool)
-        for pos, ex in enumerate(self.examples):
-            L[pos, list(ex.labels)] = True
+        L = np.zeros((len(self.ids), self.label_count), dtype=bool)
+        rows = np.repeat(np.arange(len(self.ids)), [len(labs) for labs in self.labels])
+        L[rows, [lab for labs in self.labels for lab in labs]] = True
         L.flags.writeable = False
         return L
 
@@ -108,15 +103,15 @@ class Dataset:
     def _label_positions(self) -> list[list[int]]:
         # Lists rather than arrays: the sampler reads one element per draw.
         index: list[list[int]] = [[] for _ in range(self.label_count)]
-        for pos, ex in enumerate(self.examples):
-            for lab in ex.labels:
+        for pos, labs in enumerate(self.labels):
+            for lab in labs:
                 index[lab].append(pos)
         return index
 
     @cached_property
     def _single_label_positions(self) -> list[list[int]]:
         return [
-            [i for i in pool if len(self.examples[i].labels) == 1]
+            [i for i in pool if len(self.labels[i]) == 1]
             for pool in self._label_positions
         ]
 
@@ -128,18 +123,8 @@ class Dataset:
         """Ascending positions of examples whose label set is exactly {label}."""
         return self._single_label_positions[label]
 
-    def ids(self) -> list[str]:
-        return [ex.id for ex in self.examples]
-
     def feature_matrix(self) -> np.ndarray:
         return self.X
-
-    def distinct_label_sets(self) -> list[frozenset[int]]:
-        """Distinct label sets in first-appearance order."""
-        seen: dict[frozenset[int], None] = {}
-        for ex in self.examples:
-            seen.setdefault(ex.labels, None)
-        return list(seen)
 
 
 @dataclass(frozen=True)
@@ -273,13 +258,14 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetSplits:
         "test": spec.test_examples,
     }
     for split, count in counts.items():
-        examples = []
+        X = np.empty((count, spec.feature_dim))
+        labels = []
         for i in range(count):
-            labels = _draw_label_set(spec, primary_probs, rng)
-            features = proto[sorted(labels)].sum(axis=0)
-            features = features + rng.normal(0.0, spec.noise_sigma, size=spec.feature_dim)
-            examples.append(Example(f"{split}-{i:05d}", features, labels))
-        splits[split] = Dataset(examples, spec.label_count)
+            labels.append(_draw_label_set(spec, primary_probs, rng))
+            X[i] = proto[sorted(labels[i])].sum(axis=0)
+            X[i] += rng.normal(0.0, spec.noise_sigma, size=spec.feature_dim)
+        ids = [f"{split}-{i:05d}" for i in range(count)]
+        splits[split] = Dataset(ids, X, labels, spec.label_count)
 
     train = splits["train"]
     if spec.train_examples > 0:
@@ -293,16 +279,17 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetSplits:
 
 
 def save_jsonl(ds: Dataset, path: str | Path) -> None:
-    """One JSON record per line: {"id", "features", "labels"}."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for ex in ds.examples:
-            record = {
-                "id": ex.id,
-                "features": [float(x) for x in ex.features],
-                "labels": sorted(ex.labels),
-            }
-            fh.write(json.dumps(record) + "\n")
+    """One JSON record per line: {"id", "features", "labels"}. The file is
+    moved into place whole (see :func:`~mlembed.model.write_atomic`)."""
+    lines = []
+    for rid, features, labels in zip(ds.ids, ds.X, ds.labels):
+        record = {
+            "id": rid,
+            "features": [float(x) for x in features],
+            "labels": sorted(labels),
+        }
+        lines.append(json.dumps(record) + "\n")
+    write_atomic(Path(path), "".join(lines).encode("utf-8"))
 
 
 def load_jsonl(path: str | Path, label_count: int | None = None) -> Dataset:
@@ -320,18 +307,25 @@ def load_jsonl_files(paths, label_count: int | None = None) -> list[Dataset]:
     records = [_read_jsonl(Path(path)) for path in paths]
     if label_count is None:
         top = -1
-        for _, _, labels in (rec for recs in records for rec in recs):
+        for labels in (labs for _, _, split_labels in records for labs in split_labels):
             for lab in labels:
                 if isinstance(lab, int) and not isinstance(lab, bool):
                     top = max(top, lab)
         label_count = top + 1 if top >= 0 else 1
-    return [_dataset_from_records(recs, label_count) for recs in records]
+    return [Dataset(ids, rows, labels, label_count) for ids, rows, labels in records]
 
 
-def _read_jsonl(path: Path) -> list[tuple[str, np.ndarray, list]]:
+def _read_jsonl(path: Path) -> tuple[list[str], list[np.ndarray], list[list]]:
+    """Parse one JSONL file into ids, feature rows and raw label lists.
+
+    Only the record format is checked here; :class:`Dataset` checks the ids,
+    the labels and that every feature is finite.
+    """
     # Features become arrays as each line is read: a list of Python floats
     # takes several times the memory, and every split is held at once.
-    raw: list[tuple[str, np.ndarray, list]] = []
+    ids: list[str] = []
+    rows: list[np.ndarray] = []
+    labels: list[list] = []
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -360,22 +354,14 @@ def _read_jsonl(path: Path) -> list[tuple[str, np.ndarray, list]]:
             if not set(map(type, record["features"])) <= {int, float}:
                 bad = next(x for x in record["features"] if type(x) not in (int, float))
                 raise DataFormatError(f"record {rid!r}: feature {bad!r} is not a number")
+            if rows and len(record["features"]) != len(rows[0]):
+                raise DataFormatError(
+                    f"record {rid!r}: feature length {len(record['features'])} != {len(rows[0])}"
+                )
             try:
-                feats = np.asarray(record["features"], dtype=np.float64)
+                rows.append(np.asarray(record["features"], dtype=np.float64))
             except OverflowError as exc:
                 raise DataFormatError(f"record {rid!r}: feature too large for a float") from exc
-            if not np.all(np.isfinite(feats)):
-                raise DataFormatError(f"record {rid!r}: features must be finite")
-            raw.append((rid, feats, record["labels"]))
-    return raw
-
-
-def _dataset_from_records(raw, label_count: int) -> Dataset:
-    examples = []
-    for rid, feats, labels in raw:
-        try:
-            label_set = validate_labels(labels, label_count)
-        except DataFormatError as exc:
-            raise DataFormatError(f"record {rid!r}: {exc}") from exc
-        examples.append(Example(rid, feats, label_set))
-    return Dataset(examples, label_count)
+            ids.append(rid)
+            labels.append(record["labels"])
+    return ids, rows, labels

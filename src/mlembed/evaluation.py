@@ -128,15 +128,18 @@ def nmi(pred, truth) -> float:
     return float(min(1.0, max(0.0, 2.0 * info / (h_pred + h_truth))))
 
 
-def recall_at_k(embeddings: np.ndarray, label_sets, k: int) -> float:
-    """Fraction of queries with a label-sharing example among the k nearest
-    neighbors (self excluded, ties broken by row order)."""
+def recall_at_k(embeddings: np.ndarray, label_sets, ks) -> dict[int, float]:
+    """Recall@K for each k in ``ks``: the fraction of queries with a
+    label-sharing example among the k nearest neighbors (self excluded, ties
+    broken by row order). One sort serves every k."""
     X = np.asarray(embeddings, dtype=np.float64)
     n = X.shape[0]
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
-    if n < k + 1:
-        raise ContractError(f"need at least {k + 1} examples, got {n}")
+    ks = list(ks)
+    if not ks or min(ks) < 1:
+        raise ContractError(f"ks must be ints >= 1, got {ks}")
+    k_max = max(ks)
+    if n < k_max + 1:
+        raise ContractError(f"need at least {k_max + 1} examples, got {n}")
     sets = [frozenset(s) for s in label_sets]
     if len(sets) != n:
         raise ContractError(f"{len(sets)} label sets for {n} embeddings")
@@ -148,9 +151,11 @@ def recall_at_k(embeddings: np.ndarray, label_sets, k: int) -> float:
     sq = (X**2).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.fill_diagonal(d2, np.inf)
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    hits = (members[neighbors] & members[:, None, :]).any(axis=(1, 2))
-    return int(np.count_nonzero(hits)) / n
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k_max]
+    hits = (members[neighbors] & members[:, None, :]).any(axis=2)
+    # found[i, j]: one of the j + 1 nearest neighbors of query i shares a label
+    found = np.logical_or.accumulate(hits, axis=1)
+    return {k: int(np.count_nonzero(found[:, k - 1])) / n for k in ks}
 
 
 @dataclass
@@ -302,15 +307,12 @@ def evaluate_embeddings(
     for fitting the normal-vs-abnormal logistic probe; when omitted or
     single-class, the classification block is left empty.
     """
-    label_sets = [ex.labels for ex in eval_ds.examples]
-    truth, k_truth = label_set_clusters(label_sets)
+    truth, k_truth = label_set_clusters(eval_ds.labels)
     predicted = kmeans(eval_embeddings, k_truth, seed=kmeans_seed).assignment
     score = nmi(predicted, truth)
 
-    recall = {}
-    for k in recall_ks:
-        if len(eval_ds) >= k + 1:
-            recall[k] = recall_at_k(eval_embeddings, label_sets, k)
+    ks = [k for k in recall_ks if len(eval_ds) >= k + 1]
+    recall = recall_at_k(eval_embeddings, eval_ds.labels, ks) if ks else {}
 
     classification = None
     if probe_train is not None:
@@ -323,4 +325,4 @@ def evaluate_embeddings(
 
 def abnormal_labels(ds, normal_label: int = 0) -> np.ndarray:
     """Binary target for the probe: 1 when the example lacks the normal label."""
-    return np.array([0.0 if normal_label in ex.labels else 1.0 for ex in ds.examples])
+    return np.where(ds.label_matrix[:, normal_label], 0.0, 1.0)

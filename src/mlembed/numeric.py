@@ -1,9 +1,7 @@
 """Dense float64 arithmetic, a named parameter store, and a finite-difference gradient checker.
 
-Matrices are plain C-contiguous float64 numpy arrays; ``matmul`` and
-``l2_normalize`` add the shape/degeneracy checking the rest of the package
-relies on. ``check_gradient`` is the verification harness used by every layer
-and loss test in the repo.
+Matrices are plain C-contiguous float64 numpy arrays. ``check_gradient`` is
+the verification harness used by every layer and loss test in the repo.
 """
 
 from __future__ import annotations
@@ -19,17 +17,6 @@ EPS_NORM = 1e-12
 
 # Central-difference step; balances truncation and round-off at float64.
 DEFAULT_FD_STEP = 1e-5
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-d float64 arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.ndim}-d and {b.ndim}-d")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

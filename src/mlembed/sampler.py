@@ -96,7 +96,7 @@ def sample_group_ml2(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[flo
     positives = [i for i in drawn if masks[i] & anchor_mask]
     negatives = [i for i in drawn if not masks[i] & anchor_mask]
     if not negatives:
-        raise GroupRejected(f"anchor {ds.examples[a].id!r} leaves an empty negative set")
+        raise GroupRejected(f"anchor {ds.ids[a]!r} leaves an empty negative set")
     taus = [_tau(anchor_mask, masks[i]) for i in positives]
     return [a, *positives, *negatives], len(positives), taus + [0.0] * len(negatives)
 
@@ -113,7 +113,7 @@ def sample_group_ml2plus(ds: Dataset, a: int, rng) -> tuple[list[int], int, list
     p = len(anchor_labels)
     if p == ds.label_count:
         raise GroupRejected(
-            f"anchor {ds.examples[a].id!r} carries all labels; empty negative set"
+            f"anchor {ds.ids[a]!r} carries all labels; empty negative set"
         )
 
     used = {a}
@@ -144,7 +144,7 @@ def sample_group_ml2plus(ds: Dataset, a: int, rng) -> tuple[list[int], int, list
             if not valid:
                 raise SamplingError(
                     f"no zero-overlap negative for label {label} given anchor "
-                    f"{ds.examples[a].id!r}"
+                    f"{ds.ids[a]!r}"
                 )
             pos = valid[int(rng.integers(len(valid)))]
         used.add(pos)
@@ -181,7 +181,7 @@ def sample_pair(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float]]:
         want_shared = not want_shared
         partner = _draw_partner(ds, a, want_shared, rng)
     if partner is None:
-        raise GroupRejected(f"anchor {ds.examples[a].id!r} has no pair partner")
+        raise GroupRejected(f"anchor {ds.ids[a]!r} has no pair partner")
     return [a, partner], int(want_shared), [0.0]
 
 
@@ -190,10 +190,10 @@ def sample_triplet(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float
     1, ``[0.0, 0.0]``)."""
     positive = _draw_partner(ds, a, True, rng)
     if positive is None:
-        raise GroupRejected(f"anchor {ds.examples[a].id!r} has no positive candidate")
+        raise GroupRejected(f"anchor {ds.ids[a]!r} has no positive candidate")
     negative = _draw_partner(ds, a, False, rng)
     if negative is None:
-        raise GroupRejected(f"anchor {ds.examples[a].id!r} has no zero-overlap negative")
+        raise GroupRejected(f"anchor {ds.ids[a]!r} has no zero-overlap negative")
     return [a, positive, negative], 1, [0.0, 0.0]
 
 

@@ -169,11 +169,10 @@ def sgd_step(params: ParamStore, lr: float, momentum: float, weight_decay: float
 
 
 def _validation_scores(model: EmbeddingModel, ds: Dataset, kmeans_seed: int):
-    E, _ = model.embed(ds.feature_matrix())
-    label_sets = [ex.labels for ex in ds.examples]
-    truth, k_truth = label_set_clusters(label_sets)
+    E, _ = model.embed(ds.X)
+    truth, k_truth = label_set_clusters(ds.labels)
     predicted = kmeans(E, k_truth, seed=kmeans_seed).assignment
-    return nmi(predicted, truth), recall_at_k(E, label_sets, 1)
+    return nmi(predicted, truth), recall_at_k(E, ds.labels, [1])[1]
 
 
 def _metric_batch_step(model, train_ds, cfg, lcfg, rng) -> float:
@@ -236,6 +235,8 @@ def train(
     train_ds = splits.train
     if len(train_ds) == 0:
         raise ConfigError("training split is empty")
+    if len(splits.val) == 0:
+        raise ConfigError("validation split is empty")
 
     if cfg.pretrain:
         if encoder_cfg.label_count is None:

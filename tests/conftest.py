@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
 
-from mlembed.dataset import Dataset, Example, default_synthetic_spec, generate_synthetic
-
-
-def make_example(ex_id, labels, features=None, dim=4):
-    if features is None:
-        features = np.zeros(dim)
-    return Example(ex_id, np.asarray(features, dtype=np.float64), frozenset(labels))
+from mlembed.dataset import Dataset, default_synthetic_spec, generate_synthetic
 
 
 def make_dataset(label_specs, label_count, dim=4):
-    """Tiny hand-built dataset: label_specs is a list of (id, labels)."""
-    return Dataset(
-        [make_example(ex_id, labels, dim=dim) for ex_id, labels in label_specs],
-        label_count,
-    )
+    """Tiny hand-built dataset: label_specs is a list of (id, labels); the
+    features are all zero."""
+    ids = [ex_id for ex_id, _ in label_specs]
+    labels = [labels for _, labels in label_specs]
+    return Dataset(ids, np.zeros((len(ids), dim)), labels, label_count)
 
 
 @pytest.fixture(scope="session")

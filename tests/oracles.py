@@ -120,11 +120,11 @@ def nearest_label_set_partition(dataset, prototypes):
     returns (assignments aligned with dataset order, number of candidates).
     """
     proto = np.asarray(prototypes, dtype=float)
-    candidate_sets = dataset.distinct_label_sets()
+    candidate_sets = list(dict.fromkeys(dataset.labels))  # first-appearance order
     sums = np.stack([proto[sorted(s)].sum(axis=0) for s in candidate_sets])
     assignment = []
-    for ex in dataset.examples:
-        d = ((sums - ex.features) ** 2).sum(axis=1)
+    for features in dataset.X:
+        d = ((sums - features) ** 2).sum(axis=1)
         assignment.append(int(np.argmin(d)))
     return assignment, len(candidate_sets)
 
@@ -156,7 +156,9 @@ def log_softmax_pairs(logits):
 # per-item training steps as they were before the array path replaced them.
 # They are kept verbatim in behaviour, so the array path can be checked for
 # identical random-stream use, bitwise-identical loss values and gradients,
-# and identical trained parameters.
+# and identical trained parameters. Examples are named by their position in
+# the dataset; ids are unique, so a set of positions excludes exactly what a
+# set of ids did.
 
 FROZEN_MAX_DRAW_ATTEMPTS = 100
 
@@ -180,73 +182,70 @@ def _frozen_draw(pool, rng):
 
 
 def frozen_sample_group_ml2(ds, anchor, rng):
-    used = {anchor.id}
+    anchor_labels = ds.labels[anchor]
+    used = {anchor}
     drawn = []
     for label in range(ds.label_count):
-        pool = [i for i in ds.positions_with_label(label) if ds.examples[i].id != anchor.id]
+        pool = [i for i in ds.positions_with_label(label) if i != anchor]
         if not pool:
             raise SamplingError(f"label {label} has no candidate besides the anchor")
         for _ in range(FROZEN_MAX_DRAW_ATTEMPTS):
-            ex = ds.examples[_frozen_draw(pool, rng)]
-            if ex.id not in used:
+            i = _frozen_draw(pool, rng)
+            if i not in used:
                 break
         else:
             raise GroupRejected(f"no distinct representative for label {label}")
-        used.add(ex.id)
-        drawn.append(ex)
+        used.add(i)
+        drawn.append(i)
 
-    positives = tuple(ex for ex in drawn if ex.labels & anchor.labels)
-    negatives = tuple(ex for ex in drawn if not (ex.labels & anchor.labels))
+    positives = tuple(i for i in drawn if ds.labels[i] & anchor_labels)
+    negatives = tuple(i for i in drawn if not (ds.labels[i] & anchor_labels))
     if not negatives:
-        raise GroupRejected(f"anchor {anchor.id!r} leaves an empty negative set")
-    taus = tuple(_frozen_overlap_tau(anchor.labels, ex.labels) for ex in positives)
+        raise GroupRejected(f"anchor {ds.ids[anchor]!r} leaves an empty negative set")
+    taus = tuple(_frozen_overlap_tau(anchor_labels, ds.labels[i]) for i in positives)
     return FrozenGroup(anchor, positives, negatives, taus)
 
 
 def frozen_sample_group_ml2plus(ds, anchor, rng):
-    anchor_labels = sorted(anchor.labels)
+    anchor_labels = ds.labels[anchor]
     p = len(anchor_labels)
     if p == ds.label_count:
-        raise GroupRejected(f"anchor {anchor.id!r} carries all labels; empty negative set")
+        raise GroupRejected(f"anchor {ds.ids[anchor]!r} carries all labels; empty negative set")
 
-    used = {anchor.id}
+    used = {anchor}
     positives = []
-    for label in anchor_labels:
-        pool = [i for i in ds.single_label_positions(label) if ds.examples[i].id != anchor.id]
+    for label in sorted(anchor_labels):
+        pool = [i for i in ds.single_label_positions(label) if i != anchor]
         if not pool:
             raise SamplingError(f"no single-label example for label {label}")
         for _ in range(FROZEN_MAX_DRAW_ATTEMPTS):
-            ex = ds.examples[_frozen_draw(pool, rng)]
-            if ex.id not in used:
+            i = _frozen_draw(pool, rng)
+            if i not in used:
                 break
         else:
             raise GroupRejected(f"no distinct single-label positive for label {label}")
-        used.add(ex.id)
-        positives.append(ex)
+        used.add(i)
+        positives.append(i)
 
     negatives = []
-    for label in sorted(frozenset(range(ds.label_count)) - anchor.labels):
+    for label in sorted(frozenset(range(ds.label_count)) - anchor_labels):
         pool = ds.positions_with_label(label)
         if not pool:
             raise SamplingError(f"label {label} has no examples")
         chosen = None
         for _ in range(FROZEN_MAX_DRAW_ATTEMPTS):
-            ex = ds.examples[_frozen_draw(pool, rng)]
-            if ex.id not in used and not (ex.labels & anchor.labels):
-                chosen = ex
+            i = _frozen_draw(pool, rng)
+            if i not in used and not (ds.labels[i] & anchor_labels):
+                chosen = i
                 break
         if chosen is None:
-            valid = [
-                ds.examples[i]
-                for i in pool
-                if ds.examples[i].id not in used and not (ds.examples[i].labels & anchor.labels)
-            ]
+            valid = [i for i in pool if i not in used and not (ds.labels[i] & anchor_labels)]
             if not valid:
                 raise SamplingError(
-                    f"no zero-overlap negative for label {label} given anchor {anchor.id!r}"
+                    f"no zero-overlap negative for label {label} given anchor {ds.ids[anchor]!r}"
                 )
             chosen = valid[int(rng.integers(len(valid)))]
-        used.add(chosen.id)
+        used.add(chosen)
         negatives.append(chosen)
 
     tau = (p - 1) / p
@@ -260,7 +259,7 @@ def frozen_build_group_minibatch(ds, b, regime, rng):
     items = []
     for pos in rng.permutation(len(ds)):
         try:
-            items.append(sample(ds, ds.examples[int(pos)], rng))
+            items.append(sample(ds, int(pos), rng))
         except GroupRejected:
             continue
         if len(items) == b:
@@ -323,15 +322,16 @@ def frozen_ml2_loss(anchor, positives, negatives, taus, cfg):
     return value, anchor_grad, positive_grads, negative_grads
 
 
-def frozen_ml2plus_loss(group, emb, cfg):
+def frozen_ml2plus_loss(ds, group, emb, cfg):
+    """``emb`` maps the position of each group member to its embedding."""
     for pos in group.positives:
-        if len(pos.labels) != 1:
-            raise ContractError(f"positive {pos.id!r} is not single-label")
+        if len(ds.labels[pos]) != 1:
+            raise ContractError(f"positive {ds.ids[pos]!r} is not single-label")
     p = len(group.positives)
     tau = (p - 1) / p
-    anchor = emb[group.anchor.id]
-    P = np.stack([emb[ex.id] for ex in group.positives])
-    N = np.stack([emb[ex.id] for ex in group.negatives])
+    anchor = emb[group.anchor]
+    P = np.stack([emb[i] for i in group.positives])
+    N = np.stack([emb[i] for i in group.negatives])
     return frozen_ml2_loss(anchor, P, N, np.full(p, tau), cfg)
 
 
@@ -360,9 +360,9 @@ def frozen_metric_batch_step(model, train_ds, cfg, lcfg, rng):
     feats, layout = [], []
     for item in items:
         start = len(feats)
-        feats.append(item.anchor.features)
-        feats.extend(ex.features for ex in item.positives)
-        feats.extend(ex.features for ex in item.negatives)
+        feats.append(train_ds.X[item.anchor])
+        feats.extend(train_ds.X[i] for i in item.positives)
+        feats.extend(train_ds.X[i] for i in item.negatives)
         layout.append((start, len(item.positives), len(item.negatives)))
 
     E, cache = model.embed(np.stack(feats))
@@ -373,10 +373,10 @@ def frozen_metric_batch_step(model, train_ds, cfg, lcfg, rng):
         if cfg.loss == "ml2":
             out = frozen_ml2_loss(a, P, N, item.tau_values, lcfg)
         else:
-            emb = {item.anchor.id: a}
-            emb.update({ex.id: P[i] for i, ex in enumerate(item.positives)})
-            emb.update({ex.id: N[j] for j, ex in enumerate(item.negatives)})
-            out = frozen_ml2plus_loss(item, emb, lcfg)
+            emb = {item.anchor: a}
+            emb.update({pos: P[i] for i, pos in enumerate(item.positives)})
+            emb.update({pos: N[j] for j, pos in enumerate(item.negatives)})
+            out = frozen_ml2plus_loss(train_ds, item, emb, lcfg)
         value, G[start], G[start + 1 : start + 1 + p], G[start + 1 + p : start + 1 + p + n] = out
         total += value
 
@@ -389,13 +389,13 @@ def frozen_pretrain_batch_step(model, train_ds, cfg, rng):
     if cfg.batch_size > len(train_ds):
         raise SamplingError(f"batch size {cfg.batch_size} exceeds split size {len(train_ds)}")
     idx = rng.choice(len(train_ds), size=cfg.batch_size, replace=False)
-    X = np.stack([train_ds.examples[int(i)].features for i in idx])
+    X = np.stack([train_ds.X[int(i)] for i in idx])
     log_probs, cache = model.classify(X)
     G = np.empty_like(log_probs)
     total = 0.0
     for row, i in enumerate(idx):
         value, G[row] = frozen_pretrain_loss(
-            log_probs[row], train_ds.examples[int(i)].labels, train_ds.label_count
+            log_probs[row], train_ds.labels[int(i)], train_ds.label_count
         )
         total += value
     model.params.zero_grads()
@@ -403,23 +403,24 @@ def frozen_pretrain_batch_step(model, train_ds, cfg, rng):
     return total / cfg.batch_size
 
 
-# The Example-level pair/triplet sampler, the scalar contrastive and triplet
+# The per-example pair/triplet sampler, the scalar contrastive and triplet
 # kernels, and the per-item pair/triplet training step, as they were before
 # the baselines moved onto position rows and the batched kernels.
 
 
 def _frozen_draw_partner(ds, anchor, want_shared, rng):
     n = len(ds)
+    anchor_labels = ds.labels[anchor]
     for _ in range(FROZEN_MAX_DRAW_ATTEMPTS):
-        ex = ds.examples[int(rng.integers(n))]
-        if ex.id == anchor.id:
+        i = int(rng.integers(n))
+        if i == anchor:
             continue
-        if bool(ex.labels & anchor.labels) == want_shared:
-            return ex
+        if bool(ds.labels[i] & anchor_labels) == want_shared:
+            return i
     valid = [
-        ex
-        for ex in ds.examples
-        if ex.id != anchor.id and bool(ex.labels & anchor.labels) == want_shared
+        i
+        for i in range(n)
+        if i != anchor and bool(ds.labels[i] & anchor_labels) == want_shared
     ]
     if not valid:
         return None
@@ -427,25 +428,25 @@ def _frozen_draw_partner(ds, anchor, want_shared, rng):
 
 
 def frozen_sample_pair(ds, anchor, rng):
-    """Returns (first, second, same)."""
+    """Returns (first, second, same), the first two as positions."""
     want_shared = bool(rng.random() < 0.5)
     partner = _frozen_draw_partner(ds, anchor, want_shared, rng)
     if partner is None:
         want_shared = not want_shared
         partner = _frozen_draw_partner(ds, anchor, want_shared, rng)
     if partner is None:
-        raise GroupRejected(f"anchor {anchor.id!r} has no pair partner")
+        raise GroupRejected(f"anchor {ds.ids[anchor]!r} has no pair partner")
     return anchor, partner, want_shared
 
 
 def frozen_sample_triplet(ds, anchor, rng):
-    """Returns (anchor, positive, negative)."""
+    """Returns the positions (anchor, positive, negative)."""
     positive = _frozen_draw_partner(ds, anchor, True, rng)
     if positive is None:
-        raise GroupRejected(f"anchor {anchor.id!r} has no positive candidate")
+        raise GroupRejected(f"anchor {ds.ids[anchor]!r} has no positive candidate")
     negative = _frozen_draw_partner(ds, anchor, False, rng)
     if negative is None:
-        raise GroupRejected(f"anchor {anchor.id!r} has no zero-overlap negative")
+        raise GroupRejected(f"anchor {ds.ids[anchor]!r} has no zero-overlap negative")
     return anchor, positive, negative
 
 
@@ -456,7 +457,7 @@ def frozen_build_item_minibatch(ds, b, regime, rng):
     items = []
     for pos in rng.permutation(len(ds)):
         try:
-            items.append(sample(ds, ds.examples[int(pos)], rng))
+            items.append(sample(ds, int(pos), rng))
         except GroupRejected:
             continue
         if len(items) == b:
@@ -497,7 +498,7 @@ def frozen_item_batch_step(model, train_ds, cfg, lcfg, rng):
     """The per-item contrastive/triplet optimizer step (gradients only)."""
     items = frozen_build_item_minibatch(train_ds, cfg.batch_size, cfg.loss, rng)
     width = 3 if cfg.loss == "triplet" else 2
-    feats = [ex.features for item in items for ex in item[:width]]
+    feats = [train_ds.X[i] for item in items for i in item[:width]]
     E, cache = model.embed(np.stack(feats))
     G = np.zeros_like(E)
     total = 0.0

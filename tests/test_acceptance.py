@@ -108,8 +108,8 @@ def _best_point(report):
 
 
 def _test_nmi(model, ds):
-    E, _ = model.embed(ds.feature_matrix())
-    truth, k = label_set_clusters(ex.labels for ex in ds.examples)
+    E, _ = model.embed(ds.X)
+    truth, k = label_set_clusters(ds.labels)
     return nmi(kmeans(E, k, seed=0).assignment, truth)
 
 
@@ -348,7 +348,7 @@ def test_criterion_3_tau_properties(default_splits):
             _, p, taus = sample_group_ml2plus(ds, int(pos), rng)
         except GroupRejected:
             continue
-        assert p == len(ds.examples[int(pos)].labels)
+        assert p == len(ds.labels[int(pos)])
         assert taus == [(p - 1) / p] * p + [0.0] * (ds.label_count - p)
         checked += 1
     assert checked >= 200
@@ -363,23 +363,23 @@ def test_criterion_4_sampler_contract(default_splits):
         rng = np.random.default_rng(seed)
         signatures = []
         for pos in rng.permutation(len(ds)):
-            anchor = ds.examples[int(pos)]
+            anchor_id, anchor_labels = ds.ids[int(pos)], ds.labels[int(pos)]
             for regime, sample in (("ml2", sample_group_ml2), ("ml2plus", sample_group_ml2plus)):
                 try:
                     row, p, _ = sample(ds, int(pos), rng)
                 except GroupRejected:
-                    signatures.append((regime, anchor.id, None))
+                    signatures.append((regime, anchor_id, None))
                     continue
                 assert row[0] == pos and len(row) == 1 + l
-                ids = [ds.examples[i].id for i in row[1:]]
-                assert anchor.id not in ids and len(ids) == len(set(ids))
-                for pos_ex in (ds.examples[i] for i in row[1 : 1 + p]):
-                    assert pos_ex.labels & anchor.labels
+                ids = [ds.ids[i] for i in row[1:]]
+                assert anchor_id not in ids and len(ids) == len(set(ids))
+                for pos_labels in (ds.labels[i] for i in row[1 : 1 + p]):
+                    assert pos_labels & anchor_labels
                     if regime == "ml2plus":
-                        assert len(pos_ex.labels) == 1
-                for neg_ex in (ds.examples[i] for i in row[1 + p :]):
-                    assert not (neg_ex.labels & anchor.labels)
-                signatures.append((regime, anchor.id, tuple(ids)))
+                        assert len(pos_labels) == 1
+                for neg_labels in (ds.labels[i] for i in row[1 + p :]):
+                    assert not (neg_labels & anchor_labels)
+                signatures.append((regime, anchor_id, tuple(ids)))
         return signatures
 
     first = one_epoch(104)
@@ -393,7 +393,7 @@ def test_criterion_5_training_analogue(default_splits, default_spec, ml2plus_run
     # Oracle first: raw features must make the label sets recoverable.
     test_ds = default_splits.test
     assignment, _ = nearest_label_set_partition(test_ds, default_spec.prototypes)
-    truth, _ = label_set_clusters(ex.labels for ex in test_ds.examples)
+    truth, _ = label_set_clusters(test_ds.labels)
     oracle_nmi = nmi(np.array(assignment), truth)
     assert oracle_nmi >= ORACLE_NMI_FLOOR, f"oracle NMI {oracle_nmi:.3f}"
 
@@ -428,17 +428,17 @@ def test_criterion_6_pretraining_analogue(ml2plus_runs, ml2plus_pretrained_runs)
 
 def test_criterion_7_classification_probe(default_splits, ml2plus_runs):
     train_ds, test_ds = default_splits.train, default_splits.test
-    train_y = np.array([0.0 if 0 in ex.labels else 1.0 for ex in train_ds.examples])
-    test_y = np.array([0.0 if 0 in ex.labels else 1.0 for ex in test_ds.examples])
+    train_y = np.array([0.0 if 0 in labels else 1.0 for labels in train_ds.labels])
+    test_y = np.array([0.0 if 0 in labels else 1.0 for labels in test_ds.labels])
 
     # Oracle first: raw features must support the normal-vs-abnormal task.
-    raw = logistic_probe(train_ds.feature_matrix(), train_y, test_ds.feature_matrix(), test_y)
+    raw = logistic_probe(train_ds.X, train_y, test_ds.X, test_y)
     assert raw.f1 >= ORACLE_F1_FLOOR, f"raw-feature oracle F1 {raw.f1:.3f}"
 
     f1s = []
     for model, _ in ml2plus_runs:
-        train_E, _ = model.embed(train_ds.feature_matrix())
-        test_E, _ = model.embed(test_ds.feature_matrix())
+        train_E, _ = model.embed(train_ds.X)
+        test_E, _ = model.embed(test_ds.X)
         f1s.append(logistic_probe(train_E, train_y, test_E, test_y).f1)
     mean_f1 = float(np.mean(f1s))
     assert mean_f1 >= MODEL_F1_FLOOR
@@ -462,8 +462,8 @@ def test_criterion_8_evaluation_correctness():
         set(int(x) for x in rng.choice(5, size=rng.integers(1, 3), replace=False))
         for _ in range(200)
     ]
-    for k in (1, 2, 4, 8):
-        assert recall_at_k(X, labels, k) == brute_force_recall_at_k(X, labels, k)
+    expected = {k: brute_force_recall_at_k(X, labels, k) for k in (1, 2, 4, 8)}
+    assert recall_at_k(X, labels, (1, 2, 4, 8)) == expected
 
     for seed in range(10):
         data = rng.standard_normal((80, 6))

@@ -364,11 +364,62 @@ class TestEval:
         assert code == 1
         assert f"eval.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [99, 3, -1])
+    def test_normal_label_outside_label_range_exits_one(
+        self, tmp_path, data_dir, run_dir, capsys, value
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"eval": {"normal_label": value}}))
+        code = main(
+            ["eval", "--config", str(path), "--checkpoint", str(checkpoint_in(run_dir)),
+             "--data", str(data_dir)]
+        )
+        assert code == 1
+        assert "eval.normal_label" in capsys.readouterr().err
+
     def test_non_object_jsonl_line_exits_one(self, tmp_path, data_dir, run_dir, capsys):
         (data_dir / "test.jsonl").write_text("5\n")
         code = main(["eval", "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir)])
         assert code == 1
         assert "test.jsonl:1" in capsys.readouterr().err
+
+
+class TestEmptySplit:
+    """A split with no records ends in a typed error that names it."""
+
+    @pytest.mark.parametrize(
+        "command, split",
+        [("eval", "test"), ("eval", "train"), ("embed", "test"), ("project", "test")],
+    )
+    def test_empty_split_file_exits_one(self, tmp_path, data_dir, run_dir, capsys, command, split):
+        (data_dir / f"{split}.jsonl").write_text("")
+        argv = [command, "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir)]
+        if command != "eval":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        assert f"{split} split is empty" in capsys.readouterr().err
+
+    def test_train_with_empty_val_file_exits_one(self, tmp_path, config_path, data_dir, capsys):
+        (data_dir / "val.jsonl").write_text("")
+        run = tmp_path / "run"
+        code = main(
+            ["train", "--config", config_path, "--data", str(data_dir), "--run-dir", str(run)]
+        )
+        assert code == 1
+        assert "validation split is empty" in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_train_on_generated_data_without_val_exits_one(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["data"]["val_examples"] = 0
+        path = tmp_path / "noval.json"
+        path.write_text(json.dumps(cfg))
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(path), "--out", str(data)]) == 0
+        run = tmp_path / "run"
+        code = main(["train", "--config", str(path), "--data", str(data), "--run-dir", str(run)])
+        assert code == 1
+        assert "validation split is empty" in capsys.readouterr().err
 
 
 class TestLoadDatasetDir:
@@ -385,6 +436,27 @@ class TestLoadDatasetDir:
         (data_dir / "manifest.json").unlink()
         splits = load_dataset_dir(data_dir)
         assert [ds.label_count for ds in (splits.train, splits.val, splits.test)] == [3, 3, 3]
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            b'{"label_count": 3',
+            b"\xff\xfe",
+            b"[1]",
+            b'{"label_count": "5"}',
+            b'{"label_count": true}',
+            b'{"label_count": 0}',
+        ],
+        ids=["truncated-json", "not-utf8", "not-an-object", "string-count", "bool-count", "zero"],
+    )
+    def test_malformed_manifest_exits_one(self, tmp_path, config_path, data_dir, capsys, manifest):
+        (data_dir / "manifest.json").write_bytes(manifest)
+        code = main(
+            ["train", "--config", config_path, "--data", str(data_dir),
+             "--run-dir", str(tmp_path / "run")]
+        )
+        assert code == 1
+        assert "manifest.json" in capsys.readouterr().err
 
 
 class TestEmbedAndProject:

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from mlembed.dataset import (
     Dataset,
-    Example,
     SyntheticSpec,
     default_synthetic_spec,
     generate_synthetic,
     load_jsonl,
     save_jsonl,
 )
-from mlembed.errors import ConfigError, DataFormatError
+from mlembed.errors import ConfigError, ContractError, DataFormatError
 from oracles import generator_marginals, nearest_prototype_label
 
 
@@ -41,10 +40,10 @@ class TestSyntheticGenerator:
         spec = small_spec(noise_sigma=0.0)
         splits = generate_synthetic(spec)
         found = 0
-        for ex in splits.train.examples:
-            if len(ex.labels) == 1:
-                (label,) = ex.labels
-                assert np.array_equal(ex.features, spec.prototypes[label])
+        for features, labels in zip(splits.train.X, splits.train.labels):
+            if len(labels) == 1:
+                (label,) = labels
+                assert np.array_equal(features, spec.prototypes[label])
                 found += 1
         assert found > 0
 
@@ -64,20 +63,20 @@ class TestSyntheticGenerator:
         spec.cooccurrence = co
         splits = generate_synthetic(spec)
         for ds in (splits.train, splits.val, splits.test):
-            for ex in ds.examples:
-                if 2 in ex.labels:
-                    assert 3 in ex.labels, ex.id
+            for ex_id, labels in zip(ds.ids, ds.labels):
+                if 2 in labels:
+                    assert 3 in labels, ex_id
 
     def test_exclusive_label_never_cooccurs(self):
         splits = generate_synthetic(small_spec())
         for ds in (splits.train, splits.val, splits.test):
-            for ex in ds.examples:
-                if 0 in ex.labels:
-                    assert ex.labels == frozenset({0})
+            for labels in ds.labels:
+                if 0 in labels:
+                    assert labels == frozenset({0})
 
     def test_splits_disjoint_ids(self):
         splits = generate_synthetic(small_spec())
-        ids = [set(ds.ids()) for ds in (splits.train, splits.val, splits.test)]
+        ids = [set(ds.ids) for ds in (splits.train, splits.val, splits.test)]
         assert not (ids[0] & ids[1]) and not (ids[0] & ids[2]) and not (ids[1] & ids[2])
 
     def test_marginals_match_within_three_standard_errors(self):
@@ -92,10 +91,10 @@ class TestSyntheticGenerator:
 
     def test_nearest_prototype_recovers_single_labels(self, default_splits, default_spec):
         total = correct = 0
-        for ex in default_splits.train.examples:
-            if len(ex.labels) == 1:
+        for features, labels in zip(default_splits.train.X, default_splits.train.labels):
+            if len(labels) == 1:
                 total += 1
-                if nearest_prototype_label(ex.features, default_spec.prototypes) in ex.labels:
+                if nearest_prototype_label(features, default_spec.prototypes) in labels:
                     correct += 1
         assert total > 0
         assert correct / total >= 0.99
@@ -137,10 +136,9 @@ class TestJsonlRoundTrip:
         path = tmp_path / "train.jsonl"
         save_jsonl(splits.train, path)
         loaded = load_jsonl(path, label_count=4)
-        assert loaded.ids() == splits.train.ids()
-        for orig, back in zip(splits.train.examples, loaded.examples):
-            assert orig.labels == back.labels
-            assert np.array_equal(orig.features, back.features)
+        assert loaded.ids == splits.train.ids
+        assert loaded.labels == splits.train.labels
+        assert np.array_equal(loaded.X, splits.train.X)
 
     def _write(self, tmp_path, records):
         path = tmp_path / "bad.jsonl"
@@ -166,6 +164,14 @@ class TestJsonlRoundTrip:
             ],
         )
         with pytest.raises(DataFormatError, match="b"):
+            load_jsonl(path, label_count=3)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "features": [1.0], "labels": [0]}\n'
+                        f'{{"id": "nf", "features": [{value}], "labels": [0]}}\n')
+        with pytest.raises(DataFormatError, match="'nf': non-finite"):
             load_jsonl(path, label_count=3)
 
     def test_duplicate_labels_rejected(self, tmp_path):
@@ -262,24 +268,44 @@ class TestDatasetInvariants:
         ds = default_splits.train
         for label in range(ds.label_count):
             for pos in ds.positions_with_label(label):
-                assert label in ds.examples[pos].labels
+                assert label in ds.labels[pos]
         indexed = {(label, pos) for label in range(ds.label_count)
                    for pos in ds.positions_with_label(label)}
-        for pos, ex in enumerate(ds.examples):
-            for label in ex.labels:
+        for pos, labels in enumerate(ds.labels):
+            for label in labels:
                 assert (label, pos) in indexed
 
     def test_single_label_index(self, default_splits):
         ds = default_splits.train
         for label in range(ds.label_count):
             for pos in ds.single_label_positions(label):
-                assert ds.examples[pos].labels == frozenset({label})
+                assert ds.labels[pos] == frozenset({label})
 
     def test_every_label_covered_in_train(self, default_splits):
         ds = default_splits.train
         assert all(ds.positions_with_label(k) for k in range(ds.label_count))
 
     def test_duplicate_id_rejected(self):
-        ex = Example("x", np.zeros(2), frozenset({0}))
         with pytest.raises(DataFormatError, match="duplicate example id"):
-            Dataset([ex, ex], 1)
+            Dataset(["x", "x"], np.zeros((2, 2)), [{0}, {0}], 1)
+
+    @pytest.mark.parametrize(
+        "ids, X, labels",
+        [
+            (["a"], np.zeros((2, 3)), [{0}]),
+            (["a", "b"], np.zeros((2, 3)), [{0}]),
+            (["a"], np.zeros(3), [{0}]),
+            ([], np.zeros((2, 3)), []),
+        ],
+    )
+    def test_mismatched_rows_rejected(self, ids, X, labels):
+        with pytest.raises(ContractError):
+            Dataset(ids, X, labels, 1)
+
+    def test_features_copied_and_read_only(self):
+        X = np.zeros((2, 3))
+        ds = Dataset(["a", "b"], X, [{0}, {0}], 1)
+        X[0, 0] = 1.0
+        assert ds.X[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            ds.X[0, 0] = 1.0

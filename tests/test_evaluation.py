@@ -136,20 +136,20 @@ class TestRecallAtK:
     def test_duplicate_embeddings_hit(self):
         X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         labels = [{0}, {0}, {1}]
-        assert recall_at_k(X, labels, 1) == pytest.approx(2 / 3)
+        assert recall_at_k(X, labels, [1]) == {1: pytest.approx(2 / 3)}
 
     def test_non_decreasing_in_k(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((30, 4))
         labels = [{int(rng.integers(3))} for _ in range(30)]
-        values = [recall_at_k(X, labels, k) for k in (1, 2, 4, 8)]
+        values = list(recall_at_k(X, labels, (1, 2, 4, 8)).values())
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_four_points_on_line_matches_brute_force(self):
         X = np.array([[0.0], [1.0], [2.5], [2.6]])
         labels = [{0}, {1}, {0}, {1}]
-        for k in (1, 2, 3):
-            assert recall_at_k(X, labels, k) == brute_force_recall_at_k(X, labels, k)
+        expected = {k: brute_force_recall_at_k(X, labels, k) for k in (1, 2, 3)}
+        assert recall_at_k(X, labels, (1, 2, 3)) == expected
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(8)
@@ -158,8 +158,19 @@ class TestRecallAtK:
             set(int(x) for x in rng.choice(4, size=rng.integers(1, 3), replace=False))
             for _ in range(50)
         ]
-        for k in (1, 2, 4, 8):
-            assert recall_at_k(X, labels, k) == brute_force_recall_at_k(X, labels, k)
+        expected = {k: brute_force_recall_at_k(X, labels, k) for k in (1, 2, 4, 8)}
+        assert recall_at_k(X, labels, (1, 2, 4, 8)) == expected
+
+    def test_matches_brute_force_with_ties(self):
+        # points on a small integer grid: many exact distance ties, which
+        # both sides break by row order; every k up to 12 is checked
+        rng = np.random.default_rng(18)
+        X = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
+        labels = [{int(rng.integers(4))} for _ in range(60)]
+        ks = range(1, 13)
+        expected = {k: brute_force_recall_at_k(X, labels, k) for k in ks}
+        assert recall_at_k(X, labels, ks) == expected
+        assert len(set(expected.values())) > 3  # the ks do not all agree
 
     def test_isometry_invariance(self):
         rng = np.random.default_rng(9)
@@ -167,16 +178,16 @@ class TestRecallAtK:
         labels = [{int(rng.integers(3))} for _ in range(40)]
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         shifted = X @ Q + rng.standard_normal(6)
-        for k in (1, 2, 4):
-            assert recall_at_k(X, labels, k) == recall_at_k(shifted, labels, k)
+        assert recall_at_k(X, labels, (1, 2, 4)) == recall_at_k(shifted, labels, (1, 2, 4))
 
     def test_too_few_examples(self):
         with pytest.raises(ContractError):
-            recall_at_k(np.zeros((3, 2)), [{0}] * 3, 3)
+            recall_at_k(np.zeros((3, 2)), [{0}] * 3, [1, 3])
 
     def test_invalid_k(self):
-        with pytest.raises(ContractError):
-            recall_at_k(np.zeros((3, 2)), [{0}] * 3, 0)
+        for ks in ([0], [1, 0], []):
+            with pytest.raises(ContractError):
+                recall_at_k(np.zeros((3, 2)), [{0}] * 3, ks)
 
 
 class TestLogisticProbe:
@@ -287,9 +298,7 @@ class TestEvaluateEmbeddings:
         E = rng.standard_normal((len(ds), 8))
         E /= np.linalg.norm(E, axis=1, keepdims=True)
         train_E = rng.standard_normal((len(default_splits.train), 8))
-        train_y = np.array(
-            [0.0 if 0 in ex.labels else 1.0 for ex in default_splits.train.examples]
-        )
+        train_y = np.array([0.0 if 0 in labels else 1.0 for labels in default_splits.train.labels])
         report = evaluate_embeddings(E, ds, probe_train=(train_E, train_y))
         payload = report.as_dict()
         assert set(payload) == {"nmi", "recall_at", "classification", "distinct_label_sets"}

@@ -2,39 +2,7 @@ import numpy as np
 import pytest
 
 from mlembed.errors import DegenerateInputError, EvaluationError, ShapeError
-from mlembed.numeric import ParamStore, check_gradient, l2_normalize, matmul
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(matmul(a, b), np.array([[2.0], [4.0]]))
-
-    def test_ones_inner_product(self):
-        k = 7
-        ones_row = np.ones((1, k))
-        ones_col = np.ones((k, 1))
-        assert np.array_equal(matmul(ones_row, ones_col), np.array([[float(k)]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError, match="inner dimensions"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a = rng.standard_normal((3, 4))
-            b = rng.standard_normal((4, 5))
-            c = rng.standard_normal((5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            scale = max(1.0, np.abs(left).max())
-            assert np.abs(left - right).max() <= 1e-9 * scale
+from mlembed.numeric import ParamStore, check_gradient, l2_normalize
 
 
 class TestL2Normalize:

@@ -28,13 +28,12 @@ def five_label_dataset():
 
 def drawn_group(sample, ds, anchor_id, rng):
     """One row drawn for the anchor, checked for shape and split into its
-    positive examples, negative examples and the positives' taus."""
+    positive positions, negative positions and the positives' taus."""
     row, p, taus = sample(ds, ds.position(anchor_id), rng)
     assert row[0] == ds.position(anchor_id)
     assert len(row) == 1 + ds.label_count and len(taus) == ds.label_count
     assert taus[p:] == [0.0] * (ds.label_count - p)
-    members = [ds.examples[i] for i in row[1:]]
-    return members[:p], members[p:], taus[:p]
+    return row[1 : 1 + p], row[1 + p :], taus[:p]
 
 
 class TestSampleGroupMl2:
@@ -48,15 +47,15 @@ class TestSampleGroupMl2:
 
     def test_positives_share_negatives_do_not(self):
         ds = five_label_dataset()
-        anchor = ds.by_id("anchor")
+        anchor_labels = ds.labels[ds.position("anchor")]
         for seed in range(30):
             positives, negatives, _ = drawn_group(
                 sample_group_ml2, ds, "anchor", np.random.default_rng(seed)
             )
             for pos in positives:
-                assert pos.labels & anchor.labels
+                assert ds.labels[pos] & anchor_labels
             for neg in negatives:
-                assert not (neg.labels & anchor.labels)
+                assert not (ds.labels[neg] & anchor_labels)
 
     def test_outside_label_draw_sharing_becomes_positive(self):
         # label 3's only candidate also carries label 1, so an anchor with
@@ -72,16 +71,16 @@ class TestSampleGroupMl2:
         positives, negatives, _ = drawn_group(
             sample_group_ml2, ds, "anchor", np.random.default_rng(1)
         )
-        positive_ids = {ex.id for ex in positives}
+        positive_ids = {ds.ids[i] for i in positives}
         assert "x13" in positive_ids
         assert len(positives) == 2 and len(negatives) == 2
 
     def test_tau_values_match_overlap(self):
         ds = five_label_dataset()
-        anchor = ds.by_id("anchor")
+        anchor_labels = ds.labels[ds.position("anchor")]
         positives, _, taus = drawn_group(sample_group_ml2, ds, "anchor", np.random.default_rng(2))
         for pos, tau in zip(positives, taus, strict=True):
-            assert tau == overlap_tau(anchor.labels, pos.labels)
+            assert tau == overlap_tau(anchor_labels, ds.labels[pos])
 
     def test_anchor_excluded(self):
         ds = five_label_dataset()
@@ -89,7 +88,7 @@ class TestSampleGroupMl2:
             positives, negatives, _ = drawn_group(
                 sample_group_ml2, ds, "anchor", np.random.default_rng(seed)
             )
-            ids = [ex.id for ex in positives + negatives]
+            ids = [ds.ids[i] for i in positives + negatives]
             assert "anchor" not in ids
             assert len(ids) == len(set(ids))
 
@@ -138,24 +137,24 @@ class TestSampleGroupMl2Plus:
             sample_group_ml2plus, ds, "anchor", np.random.default_rng(0)
         )
         assert taus == [0.0]
-        assert positives[0].labels == frozenset({1})
+        assert ds.labels[positives[0]] == frozenset({1})
 
     def test_positives_single_label_one_per_anchor_label(self, default_splits):
         ds = default_splits.train
         rng = np.random.default_rng(5)
         checked = 0
         for pos in rng.permutation(len(ds))[:100]:
-            anchor = ds.examples[int(pos)]
+            anchor_labels = ds.labels[int(pos)]
             try:
-                positives, _, _ = drawn_group(sample_group_ml2plus, ds, anchor.id, rng)
+                positives, _, _ = drawn_group(sample_group_ml2plus, ds, ds.ids[int(pos)], rng)
             except GroupRejected:
                 continue
-            assert len(positives) == len(anchor.labels)
+            assert len(positives) == len(anchor_labels)
             drawn_labels = set()
-            for ex in positives:
-                assert len(ex.labels) == 1
-                drawn_labels |= ex.labels
-            assert drawn_labels == anchor.labels
+            for i in positives:
+                assert len(ds.labels[i]) == 1
+                drawn_labels |= ds.labels[i]
+            assert drawn_labels == anchor_labels
             checked += 1
         assert checked > 50
 
@@ -163,13 +162,13 @@ class TestSampleGroupMl2Plus:
         ds = default_splits.train
         rng = np.random.default_rng(6)
         for pos in rng.permutation(len(ds))[:200]:
-            anchor = ds.examples[int(pos)]
+            anchor_labels = ds.labels[int(pos)]
             try:
-                _, negatives, _ = drawn_group(sample_group_ml2plus, ds, anchor.id, rng)
+                _, negatives, _ = drawn_group(sample_group_ml2plus, ds, ds.ids[int(pos)], rng)
             except GroupRejected:
                 continue
             for neg in negatives:
-                assert not (neg.labels & anchor.labels)
+                assert not (ds.labels[neg] & anchor_labels)
 
     def test_missing_single_label_candidate_named(self):
         specs = [("anchor", {1, 2}), ("s1", {1}), ("x2", {2, 3}), ("n0", {0})]
@@ -239,17 +238,17 @@ class TestBuildMinibatch:
                 batch = build_minibatch(ds, 10, regime, rng)
                 assert batch.rows.shape == (10, 1 + ds.label_count)
                 for row, p, taus in zip(batch.rows.tolist(), batch.p.tolist(), batch.taus):
-                    anchor = ds.examples[row[0]]
-                    positives = [ds.examples[i] for i in row[1 : 1 + p]]
-                    negatives = [ds.examples[i] for i in row[1 + p :]]
+                    anchor_labels = ds.labels[row[0]]
+                    positives = [ds.labels[i] for i in row[1 : 1 + p]]
+                    negatives = [ds.labels[i] for i in row[1 + p :]]
                     assert len(positives) + len(negatives) == ds.label_count
                     assert row[0] not in row[1:]
                     assert len(row) == len(set(row))
-                    for pos, tau in zip(positives, taus[:p]):
-                        assert pos.labels & anchor.labels
-                        assert tau == overlap_tau(anchor.labels, pos.labels)
-                    for neg in negatives:
-                        assert not (neg.labels & anchor.labels)
+                    for pos_labels, tau in zip(positives, taus[:p]):
+                        assert pos_labels & anchor_labels
+                        assert tau == overlap_tau(anchor_labels, pos_labels)
+                    for neg_labels in negatives:
+                        assert not (neg_labels & anchor_labels)
 
     def test_triplet_tuples_satisfy_rules(self, default_splits):
         ds = default_splits.train
@@ -258,9 +257,8 @@ class TestBuildMinibatch:
         assert batch.rows.shape == (50, 3)
         assert batch.p.tolist() == [1] * 50
         for a, pos, neg in batch.rows.tolist():
-            anchor = ds.examples[a]
-            assert ds.examples[pos].labels & anchor.labels
-            assert not (ds.examples[neg].labels & anchor.labels)
+            assert ds.labels[pos] & ds.labels[a]
+            assert not (ds.labels[neg] & ds.labels[a])
             assert a not in (pos, neg)
 
     def test_pairs_have_consistent_flags(self, default_splits):
@@ -271,7 +269,7 @@ class TestBuildMinibatch:
         same_count = 0
         for (first, second), p in zip(batch.rows.tolist(), batch.p.tolist()):
             assert first != second
-            assert p == bool(ds.examples[first].labels & ds.examples[second].labels)
+            assert p == bool(ds.labels[first] & ds.labels[second])
             same_count += p
         assert 20 <= same_count <= 80  # both kinds occur
 
@@ -305,14 +303,15 @@ class TestUniformDraws:
         with the label; ML2+ takes single-label positives and zero-overlap
         negatives."""
         out = []
-        for ex in ds.examples:
-            if ex.id == anchor.id or label not in ex.labels:
+        anchor_labels = ds.labels[anchor]
+        for i, (ex_id, labels) in enumerate(zip(ds.ids, ds.labels)):
+            if i == anchor or label not in labels:
                 continue
-            if strict and label in anchor.labels and len(ex.labels) != 1:
+            if strict and label in anchor_labels and len(labels) != 1:
                 continue
-            if strict and label not in anchor.labels and ex.labels & anchor.labels:
+            if strict and label not in anchor_labels and labels & anchor_labels:
                 continue
-            out.append(ex.id)
+            out.append(ex_id)
         return out
 
     @pytest.mark.parametrize(
@@ -321,13 +320,13 @@ class TestUniformDraws:
     )
     def test_counts_within_five_sigma(self, sample, anchor_id):
         ds = disjoint_pools_dataset()
-        anchor = ds.by_id(anchor_id)
+        anchor = ds.position(anchor_id)
         rng = np.random.default_rng(2024)
         counts = {}
         for _ in range(self.DRAWS):
             positives, negatives, _ = drawn_group(sample, ds, anchor_id, rng)
-            for ex in positives + negatives:
-                counts[ex.id] = counts.get(ex.id, 0) + 1
+            for i in positives + negatives:
+                counts[ds.ids[i]] = counts.get(ds.ids[i], 0) + 1
         assert anchor_id not in counts
         strict = sample is sample_group_ml2plus
         for label in range(ds.label_count):
@@ -374,8 +373,7 @@ class TestStreamEquivalence:
         for _ in range(300):
             batch = build_minibatch(ds, b, regime, new_rng)
             groups = frozen_build_group_minibatch(ds, b, regime, old_rng)
-            members = [(g.anchor, *g.positives, *g.negatives) for g in groups]
-            assert batch.rows.tolist() == [[ds.position(ex.id) for ex in m] for m in members]
+            assert batch.rows.tolist() == [[g.anchor, *g.positives, *g.negatives] for g in groups]
             assert batch.p.tolist() == [len(g.positives) for g in groups]
             for taus, p, g in zip(batch.taus.tolist(), batch.p.tolist(), groups):
                 assert taus == list(g.tau_values) + [0.0] * (ds.label_count - p)
@@ -390,10 +388,10 @@ class TestStreamEquivalence:
             batch = build_minibatch(ds, b, regime, new_rng)
             items = frozen_build_item_minibatch(ds, b, regime, old_rng)
             if regime == "triplet":
-                rows = [[ds.position(ex.id) for ex in item] for item in items]
+                rows = [list(item) for item in items]
                 p = [1] * b
             else:
-                rows = [[ds.position(first.id), ds.position(second.id)] for first, second, _ in items]
+                rows = [[first, second] for first, second, _ in items]
                 p = [int(same) for _, _, same in items]
             assert batch.rows.tolist() == rows
             assert batch.p.tolist() == p

@@ -10,6 +10,7 @@ from mlembed.errors import ConfigError, TrainingAbort
 from mlembed.model import EmbeddingModel, EncoderConfig
 from mlembed.numeric import ParamStore
 from mlembed import trainer
+from mlembed.cli import main
 from mlembed.trainer import TrainConfig, lr_schedule, sgd_step, train
 from oracles import frozen_metric_batch_step, frozen_pretrain_batch_step, momentum_recurrence
 
@@ -274,6 +275,33 @@ class TestAtomicRunFiles:
         trainer.emit_run(tmp_path / "done", model, report, cfg, TINY_ENCODER)
         before = {p.name: p.read_bytes() for p in (tmp_path / "done").iterdir()}
         emit_failing(tmp_path / "done")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "done").iterdir()} == before
+
+    @pytest.mark.parametrize("target", ["train.jsonl", "val.jsonl", "test.jsonl", "manifest.json"])
+    def test_failed_gen_data_write_leaves_no_partial_or_temp_file(
+        self, tmp_path, monkeypatch, target
+    ):
+        config = tmp_path / "config.json"
+        data = {"label_count": 3, "feature_dim": 4, "train_examples": 40, "val_examples": 10}
+        config.write_text(json.dumps({"data": data}))
+        real_open = Path.open
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return _HalfWriter(fh) if "w" in mode and target in path.name else fh
+
+        def gen_data_failing(out):
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "open", failing_open)
+                assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 2
+
+        gen_data_failing(tmp_path / "fresh")
+        assert target not in {p.name for p in (tmp_path / "fresh").iterdir()}
+        assert not [p for p in (tmp_path / "fresh").iterdir() if p.name.endswith(".tmp")]
+
+        assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "done")]) == 0
+        before = {p.name: p.read_bytes() for p in (tmp_path / "done").iterdir()}
+        gen_data_failing(tmp_path / "done")
         assert {p.name: p.read_bytes() for p in (tmp_path / "done").iterdir()} == before
 
 
