@@ -34,7 +34,7 @@ from .losses import (
     triplet_loss,
 )
 from .model import EmbeddingModel, EncoderConfig
-from .numeric import ParamStore, check_gradient, l2_normalize
+from .numeric import ParamStore, check_gradient
 from .sampler import (
     GroupBatch,
     build_minibatch,

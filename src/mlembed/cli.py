@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -144,6 +145,14 @@ def load_dataset_dir(path: str | Path) -> DatasetSplits:
         if not file.exists():
             raise FileNotFoundError(f"missing dataset file {file}")
     train, val, test = load_jsonl_files(files, label_count=label_count)
+    # an empty split has no width; commands that read one reject it by name
+    splits = zip(files, (train, val, test))
+    widths = [(file.name, ds.feature_dim) for file, ds in splits if len(ds)]
+    for name, width in widths[1:]:
+        if width != widths[0][1]:
+            raise DataFormatError(
+                f"{directory / name}: feature width {width} != {widths[0][1]} of {widths[0][0]}"
+            )
     return DatasetSplits(train=train, val=val, test=test)
 
 
@@ -156,6 +165,14 @@ def _nonempty(splits: DatasetSplits, name: str) -> ds_mod.Dataset:
 
 def _labels_field(labels) -> str:
     return "|".join(str(x) for x in sorted(labels))
+
+
+def _write_csv(path: Path, rows: list[list]) -> None:
+    """Write ``rows`` as CSV, moved into place whole (see
+    :func:`~mlembed.model.write_atomic`)."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    write_atomic(path, buffer.getvalue().encode("utf-8"))
 
 
 # -- commands ----------------------------------------------------------------
@@ -285,7 +302,7 @@ def cmd_eval(args) -> int:
     )
     payload = json.dumps(report.as_dict(), indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        write_atomic(Path(args.out), payload.encode("utf-8"))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(payload)
@@ -297,11 +314,10 @@ def cmd_embed(args) -> int:
     eval_ds = _nonempty(splits, args.split)
     model = _load_model_for(splits, args.checkpoint)
     E, _ = model.embed(eval_ds.X)
-    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", *[f"e{i}" for i in range(E.shape[1])], "labels"])
-        for rid, row, labels in zip(eval_ds.ids, E, eval_ds.labels):
-            writer.writerow([rid, *[repr(float(v)) for v in row], _labels_field(labels)])
+    rows = [["id", *[f"e{i}" for i in range(E.shape[1])], "labels"]]
+    for rid, row, labels in zip(eval_ds.ids, E, eval_ds.labels):
+        rows.append([rid, *[repr(float(v)) for v in row], _labels_field(labels)])
+    _write_csv(Path(args.out), rows)
     print(f"wrote {E.shape[0]} embeddings to {args.out}")
     return 0
 
@@ -314,11 +330,10 @@ def cmd_project(args) -> int:
     result = project_2d(E)
     if result.degenerate:
         print("warning: zero-variance embeddings; projection is all zeros", file=sys.stderr)
-    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "x", "y", "labels"])
-        for rid, (x, y), labels in zip(eval_ds.ids, result.coords, eval_ds.labels):
-            writer.writerow([rid, repr(float(x)), repr(float(y)), _labels_field(labels)])
+    rows = [["id", "x", "y", "labels"]]
+    for rid, (x, y), labels in zip(eval_ds.ids, result.coords, eval_ds.labels):
+        rows.append([rid, repr(float(x)), repr(float(y)), _labels_field(labels)])
+    _write_csv(Path(args.out), rows)
     print(f"wrote {result.coords.shape[0]} projected points to {args.out}")
     return 0
 

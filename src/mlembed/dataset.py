@@ -8,6 +8,7 @@ single-label examples and participate in sampling like any other.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +35,28 @@ def validate_labels(labels, label_count: int) -> frozenset[int]:
     return frozenset(int(x) for x in items)
 
 
+def _label_sets(labels: list, label_count: int) -> list[frozenset[int]] | None:
+    """The rows as frozensets of ints when every row passes
+    :func:`validate_labels`, checked as arrays: each label an int (not a
+    bool), each row non-empty, every value in ``[0, label_count)`` and no
+    row repeating a label. ``None`` when any row fails."""
+    try:
+        sizes = [len(labs) for labs in labels]
+        flat = list(itertools.chain.from_iterable(labels))
+    except TypeError:  # a row that is not a sized collection
+        return None
+    if not all(t is int or issubclass(t, np.integer) for t in set(map(type, flat))):
+        return None
+    try:
+        values = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        return None
+    if 0 in sizes or (flat and (values.min() < 0 or int(values.max()) >= label_count)):
+        return None
+    sets = [frozenset(map(int, labs)) for labs in labels]
+    return sets if sum(map(len, sets)) == len(flat) else None
+
+
 class Dataset:
     """Immutable split: example ids, one feature matrix and one label set per row.
 
@@ -54,15 +77,20 @@ class Dataset:
             raise ContractError(
                 f"{len(ids)} ids, {len(labels)} label sets and features of shape {X.shape}"
             )
-        positions: dict[str, int] = {}
-        for pos, rid in enumerate(ids):
-            if rid in positions:
-                raise DataFormatError(f"duplicate example id {rid!r}")
-            try:
-                labels[pos] = validate_labels(labels[pos], label_count)
-            except DataFormatError as exc:
-                raise DataFormatError(f"record {rid!r}: {exc}") from exc
-            positions[rid] = pos
+        positions = {rid: pos for pos, rid in enumerate(ids)}
+        sets = _label_sets(labels, label_count)
+        if sets is None or len(positions) != len(ids):
+            # find the first bad record, so the error names it
+            positions = {}
+            for pos, rid in enumerate(ids):
+                if rid in positions:
+                    raise DataFormatError(f"duplicate example id {rid!r}")
+                try:
+                    labels[pos] = validate_labels(labels[pos], label_count)
+                except DataFormatError as exc:
+                    raise DataFormatError(f"record {rid!r}: {exc}") from exc
+                positions[rid] = pos
+            sets = labels
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():
             rid = ids[int(np.argmin(finite))]
@@ -70,7 +98,7 @@ class Dataset:
         X.flags.writeable = False
         self.ids = ids
         self.X = X
-        self.labels = labels
+        self.labels = sets
         self.label_count = label_count
         self.feature_dim = X.shape[1]
         self._positions = positions

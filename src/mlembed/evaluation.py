@@ -15,6 +15,12 @@ import numpy as np
 from .errors import ContractError
 
 KMEANS_MAX_ITER = 100
+# Query rows per Recall@K distance block: peak memory is O(RECALL_BLOCK * n).
+RECALL_BLOCK = 1024
+# Newton steps before the probe gives up; it converges in under ten.
+PROBE_MAX_NEWTON = 100
+# Smallest fraction of a Newton step tried before the probe gives up.
+PROBE_MIN_SCALE = 2.0**-40
 
 
 def label_set_clusters(label_sets) -> tuple[np.ndarray, int]:
@@ -128,10 +134,32 @@ def nmi(pred, truth) -> float:
     return float(min(1.0, max(0.0, 2.0 * info / (h_pred + h_truth))))
 
 
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` smallest entries' columns of each row of ``d2``, in the order
+    of a stable sort: ascending distance, ties by column.
+
+    ``np.partition`` finds each row's k-th distance. A row with exactly k
+    candidates at or below it sorts only those; a row with a tie at that
+    boundary (or a NaN) falls back to the stable sort of the whole row.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    candidates = d2 <= kth[:, None]
+    exact = np.count_nonzero(candidates, axis=1) == k
+    neighbors = np.empty((d2.shape[0], k), dtype=np.intp)
+    # nonzero runs row-major, so each row's candidates come in column order
+    rows, cols = np.nonzero(candidates & exact[:, None])
+    order = np.argsort(d2[rows, cols].reshape(-1, k), axis=1, kind="stable")
+    neighbors[exact] = np.take_along_axis(cols.reshape(-1, k), order, axis=1)
+    tied = ~exact
+    neighbors[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return neighbors
+
+
 def recall_at_k(embeddings: np.ndarray, label_sets, ks) -> dict[int, float]:
     """Recall@K for each k in ``ks``: the fraction of queries with a
     label-sharing example among the k nearest neighbors (self excluded, ties
-    broken by row order). One sort serves every k."""
+    broken by row order). One neighbor search serves every k; queries are
+    taken ``RECALL_BLOCK`` rows at a time, so memory grows with n, not n²."""
     X = np.asarray(embeddings, dtype=np.float64)
     n = X.shape[0]
     ks = list(ks)
@@ -149,12 +177,15 @@ def recall_at_k(embeddings: np.ndarray, label_sets, ks) -> dict[int, float]:
         members[i, [column[label] for label in labels]] = True
 
     sq = (X**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.fill_diagonal(d2, np.inf)
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k_max]
-    hits = (members[neighbors] & members[:, None, :]).any(axis=2)
-    # found[i, j]: one of the j + 1 nearest neighbors of query i shares a label
-    found = np.logical_or.accumulate(hits, axis=1)
+    found = np.empty((n, k_max), dtype=bool)
+    for start in range(0, n, RECALL_BLOCK):
+        stop = min(start + RECALL_BLOCK, n)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (X[start:stop] @ X.T)
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        neighbors = _nearest(d2, k_max)
+        hits = (members[neighbors] & members[start:stop, None, :]).any(axis=2)
+        # found[i, j]: one of the j + 1 nearest neighbors of query i shares a label
+        found[start:stop] = np.logical_or.accumulate(hits, axis=1)
     return {k: int(np.count_nonzero(found[:, k - 1])) / n for k in ks}
 
 
@@ -183,6 +214,53 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _probe_objective(A: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
+    z = A @ w
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    return loss + 0.5 * l2 * float(w[:-1] @ w[:-1])
+
+
+def _fit_probe(
+    train_X: np.ndarray, train_y: np.ndarray, l2: float = 1e-3, tol: float = 1e-7
+) -> np.ndarray:
+    """Weights, bias last, of L2-regularized logistic regression (the bias
+    unpenalized), fit by Newton's method.
+
+    Each step solves with the (w + 1) x (w + 1) Hessian and is halved while
+    it does not lower the objective, so every step descends, also on
+    separable data. Stops when the gradient is below ``tol`` in infinity
+    norm; raises :class:`ContractError` after ``PROBE_MAX_NEWTON`` steps
+    rather than return an unconverged fit.
+    """
+    X = np.asarray(train_X, dtype=np.float64)
+    y = np.asarray(train_y, dtype=np.float64)
+    if set(np.unique(y)) - {0.0, 1.0}:
+        raise ContractError("training labels must be binary 0/1")
+    if len(np.unique(y)) < 2:
+        raise ContractError("training data contains a single class")
+
+    n = X.shape[0]
+    A = np.hstack([X, np.ones((n, 1))])  # bias column, unregularized
+    penalty = np.full(A.shape[1], l2)
+    penalty[-1] = 0.0
+    w = np.zeros(A.shape[1])
+    for _ in range(PROBE_MAX_NEWTON):
+        p = _sigmoid(A @ w)
+        grad = A.T @ (p - y) / n + penalty * w
+        if float(np.abs(grad).max()) < tol:
+            return w
+        hessian = (A.T * (p * (1.0 - p))) @ A / n + np.diag(penalty)
+        step = np.linalg.solve(hessian, grad)
+        start = _probe_objective(A, y, w, l2)
+        scale = 1.0
+        while _probe_objective(A, y, w - scale * step, l2) >= start:
+            scale *= 0.5
+            if scale < PROBE_MIN_SCALE:
+                raise ContractError("logistic probe: no Newton step lowers the objective")
+        w = w - scale * step
+    raise ContractError(f"logistic probe did not converge in {PROBE_MAX_NEWTON} Newton steps")
+
+
 def logistic_probe(
     train_X: np.ndarray,
     train_y: np.ndarray,
@@ -190,36 +268,12 @@ def logistic_probe(
     test_y: np.ndarray,
     l2: float = 1e-3,
     tol: float = 1e-7,
-    max_iter: int = 20000,
 ) -> ClassificationMetrics:
-    """L2-regularized logistic regression fit by gradient descent.
-
-    The fixed step 1 / L (L a Lipschitz bound on the gradient) guarantees
-    monotone convergence; iteration stops when the gradient is below ``tol``
-    in infinity norm. Metrics are reported at threshold 0.5, with y=1 the
-    positive class.
-    """
-    train_X = np.asarray(train_X, dtype=np.float64)
+    """L2-regularized logistic regression (see :func:`_fit_probe`) fit on the
+    training rows. Metrics are reported on the test rows at threshold 0.5,
+    with y=1 the positive class."""
+    w = _fit_probe(train_X, train_y, l2, tol)
     test_X = np.asarray(test_X, dtype=np.float64)
-    y = np.asarray(train_y, dtype=np.float64)
-    if set(np.unique(y)) - {0.0, 1.0}:
-        raise ContractError("training labels must be binary 0/1")
-    if len(np.unique(y)) < 2:
-        raise ContractError("training data contains a single class")
-
-    n = train_X.shape[0]
-    A = np.hstack([train_X, np.ones((n, 1))])  # bias column, unregularized
-    w = np.zeros(A.shape[1])
-    lipschitz = 0.25 * float(np.linalg.norm(A, ord=2)) ** 2 / n + l2
-    step = 1.0 / lipschitz
-    for _ in range(max_iter):
-        resid = _sigmoid(A @ w) - y
-        grad = A.T @ resid / n
-        grad[:-1] += l2 * w[:-1]
-        if float(np.abs(grad).max()) < tol:
-            break
-        w -= step * grad
-
     scores = np.hstack([test_X, np.ones((test_X.shape[0], 1))]) @ w
     pred = scores > 0.0  # sigmoid(z) > 0.5 iff z > 0
     actual = np.asarray(test_y, dtype=np.float64) > 0.5

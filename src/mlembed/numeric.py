@@ -19,15 +19,6 @@ EPS_NORM = 1e-12
 DEFAULT_FD_STEP = 1e-5
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale ``v`` to unit Euclidean norm, preserving direction."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm < EPS_NORM:
-        raise DegenerateInputError(f"cannot normalize vector with norm {norm:.3e}")
-    return v / norm
-
-
 class ParamStore:
     """Named float64 slots, each with a same-shape gradient and momentum buffer.
 

@@ -51,6 +51,26 @@ def brute_force_recall_at_k(embeddings, label_sets, k):
     return hits / n
 
 
+def brute_force_logistic_weights(X, y, l2, tol, max_steps=200_000):
+    """Weights, bias last, of the probe objective (mean logistic loss plus
+    l2 / 2 times the squared weights, the bias unpenalized), by fixed-step
+    gradient descent: the step 1 / L, with L a Lipschitz bound on the
+    gradient, descends monotonically. Runs until the gradient is below
+    ``tol`` in infinity norm."""
+    A = np.hstack([np.asarray(X, dtype=float), np.ones((len(X), 1))])
+    y = np.asarray(y, dtype=float)
+    penalty = np.append(np.full(A.shape[1] - 1, l2), 0.0)
+    step = 1.0 / (0.25 * np.linalg.norm(A, ord=2) ** 2 / len(A) + l2)
+    w = np.zeros(A.shape[1])
+    for _ in range(max_steps):
+        p = 0.5 * (1.0 + np.tanh(0.5 * (A @ w)))  # the logistic function
+        grad = A.T @ (p - y) / len(A) + penalty * w
+        if np.abs(grad).max() < tol:
+            return w
+        w = w - step * grad
+    raise AssertionError(f"gradient descent did not reach {tol} in {max_steps} steps")
+
+
 def frozen_nmi(pred, truth):
     """NMI exactly as the id-keyed implementation summed it: a float
     contingency table filled one example at a time, then a row-major loop

@@ -437,6 +437,17 @@ class TestLoadDatasetDir:
         splits = load_dataset_dir(data_dir)
         assert [ds.label_count for ds in (splits.train, splits.val, splits.test)] == [3, 3, 3]
 
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_split_narrower_than_train_exits_one(self, tmp_path, data_dir, run_dir, capsys, split):
+        path = data_dir / f"{split}.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text(
+            "".join(json.dumps({**r, "features": r["features"][:4]}) + "\n" for r in records)
+        )
+        code = main(["eval", "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir)])
+        assert code == 1
+        assert f"{split}.jsonl: feature width 4 != 8" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "manifest",
         [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlembed import dataset as dataset_mod
 from mlembed.dataset import (
     Dataset,
     SyntheticSpec,
@@ -301,6 +302,51 @@ class TestDatasetInvariants:
     def test_mismatched_rows_rejected(self, ids, X, labels):
         with pytest.raises(ContractError):
             Dataset(ids, X, labels, 1)
+
+    @pytest.mark.parametrize("as_row", [sorted, np.array], ids=["int-lists", "numpy-rows"])
+    def test_valid_labels_checked_as_arrays(self, monkeypatch, default_splits, as_row):
+        def per_row(labels, label_count):
+            raise AssertionError("labels checked row by row")
+
+        monkeypatch.setattr(dataset_mod, "validate_labels", per_row)
+        train = default_splits.train
+        rows = [as_row(sorted(labels)) for labels in train.labels]
+        ds = Dataset(train.ids, train.X, rows, train.label_count)
+        assert ds.labels == train.labels
+        assert all(type(lab) is int for labels in ds.labels for lab in labels)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([], "label set is empty"),
+            ([True], "label True is not an integer"),
+            ([1.0], "label 1.0 is not an integer"),
+            (["1"], "label '1' is not an integer"),
+            ([[1]], "label [1] is not an integer"),
+            ([3], "label 3 outside [0, 3)"),
+            ([-1], "label -1 outside [0, 3)"),
+            ([2**70], f"label {2**70} outside [0, 3)"),
+            ([2, 0, 2], "duplicate labels in [0, 2, 2]"),
+        ],
+    )
+    def test_first_bad_record_named(self, bad, message):
+        # record "d" is bad as well; the error names the first, "c"
+        labels = [[0], [1, 2], bad, [5]]
+        with pytest.raises(DataFormatError) as excinfo:
+            Dataset(["a", "b", "c", "d"], np.zeros((4, 1)), labels, 3)
+        assert str(excinfo.value) == f"record 'c': {message}"
+
+    @pytest.mark.parametrize(
+        "ids, labels, message",
+        [
+            (["a", "b", "a"], [[0], [0], [9]], "duplicate example id 'a'"),
+            (["a", "b", "b"], [[0], [9], [0]], "record 'b': label 9 outside [0, 3)"),
+        ],
+    )
+    def test_first_error_in_row_order(self, ids, labels, message):
+        with pytest.raises(DataFormatError) as excinfo:
+            Dataset(ids, np.zeros((3, 1)), labels, 3)
+        assert str(excinfo.value) == message
 
     def test_features_copied_and_read_only(self):
         X = np.zeros((2, 3))

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from mlembed import evaluation
 from mlembed.errors import ContractError
 from mlembed.evaluation import (
+    _fit_probe,
     evaluate_embeddings,
     kmeans,
     label_set_clusters,
@@ -13,7 +15,7 @@ from mlembed.evaluation import (
     project_2d,
     recall_at_k,
 )
-from oracles import brute_force_recall_at_k, frozen_nmi
+from oracles import brute_force_logistic_weights, brute_force_recall_at_k, frozen_nmi
 
 
 class TestKMeans:
@@ -172,6 +174,34 @@ class TestRecallAtK:
         assert recall_at_k(X, labels, ks) == expected
         assert len(set(expected.values())) > 3  # the ks do not all agree
 
+    @pytest.mark.parametrize("data", ["grid", "random"])
+    def test_query_blocks_match_brute_force(self, monkeypatch, data):
+        # blocks of 7 queries: rows split across blocks, many tied at the
+        # k-th distance on the grid
+        monkeypatch.setattr(evaluation, "RECALL_BLOCK", 7)
+        rng = np.random.default_rng(19)
+        if data == "grid":
+            X = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
+        else:
+            X = rng.standard_normal((60, 5))
+        labels = [{int(rng.integers(4))} for _ in range(60)]
+        ks = range(1, 13)
+        expected = {k: brute_force_recall_at_k(X, labels, k) for k in ks}
+        assert recall_at_k(X, labels, ks) == expected
+
+    @pytest.mark.parametrize("data", ["grid", "random"])
+    def test_neighbors_in_stable_sort_order(self, data):
+        rng = np.random.default_rng(20)
+        if data == "grid":
+            X = rng.integers(0, 3, size=(40, 2)).astype(np.float64)
+        else:
+            X = rng.standard_normal((40, 3))
+        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        for k in range(1, 13):
+            stable = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(evaluation._nearest(d2, k), stable)
+
     def test_isometry_invariance(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((40, 6))
@@ -190,31 +220,67 @@ class TestRecallAtK:
                 recall_at_k(np.zeros((3, 2)), [{0}] * 3, ks)
 
 
+def separable_blobs():
+    rng = np.random.default_rng(10)
+    pos = rng.normal(0, 0.3, size=(100, 4)) + np.array([3.0, 0, 0, 0])
+    neg = rng.normal(0, 0.3, size=(100, 4)) - np.array([3.0, 0, 0, 0])
+    X = np.vstack([pos, neg])
+    y = np.array([1.0] * 100 + [0.0] * 100)
+    test_X = np.vstack(
+        [
+            rng.normal(0, 0.3, size=(50, 4)) + np.array([3.0, 0, 0, 0]),
+            rng.normal(0, 0.3, size=(50, 4)) - np.array([3.0, 0, 0, 0]),
+        ]
+    )
+    test_y = np.array([1.0] * 50 + [0.0] * 50)
+    return X, y, test_X, test_y
+
+
+def independent_labels():
+    rng = np.random.default_rng(11)
+    n = 400
+    X = rng.standard_normal((n, 5))
+    y = (rng.random(n) < 0.7).astype(float)  # labels carry no signal
+    test_X = rng.standard_normal((200, 5))
+    test_y = (rng.random(200) < 0.7).astype(float)
+    return X, y, test_X, test_y
+
+
+def noisy_first_coordinate():
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((60, 3))
+    y = (X[:, 0] + 0.3 * rng.standard_normal(60) > 0).astype(float)
+    test_X = rng.standard_normal((60, 3))
+    test_y = (test_X[:, 0] > 0).astype(float)
+    return X, y, test_X, test_y
+
+
+def perfectly_separable():
+    # the labels are the side of a hyperplane through the origin
+    rng = np.random.default_rng(13)
+    normal = np.array([1.0, -2.0, 0.5])
+    X = rng.standard_normal((40, 3))
+    test_X = rng.standard_normal((40, 3))
+    return X, (X @ normal > 0).astype(float), test_X, (test_X @ normal > 0).astype(float)
+
+
+PROBE_CASES = {
+    "separable-blobs": separable_blobs,
+    "independent-labels": independent_labels,
+    "noisy-first-coordinate": noisy_first_coordinate,
+    "perfectly-separable": perfectly_separable,
+}
+
+
 class TestLogisticProbe:
     def test_separable_blobs(self):
-        rng = np.random.default_rng(10)
-        pos = rng.normal(0, 0.3, size=(100, 4)) + np.array([3.0, 0, 0, 0])
-        neg = rng.normal(0, 0.3, size=(100, 4)) - np.array([3.0, 0, 0, 0])
-        X = np.vstack([pos, neg])
-        y = np.array([1.0] * 100 + [0.0] * 100)
-        test_X = np.vstack(
-            [
-                rng.normal(0, 0.3, size=(50, 4)) + np.array([3.0, 0, 0, 0]),
-                rng.normal(0, 0.3, size=(50, 4)) - np.array([3.0, 0, 0, 0]),
-            ]
-        )
-        test_y = np.array([1.0] * 50 + [0.0] * 50)
+        X, y, test_X, test_y = separable_blobs()
         metrics = logistic_probe(X, y, test_X, test_y)
         assert metrics.f1 >= 0.99
         assert metrics.specificity >= 0.95
 
     def test_independent_labels_near_majority_baseline(self):
-        rng = np.random.default_rng(11)
-        n = 400
-        X = rng.standard_normal((n, 5))
-        y = (rng.random(n) < 0.7).astype(float)  # labels carry no signal
-        test_X = rng.standard_normal((200, 5))
-        test_y = (rng.random(200) < 0.7).astype(float)
+        X, y, test_X, test_y = independent_labels()
         metrics = logistic_probe(X, y, test_X, test_y)
         # majority predictor says "positive" everywhere
         rate = test_y.mean()
@@ -222,15 +288,46 @@ class TestLogisticProbe:
         assert abs(metrics.f1 - majority_f1) <= 0.1
 
     def test_f1_identity(self):
-        rng = np.random.default_rng(12)
-        X = rng.standard_normal((60, 3))
-        y = (X[:, 0] + 0.3 * rng.standard_normal(60) > 0).astype(float)
-        test_X = rng.standard_normal((60, 3))
-        test_y = (test_X[:, 0] > 0).astype(float)
+        X, y, test_X, test_y = noisy_first_coordinate()
         m = logistic_probe(X, y, test_X, test_y)
         if m.precision + m.sensitivity > 0:
             expected = 2 * m.precision * m.sensitivity / (m.precision + m.sensitivity)
             assert m.f1 == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("case", PROBE_CASES)
+    def test_weights_meet_gradient_tolerance(self, case):
+        X, y, _, _ = PROBE_CASES[case]()
+        w = _fit_probe(X, y, l2=1e-3, tol=1e-7)
+        A = np.hstack([X, np.ones((len(X), 1))])
+        grad = A.T @ (1.0 / (1.0 + np.exp(-(A @ w))) - y) / len(X)
+        grad[:-1] += 1e-3 * w[:-1]
+        assert np.abs(grad).max() < 1e-7
+
+    @pytest.mark.parametrize("case", PROBE_CASES)
+    def test_matches_gradient_descent_oracle(self, case):
+        X, y, test_X, _ = PROBE_CASES[case]()
+        w = _fit_probe(X, y, l2=1e-3, tol=1e-7)
+        reference = brute_force_logistic_weights(X, y, l2=1e-3, tol=1e-9)
+        assert np.abs(w - reference).max() <= 1e-4
+        test_A = np.hstack([test_X, np.ones((len(test_X), 1))])
+        assert np.array_equal(test_A @ w > 0, test_A @ reference > 0)
+
+    def test_perfectly_separable_training_rows_all_classified(self):
+        X, y, _, _ = perfectly_separable()
+        assert 0 < y.sum() < len(y)
+        assert logistic_probe(X, y, X, y).f1 == 1.0
+
+    def test_no_descending_step_raises(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_probe_objective", lambda A, y, w, l2: 0.0)
+        X, y, _, _ = separable_blobs()
+        with pytest.raises(ContractError, match="no Newton step lowers"):
+            _fit_probe(X, y)
+
+    def test_unconverged_fit_raises(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "PROBE_MAX_NEWTON", 2)
+        X, y, _, _ = separable_blobs()
+        with pytest.raises(ContractError, match="did not converge"):
+            _fit_probe(X, y)
 
     def test_single_class_rejected(self):
         X = np.zeros((10, 2))

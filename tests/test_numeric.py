@@ -2,28 +2,7 @@ import numpy as np
 import pytest
 
 from mlembed.errors import DegenerateInputError, EvaluationError, ShapeError
-from mlembed.numeric import ParamStore, check_gradient, l2_normalize
-
-
-class TestL2Normalize:
-    def test_hand_case(self):
-        assert np.allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
-
-    def test_unit_vector_fixed_point(self):
-        v = np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(l2_normalize(v), v)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            l2_normalize(np.zeros(2))
-
-    def test_norm_is_one(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            v = rng.standard_normal(5) * 10.0 ** rng.integers(-5, 5)
-            if np.linalg.norm(v) < 1e-12:
-                continue
-            assert abs(np.linalg.norm(l2_normalize(v)) - 1.0) <= 1e-9
+from mlembed.numeric import ParamStore, check_gradient
 
 
 class TestParamStore:

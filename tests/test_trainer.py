@@ -305,6 +305,43 @@ class TestAtomicRunFiles:
         assert {p.name: p.read_bytes() for p in (tmp_path / "done").iterdir()} == before
 
 
+    @pytest.mark.parametrize("command", ["eval", "embed", "project"])
+    def test_failed_command_output_write_leaves_no_partial_or_temp_file(
+        self, tmp_path, monkeypatch, command
+    ):
+        config = tmp_path / "config.json"
+        data = {"label_count": 3, "feature_dim": 4, "train_examples": 40, "val_examples": 10,
+                "test_examples": 10}
+        config.write_text(json.dumps({"data": data, "train": {"iterations": 10, "batch_size": 4}}))
+        data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-data", "--config", str(config), "--out", str(data_dir)]) == 0
+        assert main(["train", "--config", str(config), "--data", str(data_dir),
+                     "--run-dir", str(run_dir)]) == 0
+        checkpoint = run_dir / json.loads((run_dir / "manifest.json").read_text())["checkpoint"]
+        out = tmp_path / "out" / f"{command}.out"
+        out.parent.mkdir()
+        args = [command, "--checkpoint", str(checkpoint), "--data", str(data_dir), "--out", str(out)]
+        real_open = Path.open
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return _HalfWriter(fh) if "w" in mode and out.name in path.name else fh
+
+        def command_failing():
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "open", failing_open)
+                assert main(args) == 2
+
+        command_failing()
+        assert list(out.parent.iterdir()) == []
+
+        assert main(args) == 0
+        before = out.read_bytes()
+        command_failing()
+        assert [p.name for p in out.parent.iterdir()] == [out.name]
+        assert out.read_bytes() == before
+
+
 class TestArrayPathMatchesPerItemPath:
     """Training through the array path and through the frozen per-item
     steps gives the same report and the same parameter bytes."""
