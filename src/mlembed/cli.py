@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -41,21 +42,7 @@ _DATA_TYPES = {
     "exclusive_labels": "list[int] | None",
 }
 _ENCODER_KEYS = {"hidden_sizes", "embedding_dim", "seed"}
-_TRAIN_KEYS = {
-    "loss",
-    "batch_size",
-    "iterations",
-    "learning_rate",
-    "momentum",
-    "weight_decay",
-    "lr_decay_factor",
-    "lr_decay_period",
-    "margin",
-    "eval_every",
-    "seed",
-    "pretrain",
-    "pretrain_iterations",
-}
+_TRAIN_KEYS = {field.name for field in dataclasses.fields(TrainConfig)}
 _EVAL_TYPES = {"recall_ks": "list[int]", "kmeans_seed": "int", "normal_label": "int", "split": "str"}
 _PATH_TYPES = {"dataset_dir": "str", "run_dir": "str"}
 # A dict names the type of each key, which load_config checks; a set only the keys.

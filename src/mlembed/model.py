@@ -212,17 +212,20 @@ class EmbeddingModel:
         g_hidden = g_raw @ self.params.value("proj_W").T
         self._trunk_backward(cache.inputs, cache.pre_activations, g_hidden)
 
+    def _heads(self, buffer: np.ndarray) -> np.ndarray:
+        """The head slots, which end the store, as one (l, h + 1, 2) block of
+        ``buffer``: rows :h of head k are its weights and row h its bias."""
+        l, h = self.config.label_count, self.config.hidden_out
+        return buffer[buffer.size - l * (h + 1) * 2 :].reshape(l, h + 1, 2)
+
     def classify(self, X) -> tuple[np.ndarray, ClassifyCache]:
         """Per-label log-softmax pairs, shape (n, label_count, 2)."""
         if not self.has_heads:
             raise ConfigError("model was built without classifier heads")
         X = self._check_input(X)
         inputs, pre = self._trunk_forward(X)
-        h = inputs[-1]
-        l = self.config.label_count
-        logits = np.empty((X.shape[0], l, 2))
-        for k in range(l):
-            logits[:, k, :] = h @ self.params.value(f"head{k}_W") + self.params.value(f"head{k}_b")
+        heads, h = self._heads(self.params.values), self.config.hidden_out
+        logits = (inputs[-1] @ heads[:, :h]).transpose(1, 0, 2) + heads[:, h]
         shift = logits.max(axis=2, keepdims=True)
         log_probs = logits - shift - np.log(np.exp(logits - shift).sum(axis=2, keepdims=True))
         return log_probs, ClassifyCache(inputs, pre, np.exp(log_probs))
@@ -231,17 +234,17 @@ class EmbeddingModel:
         """Accumulate gradients given upstream grads on the head logits."""
         if not self.has_heads:
             raise ConfigError("model was built without classifier heads")
-        h = cache.inputs[-1]
-        l = self.config.label_count
+        hidden = cache.inputs[-1]
+        l, h = self.config.label_count, self.config.hidden_out
         G_logits = np.asarray(G_logits, dtype=np.float64)
-        if G_logits.shape != (h.shape[0], l, 2):
-            raise ContractError(f"logit grad shape {G_logits.shape} != {(h.shape[0], l, 2)}")
-        g_hidden = np.zeros_like(h)
-        for k in range(l):
-            gk = G_logits[:, k, :]
-            self.params.grad(f"head{k}_W")[...] += h.T @ gk
-            self.params.grad(f"head{k}_b")[...] += gk.sum(axis=0)
-            g_hidden += gk @ self.params.value(f"head{k}_W").T
+        if G_logits.shape != (hidden.shape[0], l, 2):
+            raise ContractError(f"logit grad shape {G_logits.shape} != {(hidden.shape[0], l, 2)}")
+        G = G_logits.transpose(1, 0, 2)  # (l, n, 2): one matrix per head
+        grads = self._heads(self.params.grads)
+        grads[:, :h] += hidden.T @ G
+        grads[:, h] += G_logits.sum(axis=0)
+        # Summed over heads in head order: the order fixes the last bits.
+        g_hidden = (G @ self._heads(self.params.values)[:, :h].transpose(0, 2, 1)).sum(axis=0)
         self._trunk_backward(cache.inputs, cache.pre_activations, g_hidden)
 
     def reinit_projection(self, seed: int) -> None:
@@ -264,24 +267,23 @@ class EmbeddingModel:
 
     # -- checkpoint io ------------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
-        """Versioned header plus named little-endian float64 arrays, written
-        whole or not at all (:func:`write_atomic`)."""
-        path = Path(path)
+    def _header_arrays(self) -> list[dict]:
+        """The checkpoint's slot list: every slot's name and shape, in store
+        order, which is also the order of the array data."""
         names = self.params.names()
+        return [{"name": n, "shape": list(self.params.value(n).shape)} for n in names]
+
+    def save(self, path: str | Path) -> None:
+        """Versioned header plus the value buffer as little-endian float64,
+        written whole or not at all (:func:`write_atomic`)."""
         header = {
             "format_version": CHECKPOINT_VERSION,
             "config": self.config.as_dict(),
-            "arrays": [
-                {"name": name, "shape": list(self.params.value(name).shape)}
-                for name in names
-            ],
+            "arrays": self._header_arrays(),
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        parts = [CHECKPOINT_MAGIC, struct.pack("<Q", len(blob)), blob]
-        for name in names:
-            parts.append(np.ascontiguousarray(self.params.value(name), dtype="<f8").tobytes())
-        write_atomic(path, b"".join(parts))
+        data = np.ascontiguousarray(self.params.values, dtype="<f8").tobytes()
+        write_atomic(Path(path), CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + data)
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingModel":
@@ -318,16 +320,14 @@ class EmbeddingModel:
             if data_len > 8 * config.param_count:
                 raise DataFormatError(f"{path.name}: trailing bytes after the last array")
             model = cls(config)
-            names = model.params.names()
-            expected = [{"name": n, "shape": list(model.params.value(n).shape)} for n in names]
-            if header.get("arrays") != expected:
+            if header.get("arrays") != model._header_arrays():
                 raise DataFormatError(
                     f"{path.name}: arrays do not list the slots of the encoder config in order"
                 )
-            for name in names:
-                value = model.params.value(name)
-                data = np.frombuffer(fh.read(value.size * 8), dtype="<f8")
-                if not np.all(np.isfinite(data)):
-                    raise DataFormatError(f"{path.name}: non-finite value in array {name!r}")
-                np.copyto(value, data.reshape(value.shape))
+            data = np.frombuffer(fh.read(8 * config.param_count), dtype="<f8")
+            finite = np.isfinite(data)
+            if not finite.all():
+                name, _ = model.params.locate(int(np.argmin(finite)))
+                raise DataFormatError(f"{path.name}: non-finite value in array {name!r}")
+            np.copyto(model.params.values, data)
         return model

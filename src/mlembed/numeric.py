@@ -6,7 +6,9 @@ the verification harness used by every layer and loss test in the repo.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+import bisect
+import math
+from typing import Callable
 
 import numpy as np
 
@@ -20,64 +22,57 @@ DEFAULT_FD_STEP = 1e-5
 
 
 class ParamStore:
-    """Named float64 slots, each with a same-shape gradient and momentum buffer.
+    """Named float64 slots over three flat buffers: ``values``, ``grads`` and
+    ``momenta``. Each slot is a reshaped view into each buffer.
 
-    Slot order is insertion order, which makes flattened views and optimizer
-    sweeps deterministic.
+    Slot order is insertion order and is also the buffer order, so a
+    whole-model operation (an optimizer step, a snapshot, a checkpoint) is
+    one array operation. ``add`` reallocates the buffers: take views only
+    once every slot is in.
     """
 
     def __init__(self):
-        self._values: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] = {}
-        self._momentum: dict[str, np.ndarray] = {}
+        self._slots: dict[str, tuple[int, tuple[int, ...]]] = {}  # name -> (start, shape)
+        self.values = np.zeros(0)
+        self.grads = np.zeros(0)
+        self.momenta = np.zeros(0)
 
     def add(self, name: str, value: np.ndarray) -> None:
-        if name in self._values:
+        if name in self._slots:
             raise ShapeError(f"slot {name!r} already exists")
         arr = np.array(value, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise DegenerateInputError("array contains NaN or Inf")
-        self._values[name] = arr
-        self._grads[name] = np.zeros_like(arr)
-        self._momentum[name] = np.zeros_like(arr)
+        self._slots[name] = (self.values.size, arr.shape)
+        self.values = np.concatenate([self.values, arr.ravel()])
+        self.grads = np.concatenate([self.grads, np.zeros(arr.size)])
+        self.momenta = np.concatenate([self.momenta, np.zeros(arr.size)])
 
     def names(self) -> list[str]:
-        return list(self._values)
+        return list(self._slots)
+
+    def _view(self, buffer: np.ndarray, name: str) -> np.ndarray:
+        start, shape = self._slots[name]
+        return buffer[start : start + math.prod(shape)].reshape(shape)
 
     def value(self, name: str) -> np.ndarray:
-        return self._values[name]
+        return self._view(self.values, name)
 
     def grad(self, name: str) -> np.ndarray:
-        return self._grads[name]
+        return self._view(self.grads, name)
 
     def momentum(self, name: str) -> np.ndarray:
-        return self._momentum[name]
+        return self._view(self.momenta, name)
+
+    def locate(self, index: int) -> tuple[str, int]:
+        """The slot that holds flat buffer position ``index``, and the
+        position within that slot."""
+        starts = [start for start, _ in self._slots.values()]
+        slot = bisect.bisect_right(starts, index) - 1
+        return self.names()[slot], index - starts[slot]
 
     def zero_grads(self) -> None:
-        for g in self._grads.values():
-            g.fill(0.0)
-
-    def items(self) -> Iterator[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
-        for name in self._values:
-            yield name, self._values[name], self._grads[name], self._momentum[name]
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copy of the current values (gradients and momentum excluded)."""
-        return {name: arr.copy() for name, arr in self._values.items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, arr in snap.items():
-            if name not in self._values:
-                raise ShapeError(f"unknown slot {name!r}")
-            if arr.shape != self._values[name].shape:
-                raise ShapeError(f"shape mismatch for slot {name!r}")
-            np.copyto(self._values[name], arr)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
+        self.grads.fill(0.0)
 
 
 def check_gradient(
@@ -100,30 +95,27 @@ def check_gradient(
     base = float(f(point))
     if not np.isfinite(base):
         raise EvaluationError("function value is not finite at the base point")
-    analytic = {name: point.grad(name).copy() for name in point.names()}
+    analytic = point.grads.copy()
 
     worst = 0.0
-    for name in point.names():
-        value = point.value(name)
-        flat = value.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            point.zero_grads()
-            f_plus = float(f(point))
-            flat[i] = orig - step
-            point.zero_grads()
-            f_minus = float(f(point))
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise EvaluationError(f"non-finite value while perturbing {name}[{i}]")
-            g_fd = (f_plus - f_minus) / (2.0 * step)
-            g_an = analytic[name].reshape(-1)[i]
-            err = abs(g_an - g_fd) / max(1.0, abs(g_an), abs(g_fd))
-            worst = max(worst, err)
+    flat = point.values
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        point.zero_grads()
+        f_plus = float(f(point))
+        flat[i] = orig - step
+        point.zero_grads()
+        f_minus = float(f(point))
+        flat[i] = orig
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            name, j = point.locate(i)
+            raise EvaluationError(f"non-finite value while perturbing {name}[{j}]")
+        g_fd = (f_plus - f_minus) / (2.0 * step)
+        g_an = analytic[i]
+        err = abs(g_an - g_fd) / max(1.0, abs(g_an), abs(g_fd))
+        worst = max(worst, err)
 
     # Leave the store as the caller handed it over: analytic grads at `point`.
-    point.zero_grads()
-    for name in point.names():
-        np.copyto(point.grad(name), analytic[name])
+    np.copyto(point.grads, analytic)
     return worst

@@ -157,15 +157,20 @@ def lr_schedule(iteration: int, base_lr: float, factor: float, period: int) -> f
 
 
 def sgd_step(params: ParamStore, lr: float, momentum: float, weight_decay: float) -> None:
-    """v <- momentum * v + (grad + weight_decay * theta); theta <- theta - lr * v."""
-    for name, value, grad, mom in params.items():
-        if not np.all(np.isfinite(grad)):
-            raise TrainingAbort(f"non-finite gradient in slot {name!r}")
-        np.multiply(mom, momentum, out=mom)
-        mom += grad
-        if weight_decay:
-            mom += weight_decay * value
-        value -= lr * mom
+    """v <- momentum * v + (grad + weight_decay * theta); theta <- theta - lr * v.
+
+    Raises TrainingAbort, naming the first slot with a non-finite gradient,
+    before any value or momentum changes."""
+    finite = np.isfinite(params.grads)
+    if not finite.all():
+        name, _ = params.locate(int(np.argmin(finite)))
+        raise TrainingAbort(f"non-finite gradient in slot {name!r}")
+    mom = params.momenta
+    np.multiply(mom, momentum, out=mom)
+    mom += params.grads
+    if weight_decay:
+        mom += weight_decay * params.values
+    params.values -= lr * mom
 
 
 def _validation_scores(model: EmbeddingModel, ds: Dataset, kmeans_seed: int):
@@ -259,7 +264,7 @@ def train(
     points: list[EvalPoint] = []
     best_nmi: float | None = None
     best_iter: int | None = None
-    best_snapshot = None
+    best_values = None
 
     def report_so_far() -> TrainReport:
         return TrainReport(
@@ -318,10 +323,10 @@ def train(
             if best_nmi is None or val_nmi > best_nmi:
                 best_nmi = val_nmi
                 best_iter = it + 1
-                best_snapshot = model.params.snapshot()
+                best_values = model.params.values.copy()
 
-    if best_snapshot is not None:
-        model.params.restore(best_snapshot)
+    if best_values is not None:
+        np.copyto(model.params.values, best_values)
     report = report_so_far()
 
     if run_dir is not None:

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlembed.model
 from mlembed.errors import ConfigError, ContractError, DataFormatError, DegenerateInputError
 from mlembed.losses import LossConfig, ml2_loss, pretrain_loss
 from mlembed.model import CHECKPOINT_MAGIC, EmbeddingModel, EncoderConfig
@@ -200,16 +202,11 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         model.save(path)
         good = path.read_bytes()
-        real_value, calls = model.params.value, []
 
-        def failing_value(name):
-            # the header reads every slot once; fail on the second array
-            calls.append(name)
-            if len(calls) == len(model.params.names()) + 2:
-                raise RuntimeError("injected failure")
-            return real_value(name)
+        def failing_replace(src, dst):
+            raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(model.params, "value", failing_value)
+        monkeypatch.setattr(mlembed.model.os, "replace", failing_replace)
         with pytest.raises(RuntimeError, match="injected"):
             model.save(path)
         assert path.read_bytes() == good
@@ -221,6 +218,23 @@ class TestCheckpoint:
         model.save(p1)
         EmbeddingModel.load(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_array_data_is_each_slot_as_f8_in_header_order(self, tmp_path):
+        model = small_model(hidden_sizes=(5, 7), label_count=3, seed=17)
+        model.params.values[:] = np.random.default_rng(18).standard_normal(model.params.values.size)
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<Q", raw[8:16])
+        arrays = json.loads(raw[16 : 16 + length])["arrays"]
+        assert [a["name"] for a in arrays] == [
+            "W0", "c0", "W1", "c1", "proj_W", "proj_b",
+            "head0_W", "head0_b", "head1_W", "head1_b", "head2_W", "head2_b",
+        ]
+        expected = b"".join(
+            model.params.value(a["name"]).astype("<f8").tobytes() for a in arrays
+        )
+        assert raw[16 + length :] == expected
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -318,11 +332,19 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="trailing"):
             EmbeddingModel.load(saved)
 
-    def test_non_finite_array_value_rejected(self, saved):
+    @pytest.mark.parametrize("slot", ["W0", "proj_W", "head1_b"])
+    def test_non_finite_array_value_rejected(self, saved, slot):
+        # NaN in the last value of the slot, found from the header alone
         raw = bytearray(saved.read_bytes())
-        raw[-8:] = struct.pack("<d", float("nan"))
+        (length,) = struct.unpack("<Q", raw[8:16])
+        end = 16 + length
+        for entry in json.loads(raw[16:end])["arrays"]:
+            end += 8 * math.prod(entry["shape"])
+            if entry["name"] == slot:
+                break
+        raw[end - 8 : end] = struct.pack("<d", float("nan"))
         saved.write_bytes(bytes(raw))
-        with pytest.raises(DataFormatError, match="non-finite"):
+        with pytest.raises(DataFormatError, match=f"non-finite value in array '{slot}'"):
             EmbeddingModel.load(saved)
 
     def test_huge_config_rejected_before_allocating(self, saved):
@@ -392,12 +414,11 @@ class TestCheckpoint:
 class TestReinitProjection:
     def test_only_projection_changes(self):
         model = small_model(seed=15)
-        before = model.params.snapshot()
+        before = model.params.values.copy()
         model.params.momentum("proj_W")[...] = 1.0
         model.reinit_projection(seed=99)
-        assert not np.array_equal(model.params.value("proj_W"), before["proj_W"])
-        assert not np.array_equal(model.params.value("proj_b"), before["proj_b"])
-        assert np.array_equal(model.params.value("W0"), before["W0"])
+        changed = np.flatnonzero(model.params.values != before)
+        assert {model.params.locate(int(i))[0] for i in changed} == {"proj_W", "proj_b"}
         assert not model.params.momentum("proj_W").any()
 
 

@@ -27,10 +27,26 @@ class TestParamStore:
     def test_snapshot_restore_roundtrip(self):
         ps = ParamStore()
         ps.add("w", np.array([1.0, 2.0]))
-        snap = ps.snapshot()
+        snap = ps.values.copy()
         ps.value("w")[...] = 0.0
-        ps.restore(snap)
+        np.copyto(ps.values, snap)
         assert np.array_equal(ps.value("w"), [1.0, 2.0])
+
+    def test_slots_are_views_in_insertion_order(self):
+        ps = ParamStore()
+        ps.add("a", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        ps.add("b", np.array(5.0))
+        ps.add("c", np.array([6.0, 7.0]))
+        assert ps.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        ps.grads[:] = np.arange(7.0)
+        ps.momenta[:] = -np.arange(7.0)
+        assert ps.grad("a").tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert ps.momentum("c").tolist() == [-5.0, -6.0]
+        ps.value("c")[1] = 9.0
+        assert ps.values[-1] == 9.0
+        assert [ps.locate(i) for i in range(7)] == [
+            ("a", 0), ("a", 1), ("a", 2), ("a", 3), ("b", 0), ("c", 0), ("c", 1)
+        ]
 
     def test_non_finite_rejected(self):
         ps = ParamStore()

@@ -85,6 +85,20 @@ class TestSgdStep:
         with pytest.raises(TrainingAbort, match="non-finite"):
             sgd_step(ps, lr=0.1, momentum=0.0, weight_decay=0.0)
 
+    def test_non_finite_gradient_in_later_slot_leaves_every_slot_untouched(self):
+        model = EmbeddingModel(TINY_ENCODER)
+        params = model.params
+        rng = np.random.default_rng(3)
+        params.grads[:] = rng.standard_normal(params.grads.size)
+        sgd_step(params, lr=0.1, momentum=0.9, weight_decay=1e-4)  # nonzero momentum
+        params.grads[:] = rng.standard_normal(params.grads.size)
+        params.grad("proj_W")[2, 1] = np.nan
+        values, momenta = params.values.tobytes(), params.momenta.tobytes()
+        with pytest.raises(TrainingAbort, match="'proj_W'"):
+            sgd_step(params, lr=0.1, momentum=0.9, weight_decay=1e-4)
+        assert params.values.tobytes() == values
+        assert params.momenta.tobytes() == momenta
+
 
 class TestLrSchedule:
     def test_initial_value(self):
@@ -138,6 +152,19 @@ class TestTrain:
         assert report.best_iteration == firsts[0].iteration
         assert report.best_val_nmi == best.val_nmi
         assert report.best_checkpoint == f"iter-{firsts[0].iteration:06d}"
+
+    def test_returns_and_saves_best_weights_not_last(self, tmp_path):
+        splits = tiny_splits()
+        cfg = tiny_config()
+        model, report = train(splits, cfg, TINY_ENCODER, run_dir=tmp_path)
+        # precondition: the last point scores below the best one
+        assert report.best_iteration < cfg.iterations
+        assert report.points[-1].val_nmi != report.best_val_nmi
+        kmeans_seed = int(np.random.SeedSequence(cfg.seed).spawn(4)[3].generate_state(1)[0])
+        loaded = EmbeddingModel.load(tmp_path / (report.best_checkpoint + ".ckpt"))
+        for scored in (model, loaded):
+            val_nmi, _ = trainer._validation_scores(scored, splits.val, kmeans_seed)
+            assert val_nmi == report.best_val_nmi
 
     def test_pretrain_phase_precedes_metric(self):
         splits = tiny_splits()
