@@ -8,103 +8,108 @@ keys rejected) and a handful of flags that override config keys. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import dataclasses
+import inspect
 import io
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import dataset as ds_mod
-from .dataset import DatasetSplits, SyntheticSpec, generate_synthetic, load_jsonl_files, save_jsonl
+from .dataset import Dataset, DatasetSplits, default_synthetic_spec, generate_synthetic
+from .dataset import load_jsonl_files, save_jsonl
 from .errors import ConfigError, ContractError, DataFormatError, SamplingError, TrainingAbort
 from .evaluation import abnormal_labels, evaluate_embeddings, project_2d
-from .model import EmbeddingModel, EncoderConfig, write_atomic
-from .trainer import TrainConfig, check_type, train
+from .model import EmbeddingModel, EncoderConfig, check_type, write_atomic
+from .sampler import REGIMES
+from .trainer import TrainConfig, train
 
 RUN_DIR_ENV = "MLEMBED_RUN_DIR"
+SPLITS = ("train", "val", "test")
 
-# The data, eval and paths values are used as read, so their types are
-# checked here; TrainConfig and EncoderConfig check the train and encoder ones.
-_DATA_TYPES = {
-    "label_count": "int",
-    "feature_dim": "int",
-    "train_examples": "int",
-    "val_examples": "int",
-    "test_examples": "int",
-    "noise_sigma": "float",
-    "seed": "int",
-    "prototypes": "list[list[float]] | None",
-    "cooccurrence": "list[list[float]] | None",
-    "exclusive_labels": "list[int] | None",
-}
-_ENCODER_KEYS = {"hidden_sizes", "embedding_dim", "seed"}
-_TRAIN_KEYS = {field.name for field in dataclasses.fields(TrainConfig)}
-_EVAL_TYPES = {"recall_ks": "list[int]", "kmeans_seed": "int", "normal_label": "int", "split": "str"}
-_PATH_TYPES = {"dataset_dir": "str", "run_dir": "str"}
-# A dict names the type of each key, which load_config checks; a set only the keys.
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """What ``mlembed eval`` reports, and on which split."""
+
+    recall_ks: tuple[int, ...] = (1, 2, 4, 8)
+    kmeans_seed: int = 0
+    normal_label: int = 0  # must lie in [0, label_count) of the dataset
+    split: str = "test"
+
+    def __post_init__(self):
+        if self.split not in SPLITS:
+            raise ConfigError(f"split must be one of {SPLITS}, got {self.split!r}")
+        if any(k < 1 for k in self.recall_ks):
+            raise ConfigError(f"recall_ks must hold ints >= 1, got {list(self.recall_ks)}")
+        if self.kmeans_seed < 0:
+            raise ConfigError(f"kmeans_seed must be >= 0, got {self.kmeans_seed}")
+
+
+@dataclass(frozen=True)
+class PathsConfig:
+    dataset_dir: str | None = None
+    run_dir: str | None = None  # None: $MLEMBED_RUN_DIR/<loss>-seed<seed>, or ./runs/...
+
+
+def _schema(configured, *excluded: str) -> dict[str, str]:
+    """Key -> annotation of the keyword parameters of ``configured``."""
+    parameters = inspect.signature(configured).parameters.values()
+    return {p.name: p.annotation for p in parameters if p.name not in excluded}
+
+
+# Each section's keys, types and defaults are the parameters of what it configures.
 _SECTIONS = {
-    "data": _DATA_TYPES,
-    "encoder": _ENCODER_KEYS,
-    "train": _TRAIN_KEYS,
-    "eval": _EVAL_TYPES,
-    "paths": _PATH_TYPES,
+    "data": _schema(default_synthetic_spec),
+    "encoder": _schema(EncoderConfig, "input_dim", "label_count"),  # both from the dataset
+    "train": _schema(TrainConfig),
+    "eval": _schema(EvalConfig),
+    "paths": _schema(PathsConfig),
 }
 
 
-def load_config(path: str | None) -> dict:
-    """Parse and validate the config file; returns {} sections when absent."""
+def load_config(args) -> dict:
+    """The sections of the config file ``args.config`` (empty when there is
+    none), each value checked against its key's annotation, and then every
+    flag of ``args`` whose dest is ``section.key`` and which was given."""
     config: dict = {section: {} for section in _SECTIONS}
-    if path is None:
-        return config
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    for section, body in raw.items():
-        if section not in _SECTIONS:
-            raise ConfigError(f"{path}: unknown section {section!r}")
-        if not isinstance(body, dict):
-            raise ConfigError(f"{path}: section {section!r} must be an object")
-        keys = _SECTIONS[section]
-        for key, value in body.items():
-            if key not in keys:
-                raise ConfigError(f"{path}: unknown key {section}.{key}")
-            if isinstance(keys, dict):
-                check_type(f"{section}.{key}", value, keys[key])
-        config[section].update(body)
+    path = args.config
+    if path is not None:
+        try:
+            raw = json.loads(Path(path).read_bytes().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: top level must be an object")
+        for section, body in raw.items():
+            if section not in _SECTIONS:
+                raise ConfigError(f"{path}: unknown section {section!r}")
+            if not isinstance(body, dict):
+                raise ConfigError(f"{path}: section {section!r} must be an object")
+            for key, value in body.items():
+                if key not in _SECTIONS[section]:
+                    raise ConfigError(f"{path}: unknown key {section}.{key}")
+                check_type(f"{section}.{key}", value, _SECTIONS[section][key])
+            config[section].update(body)
+    for dest, value in vars(args).items():
+        section, _, key = dest.partition(".")
+        if key and value is not None:
+            config[section][key] = value
     return config
 
 
-def synthetic_spec_from_config(data_cfg: dict) -> SyntheticSpec:
-    """Build a generator spec, filling prototypes/co-occurrence defaults.
-    Values must already have their types (see :func:`load_config`)."""
-    if data_cfg.get("seed", 0) < 0:
-        raise ConfigError(f"data.seed must be >= 0, got {data_cfg['seed']}")
-    if data_cfg.get("feature_dim", 1) < 1:
-        raise ConfigError(f"data.feature_dim must be >= 1, got {data_cfg['feature_dim']}")
-    base = ds_mod.default_synthetic_spec(
-        label_count=data_cfg.get("label_count", 5),
-        feature_dim=data_cfg.get("feature_dim", 32),
-        noise_sigma=float(data_cfg.get("noise_sigma", 0.15)),
-        train_examples=data_cfg.get("train_examples", 2000),
-        val_examples=data_cfg.get("val_examples", 500),
-        test_examples=data_cfg.get("test_examples", 500),
-        seed=data_cfg.get("seed", 7),
-    )
-    if data_cfg.get("prototypes") is not None:
-        base.prototypes = np.asarray(data_cfg["prototypes"], dtype=np.float64)
-    if data_cfg.get("cooccurrence") is not None:
-        base.cooccurrence = np.asarray(data_cfg["cooccurrence"], dtype=np.float64)
-    if data_cfg.get("exclusive_labels") is not None:
-        base.exclusive_labels = tuple(data_cfg["exclusive_labels"])
-    base.validate()
-    return base
+@contextlib.contextmanager
+def _section(name: str):
+    """Prefix ``name.`` to a ConfigError raised in the block: what a section
+    configures names the key, this adds the section."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
 def load_dataset_dir(path: str | Path) -> DatasetSplits:
@@ -127,7 +132,7 @@ def load_dataset_dir(path: str | Path) -> DatasetSplits:
             raise DataFormatError(
                 f"{manifest_path}: label_count must be an int >= 1, got {label_count!r}"
             )
-    files = [directory / f"{split}.jsonl" for split in ("train", "val", "test")]
+    files = [directory / f"{split}.jsonl" for split in SPLITS]
     for file in files:
         if not file.exists():
             raise FileNotFoundError(f"missing dataset file {file}")
@@ -143,7 +148,7 @@ def load_dataset_dir(path: str | Path) -> DatasetSplits:
     return DatasetSplits(train=train, val=val, test=test)
 
 
-def _nonempty(splits: DatasetSplits, name: str) -> ds_mod.Dataset:
+def _nonempty(splits: DatasetSplits, name: str) -> Dataset:
     split = splits.named()[name]
     if len(split) == 0:
         raise ConfigError(f"{name} split is empty")
@@ -166,11 +171,9 @@ def _write_csv(path: Path, rows: list[list]) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    config = load_config(args.config)
-    data_cfg = dict(config["data"])
-    if args.seed is not None:
-        data_cfg["seed"] = args.seed
-    spec = synthetic_spec_from_config(data_cfg)
+    config = load_config(args)
+    with _section("data"):
+        spec = default_synthetic_spec(**config["data"])
     splits = generate_synthetic(spec)
 
     out = Path(args.out)
@@ -190,54 +193,33 @@ def cmd_gen_data(args) -> int:
         "exclusive_labels": list(spec.exclusive_labels),
         "cooccurrence": np.asarray(spec.cooccurrence).tolist(),
         "prototypes": np.asarray(spec.prototypes).tolist(),
-        "files": {name: f"{name}.jsonl" for name in ("train", "val", "test")},
+        "files": {name: f"{name}.jsonl" for name in SPLITS},
     }
     write_atomic(out / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
     print(f"wrote {len(splits.train)}/{len(splits.val)}/{len(splits.test)} examples to {out}")
     return 0
 
 
-def _resolve_run_dir(args, config, loss: str, seed: int) -> Path:
-    if args.run_dir:
-        return Path(args.run_dir)
-    if config["paths"].get("run_dir"):
-        return Path(config["paths"]["run_dir"])
-    base = Path(os.environ.get(RUN_DIR_ENV, "runs"))
-    return base / f"{loss}-seed{seed}"
-
-
 def cmd_train(args) -> int:
-    config = load_config(args.config)
-    train_cfg_raw = dict(config["train"])
-    for key in ("loss", "iterations", "seed", "batch_size"):
-        value = getattr(args, key, None)
-        if value is not None:
-            train_cfg_raw[key] = value
-    if args.pretrain is not None:
-        train_cfg_raw["pretrain"] = args.pretrain
-    cfg = TrainConfig(**train_cfg_raw)
-    cfg.validate()
-
-    data_dir = args.data or config["paths"].get("dataset_dir")
-    if not data_dir:
+    config = load_config(args)
+    with _section("train"):
+        cfg = TrainConfig(**config["train"])
+        cfg.validate()
+    paths = PathsConfig(**config["paths"])
+    if not paths.dataset_dir:
         raise ConfigError("no dataset directory; pass --data or set paths.dataset_dir")
-    splits = load_dataset_dir(data_dir)
+    splits = load_dataset_dir(paths.dataset_dir)
+    with _section("encoder"):
+        encoder_cfg = EncoderConfig(input_dim=splits.train.feature_dim, **config["encoder"])
 
-    enc_cfg_raw = config["encoder"]
-    encoder_cfg = EncoderConfig(
-        input_dim=splits.train.feature_dim,
-        hidden_sizes=enc_cfg_raw.get("hidden_sizes", (64, 64)),
-        embedding_dim=enc_cfg_raw.get("embedding_dim", 64),
-        seed=enc_cfg_raw.get("seed", 0),
-    )
-
-    run_dir = _resolve_run_dir(args, config, cfg.loss, cfg.seed)
+    default_run_dir = Path(os.environ.get(RUN_DIR_ENV, "runs")) / f"{cfg.loss}-seed{cfg.seed}"
+    run_dir = Path(paths.run_dir or default_run_dir)
     _, report = train(
         splits,
         cfg,
         encoder_cfg,
         run_dir=run_dir,
-        manifest_extra={"dataset_dir": str(data_dir)},
+        manifest_extra={"dataset_dir": paths.dataset_dir},
     )
     print(f"run dir: {run_dir}")
     print(f"best checkpoint: {report.best_checkpoint} (val NMI {report.best_val_nmi:.4f})")
@@ -256,24 +238,15 @@ def _load_model_for(splits: DatasetSplits, checkpoint: str) -> EmbeddingModel:
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args.config)
-    eval_cfg = config["eval"]
-    split_name = args.split or eval_cfg.get("split", "test")
-    if split_name not in ("train", "val", "test"):
-        raise ConfigError(f"unknown split {split_name!r}")
-    recall_ks = tuple(eval_cfg.get("recall_ks", (1, 2, 4, 8)))
-    if any(k < 1 for k in recall_ks):
-        raise ConfigError(f"eval.recall_ks must hold ints >= 1, got {list(recall_ks)}")
-    kmeans_seed = eval_cfg.get("kmeans_seed", 0)
-    if kmeans_seed < 0:
-        raise ConfigError(f"eval.kmeans_seed must be >= 0, got {kmeans_seed}")
+    config = load_config(args)
+    with _section("eval"):
+        eval_cfg = EvalConfig(**config["eval"])
 
-    splits = load_dataset_dir(args.data)
-    eval_ds = _nonempty(splits, split_name)
-    normal_label = eval_cfg.get("normal_label", 0)
-    if not 0 <= normal_label < eval_ds.label_count:
+    splits = load_dataset_dir(config["paths"]["dataset_dir"])
+    eval_ds = _nonempty(splits, eval_cfg.split)
+    if not 0 <= eval_cfg.normal_label < eval_ds.label_count:
         raise ConfigError(
-            f"eval.normal_label must lie in [0, {eval_ds.label_count}), got {normal_label}"
+            f"eval.normal_label must lie in [0, {eval_ds.label_count}), got {eval_cfg.normal_label}"
         )
     model = _load_model_for(splits, args.checkpoint)
 
@@ -282,10 +255,10 @@ def cmd_eval(args) -> int:
     report = evaluate_embeddings(
         eval_E,
         eval_ds,
-        recall_ks=recall_ks,
-        kmeans_seed=kmeans_seed,
-        probe_train=(train_E, abnormal_labels(splits.train, normal_label)),
-        normal_label=normal_label,
+        recall_ks=eval_cfg.recall_ks,
+        kmeans_seed=eval_cfg.kmeans_seed,
+        probe_train=(train_E, abnormal_labels(splits.train, eval_cfg.normal_label)),
+        normal_label=eval_cfg.normal_label,
     )
     payload = json.dumps(report.as_dict(), indent=2) + "\n"
     if args.out:
@@ -345,44 +318,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # An override flag's dest is the section.key it sets; load_config applies it.
     p = sub.add_parser("gen-data", help="generate synthetic dataset splits")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override data.seed")
+    p.add_argument("--seed", dest="data.seed", type=int)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train an embedding model")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--data", help="dataset directory (overrides paths.dataset_dir)")
-    p.add_argument("--run-dir", help="run directory (overrides paths.run_dir)")
-    p.add_argument("--loss", choices=("contrastive", "triplet", "ml2", "ml2plus"))
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--data", dest="paths.dataset_dir", help="dataset directory")
+    p.add_argument("--run-dir", dest="paths.run_dir", help="run directory")
+    p.add_argument("--loss", dest="train.loss", choices=REGIMES)
+    p.add_argument("--iterations", dest="train.iterations", type=int)
+    p.add_argument("--batch-size", dest="train.batch_size", type=int)
+    p.add_argument("--seed", dest="train.seed", type=int)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--pretrain", dest="pretrain", action="store_true", default=None)
-    group.add_argument("--no-pretrain", dest="pretrain", action="store_false")
+    group.add_argument("--pretrain", dest="train.pretrain", action="store_true", default=None)
+    group.add_argument("--no-pretrain", dest="train.pretrain", action="store_false")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="clustering/retrieval/classification report")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"))
+    p.add_argument("--data", dest="paths.dataset_dir", required=True, help="dataset directory")
+    p.add_argument("--split", dest="eval.split", choices=SPLITS)
     p.add_argument("--out", help="write report JSON here instead of stdout")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("embed", help="export embeddings as CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("project", help="export a 2-d principal-component view as CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_project)
     return parser

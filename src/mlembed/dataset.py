@@ -201,12 +201,12 @@ class SyntheticSpec:
             bad = np.argwhere((co < 0.0) | (co > 1.0))[0]
             raise ConfigError(f"cooccurrence[{bad[0]}][{bad[1]}] outside [0, 1]")
         if not np.allclose(co, co.T):
-            raise ConfigError("cooccurrence table is not symmetric")
+            raise ConfigError("cooccurrence is not symmetric")
         if np.sum(np.diag(co)) <= 0.0:
             raise ConfigError("cooccurrence diagonal (marginal weights) sums to zero")
         for e in self.exclusive_labels:
             if e < 0 or e >= l:
-                raise ConfigError(f"exclusive label {e} outside [0, {l})")
+                raise ConfigError(f"exclusive_labels entry {e} outside [0, {l})")
             row = np.delete(co[e], e)
             if np.any(row != 0.0):
                 j = [k for k in range(l) if k != e][int(np.argmax(row != 0.0))]
@@ -226,32 +226,51 @@ def default_synthetic_spec(
     val_examples: int = 500,
     test_examples: int = 500,
     seed: int = 7,
+    prototypes: list[list[float]] | None = None,
+    cooccurrence: list[list[float]] | None = None,
+    exclusive_labels: tuple[int, ...] = (0,),
 ) -> SyntheticSpec:
-    """Desk-scale default: unit-norm random prototypes, label 0 exclusive,
-    consecutive abnormal labels paired with moderate co-occurrence."""
+    """Desk-scale spec, validated. Without ``prototypes``, unit-norm random
+    prototypes drawn from ``seed``; without ``cooccurrence``, label 0
+    exclusive and consecutive abnormal labels paired with moderate
+    co-occurrence."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if feature_dim < 1:
+        raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
     if label_count < 2:
-        raise ConfigError("default spec needs at least 2 labels")
-    rng = np.random.default_rng(seed)
-    proto = rng.standard_normal((label_count, feature_dim))
-    proto /= np.linalg.norm(proto, axis=1, keepdims=True)
-
-    co = np.zeros((label_count, label_count))
-    co[0, 0] = 0.30
-    for k in range(1, label_count):
-        co[k, k] = 0.70 / (label_count - 1)
-    for a in range(1, label_count - 1, 2):
-        co[a, a + 1] = co[a + 1, a] = 0.40
-    return SyntheticSpec(
+        raise ConfigError(f"label_count must be >= 2, got {label_count}")
+    if prototypes is None:
+        prototypes = np.random.default_rng(seed).standard_normal((label_count, feature_dim))
+        prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
+    if cooccurrence is None:
+        cooccurrence = np.zeros((label_count, label_count))
+        cooccurrence[0, 0] = 0.30
+        for k in range(1, label_count):
+            cooccurrence[k, k] = 0.70 / (label_count - 1)
+        for a in range(1, label_count - 1, 2):
+            cooccurrence[a, a + 1] = cooccurrence[a + 1, a] = 0.40
+    spec = SyntheticSpec(
         label_count=label_count,
         feature_dim=feature_dim,
-        prototypes=proto,
-        noise_sigma=noise_sigma,
-        cooccurrence=co,
+        prototypes=_table("prototypes", prototypes),
+        noise_sigma=float(noise_sigma),
+        cooccurrence=_table("cooccurrence", cooccurrence),
         train_examples=train_examples,
         val_examples=val_examples,
         test_examples=test_examples,
         seed=seed,
+        exclusive_labels=tuple(exclusive_labels),
     )
+    spec.validate()
+    return spec
+
+
+def _table(name: str, rows) -> np.ndarray:
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except ValueError as exc:  # rows of unequal length
+        raise ConfigError(f"{name} rows must all have the same length") from exc
 
 
 def _draw_label_set(spec: SyntheticSpec, primary_probs: np.ndarray, rng) -> frozenset[int]:

@@ -7,6 +7,7 @@ Retrieval relevance is "shares at least one label" with the query.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -196,14 +197,6 @@ class ClassificationMetrics:
     specificity: float
     f1: float
 
-    def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "f1": self.f1,
-        }
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -339,12 +332,9 @@ class MetricsReport:
     distinct_label_sets: int
 
     def as_dict(self) -> dict:
-        return {
-            "nmi": self.nmi,
-            "recall_at": {str(k): v for k, v in sorted(self.recall_at.items())},
-            "classification": None if self.classification is None else self.classification.as_dict(),
-            "distinct_label_sets": self.distinct_label_sets,
-        }
+        """JSON-ready fields, with the recall_at keys as strings in ascending order."""
+        recall_at = {str(k): v for k, v in sorted(self.recall_at.items())}
+        return dataclasses.asdict(self) | {"recall_at": recall_at}
 
 
 def evaluate_embeddings(

@@ -13,6 +13,7 @@ import json
 import numbers
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,8 +40,40 @@ def write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# Accepted value types per annotation name; bool is only accepted for "bool".
+_FIELD_TYPES = {
+    "str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool, "None": type(None)
+}
+
+
+def check_type(name: str, value, annotation: str) -> None:
+    """Raise ConfigError unless ``value`` fits ``annotation``: a union
+    (``" | "``) of str, int, float, bool, None, and ``list[...]`` or
+    ``tuple[..., ...]`` of those, either of which takes a list or a tuple.
+    Ints are accepted for floats, bool only where declared, and a float
+    must be finite."""
+    if not _fits(value, annotation):
+        raise ConfigError(f"{name} must be {annotation}, got {value!r}")
+
+
+def _fits(value, annotation: str) -> bool:
+    for kind in annotation.split(" | "):
+        if kind.startswith(("list[", "tuple[")):
+            item = kind[kind.index("[") + 1 : -1].removesuffix(", ...")
+            if isinstance(value, (list, tuple)) and all(_fits(x, item) for x in value):
+                return True
+        elif isinstance(value, _FIELD_TYPES[kind]) and isinstance(value, bool) == (kind == "bool"):
+            # false for inf, nan and an int too large to convert to a float
+            if kind != "float" or abs(value) <= sys.float_info.max:
+                return True
+    return False
+
+
+def check_fields(obj) -> None:
+    """:func:`check_type` on every field of the dataclass instance ``obj``,
+    against the field's annotation and named by the field."""
+    for field in dataclasses.fields(obj):
+        check_type(field.name, getattr(obj, field.name), field.type)
 
 
 @dataclass(frozen=True)
@@ -52,13 +85,7 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("input_dim", "embedding_dim", "label_count", "seed"):
-            value = getattr(self, name)
-            if not (_is_int(value) or (value is None and name == "label_count")):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        sizes = self.hidden_sizes
-        if not isinstance(sizes, (list, tuple)) or not all(map(_is_int, sizes)):
-            raise ConfigError(f"hidden_sizes must be a list of integers, got {sizes!r}")
+        check_fields(self)
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")
         if self.embedding_dim < 2:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,38 +31,11 @@ from .losses import (
 # The benchmark's tracer (bench/tracer.py) hooks these names here. Training
 # no longer calls them: every regime and pre-training use the batched kernels.
 from .losses import contrastive_loss, ml2plus_loss, pretrain_loss  # noqa: F401
-from .model import EmbeddingModel, EncoderConfig, write_atomic
+from .model import EmbeddingModel, EncoderConfig, check_fields, write_atomic
 from .numeric import ParamStore
 from .sampler import REGIMES, build_minibatch
 
 CHECKPOINT_SUFFIX = ".ckpt"
-
-# Accepted value types per annotation name; bool is only accepted for "bool".
-_FIELD_TYPES = {
-    "str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool, "None": type(None)
-}
-
-
-def check_type(name: str, value, annotation: str) -> None:
-    """Raise ConfigError unless ``value`` fits ``annotation``: a union
-    (``" | "``) of str, int, float, bool, None and ``list[...]`` of those.
-    Ints are accepted for floats, bool only where declared, and a float
-    must be finite."""
-    if not _fits(value, annotation):
-        raise ConfigError(f"{name} must be {annotation}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-
-
-def _fits(value, annotation: str) -> bool:
-    for kind in annotation.split(" | "):
-        if kind.startswith("list["):
-            if isinstance(value, list) and all(_fits(item, kind[5:-1]) for item in value):
-                return True
-        elif isinstance(value, _FIELD_TYPES[kind]) and isinstance(value, bool) == (kind == "bool"):
-            return True
-    return False
-
 
 @dataclass
 class TrainConfig:
@@ -83,10 +54,9 @@ class TrainConfig:
     pretrain_iterations: int = 1000
 
     def validate(self) -> None:
-        for field in dataclasses.fields(self):
-            check_type(field.name, getattr(self, field.name), field.type)
+        check_fields(self)
         if self.loss not in REGIMES:
-            raise ConfigError(f"unknown loss {self.loss!r}; expected one of {REGIMES}")
+            raise ConfigError(f"loss must be one of {REGIMES}, got {self.loss!r}")
         if self.batch_size is None:
             self.batch_size = 36 if self.loss in ("contrastive", "triplet") else 10
         if self.batch_size < 1:
@@ -121,15 +91,6 @@ class EvalPoint:
     val_nmi: float | None
     val_recall1: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "phase": self.phase,
-            "train_loss": self.train_loss,
-            "val_nmi": self.val_nmi,
-            "val_recall1": self.val_recall1,
-        }
-
 
 @dataclass
 class TrainReport:
@@ -141,12 +102,9 @@ class TrainReport:
 
     def report_dict(self) -> dict:
         """Deterministic content only; wall clock stays in the manifest."""
-        return {
-            "points": [pt.as_dict() for pt in self.points],
-            "best_checkpoint": self.best_checkpoint,
-            "best_iteration": self.best_iteration,
-            "best_val_nmi": self.best_val_nmi,
-        }
+        fields = dataclasses.asdict(self)
+        del fields["wall_clock_seconds"]
+        return fields
 
 
 def lr_schedule(iteration: int, base_lr: float, factor: float, period: int) -> float:
@@ -352,7 +310,7 @@ def emit_run(
         "train_config": dataclasses.asdict(cfg),
         "encoder_config": encoder_cfg.as_dict(),
         "checkpoint": ckpt_name,
-        "history": [pt.as_dict() for pt in report.points],
+        "history": [dataclasses.asdict(pt) for pt in report.points],
         "best_checkpoint": report.best_checkpoint,
         "best_iteration": report.best_iteration,
         "best_val_nmi": report.best_val_nmi,

@@ -1,10 +1,14 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlembed.cli import load_dataset_dir, main
+from mlembed import cli
+from mlembed.cli import build_parser, load_config, load_dataset_dir, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TINY_CONFIG = {
     "data": {
@@ -109,6 +113,8 @@ class TestGenData:
             ("exclusive_labels", ["0"]),
             ("prototypes", "abc"),
             ("cooccurrence", [[0.3, "x"]]),
+            pytest.param("prototypes", [[0.0] * 8, [0.0] * 8, [0.0]], id="prototypes-ragged"),
+            pytest.param("noise_sigma", 10**400, id="noise_sigma-int-beyond-float"),
         ],
     )
     def test_ill_typed_data_value_exits_one(self, tmp_path, capsys, key, value):
@@ -468,6 +474,66 @@ class TestLoadDatasetDir:
         )
         assert code == 1
         assert "manifest.json" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b'{"data": {"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}}"],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_unreadable_config_exits_one_naming_the_file(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("mlembed: error:") and str(path) in line for line in lines)
+
+    @pytest.mark.parametrize(
+        "argv, section, key, value",
+        [
+            (["gen-data", "--out", "o", "--seed", "3"], "data", "seed", 3),
+            (["train", "--data", "d"], "paths", "dataset_dir", "d"),
+            (["train", "--run-dir", "r"], "paths", "run_dir", "r"),
+            (["train", "--loss", "ml2"], "train", "loss", "ml2"),
+            (["train", "--iterations", "5"], "train", "iterations", 5),
+            (["train", "--batch-size", "4"], "train", "batch_size", 4),
+            (["train", "--seed", "2"], "train", "seed", 2),
+            (["train", "--pretrain"], "train", "pretrain", True),
+            (["train", "--no-pretrain"], "train", "pretrain", False),
+            (["eval", "--checkpoint", "c", "--data", "d"], "paths", "dataset_dir", "d"),
+            (["eval", "--checkpoint", "c", "--data", "d", "--split", "val"],
+             "eval", "split", "val"),
+        ],
+    )
+    def test_flag_sets_its_key(self, argv, section, key, value):
+        config = load_config(build_parser().parse_args(argv))
+        assert config[section] == {key: value}
+
+    def test_readme_config_lists_every_key_at_its_default(self, tmp_path):
+        readme = README.read_text(encoding="utf-8")
+        after = readme.split("A config file with every supported key", 1)[1]
+        block = after.split("```json\n", 1)[1].split("```", 1)[0]
+        listed = json.loads(block)
+        assert {s: set(body) for s, body in listed.items()} == {
+            s: set(schema) for s, schema in cli._SECTIONS.items()
+        }
+        config = tmp_path / "readme.json"
+        config.write_text(block)
+        outputs = []
+        for name, flags in (("readme", ["--config", str(config)]), ("none", [])):
+            root = tmp_path / name
+            data, run = root / "data", root / "run"
+            assert main(["gen-data", *flags, "--out", str(data)]) == 0
+            argv = ["train", *flags, "--data", str(data), "--run-dir", str(run)]
+            assert main([*argv, "--iterations", "20"]) == 0
+            argv = ["eval", *flags, "--checkpoint", str(checkpoint_in(run)), "--data", str(data)]
+            assert main([*argv, "--out", str(root / "eval.json")]) == 0
+            files = sorted(p for p in root.rglob("*") if p.is_file() and p != run / "manifest.json")
+            outputs.append({p.relative_to(root): p.read_bytes() for p in files})
+        assert len(outputs[0]) == 7
+        assert outputs[0] == outputs[1]
 
 
 class TestEmbedAndProject:
