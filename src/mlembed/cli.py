@@ -2,7 +2,8 @@
 
 Every command reads one JSON config file (all sections optional, unknown
 keys rejected) and a handful of flags that override config keys. Exit codes:
-0 success, 1 usage or configuration error, 2 runtime failure.
+0 success, 1 usage or configuration error, 2 runtime failure (out of memory
+included).
 """
 
 from __future__ import annotations
@@ -112,9 +113,10 @@ def _section(name: str):
         raise ConfigError(f"{name}.{exc}") from exc
 
 
-def load_dataset_dir(path: str | Path) -> DatasetSplits:
-    """Load train/val/test JSONL files; label_count comes from the manifest,
-    or without one is inferred once across all three splits."""
+def load_dataset_dir(path: str | Path, names: tuple[str, ...] = SPLITS) -> DatasetSplits:
+    """Load the JSONL files of the splits in ``names`` (the others are None);
+    label_count comes from the manifest, or without one is inferred once
+    across the splits read."""
     directory = Path(path)
     if not directory.is_dir():
         raise FileNotFoundError(f"dataset directory {directory} does not exist")
@@ -132,20 +134,20 @@ def load_dataset_dir(path: str | Path) -> DatasetSplits:
             raise DataFormatError(
                 f"{manifest_path}: label_count must be an int >= 1, got {label_count!r}"
             )
-    files = [directory / f"{split}.jsonl" for split in SPLITS]
+    read = [split for split in SPLITS if split in names]
+    files = [directory / f"{split}.jsonl" for split in read]
     for file in files:
         if not file.exists():
             raise FileNotFoundError(f"missing dataset file {file}")
-    train, val, test = load_jsonl_files(files, label_count=label_count)
+    splits = dict(zip(read, load_jsonl_files(files, label_count=label_count)))
     # an empty split has no width; commands that read one reject it by name
-    splits = zip(files, (train, val, test))
-    widths = [(file.name, ds.feature_dim) for file, ds in splits if len(ds)]
+    widths = [(file.name, ds.feature_dim) for file, ds in zip(files, splits.values()) if len(ds)]
     for name, width in widths[1:]:
         if width != widths[0][1]:
             raise DataFormatError(
                 f"{directory / name}: feature width {width} != {widths[0][1]} of {widths[0][0]}"
             )
-    return DatasetSplits(train=train, val=val, test=test)
+    return DatasetSplits(**splits)
 
 
 def _nonempty(splits: DatasetSplits, name: str) -> Dataset:
@@ -226,13 +228,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_for(splits: DatasetSplits, checkpoint: str) -> EmbeddingModel:
-    train_ds = _nonempty(splits, "train")
+def _load_model_for(ds: Dataset, checkpoint: str) -> EmbeddingModel:
+    """The checkpoint's model, once its input width matches ``ds``."""
     model = EmbeddingModel.load(checkpoint)
-    if model.config.input_dim != train_ds.feature_dim:
+    if model.config.input_dim != ds.feature_dim:
         raise ContractError(
             f"checkpoint expects feature dim {model.config.input_dim}, "
-            f"dataset has {train_ds.feature_dim}"
+            f"dataset has {ds.feature_dim}"
         )
     return model
 
@@ -242,13 +244,13 @@ def cmd_eval(args) -> int:
     with _section("eval"):
         eval_cfg = EvalConfig(**config["eval"])
 
-    splits = load_dataset_dir(config["paths"]["dataset_dir"])
+    splits = load_dataset_dir(config["paths"]["dataset_dir"], ("train", eval_cfg.split))
     eval_ds = _nonempty(splits, eval_cfg.split)
     if not 0 <= eval_cfg.normal_label < eval_ds.label_count:
         raise ConfigError(
             f"eval.normal_label must lie in [0, {eval_ds.label_count}), got {eval_cfg.normal_label}"
         )
-    model = _load_model_for(splits, args.checkpoint)
+    model = _load_model_for(_nonempty(splits, "train"), args.checkpoint)
 
     eval_E, _ = model.embed(eval_ds.X)
     train_E, _ = model.embed(splits.train.X)
@@ -270,9 +272,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    splits = load_dataset_dir(args.data)
-    eval_ds = _nonempty(splits, args.split)
-    model = _load_model_for(splits, args.checkpoint)
+    eval_ds = _nonempty(load_dataset_dir(args.data, (args.split,)), args.split)
+    model = _load_model_for(eval_ds, args.checkpoint)
     E, _ = model.embed(eval_ds.X)
     rows = [["id", *[f"e{i}" for i in range(E.shape[1])], "labels"]]
     for rid, row, labels in zip(eval_ds.ids, E, eval_ds.labels):
@@ -283,9 +284,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_project(args) -> int:
-    splits = load_dataset_dir(args.data)
-    eval_ds = _nonempty(splits, args.split)
-    model = _load_model_for(splits, args.checkpoint)
+    eval_ds = _nonempty(load_dataset_dir(args.data, (args.split,)), args.split)
+    model = _load_model_for(eval_ds, args.checkpoint)
     E, _ = model.embed(eval_ds.X)
     result = project_2d(E)
     if result.degenerate:
@@ -372,6 +372,9 @@ def main(argv=None) -> int:
         return 1
     except (SamplingError, TrainingAbort, ContractError, OSError) as exc:
         print(f"mlembed: failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a config size far beyond the machine
+        print(f"mlembed: failure: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

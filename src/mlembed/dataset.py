@@ -77,19 +77,18 @@ class Dataset:
             raise ContractError(
                 f"{len(ids)} ids, {len(labels)} label sets and features of shape {X.shape}"
             )
-        positions = {rid: pos for pos, rid in enumerate(ids)}
         sets = _label_sets(labels, label_count)
-        if sets is None or len(positions) != len(ids):
+        if sets is None or len(set(ids)) != len(ids):
             # find the first bad record, so the error names it
-            positions = {}
+            seen = set()
             for pos, rid in enumerate(ids):
-                if rid in positions:
+                if rid in seen:
                     raise DataFormatError(f"duplicate example id {rid!r}")
                 try:
                     labels[pos] = validate_labels(labels[pos], label_count)
                 except DataFormatError as exc:
                     raise DataFormatError(f"record {rid!r}: {exc}") from exc
-                positions[rid] = pos
+                seen.add(rid)
             sets = labels
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():
@@ -101,13 +100,9 @@ class Dataset:
         self.labels = sets
         self.label_count = label_count
         self.feature_dim = X.shape[1]
-        self._positions = positions
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def position(self, example_id: str) -> int:
-        return self._positions[example_id]
 
     @cached_property
     def label_masks(self) -> list[int]:
@@ -157,11 +152,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DatasetSplits:
-    train: Dataset
-    val: Dataset
-    test: Dataset
+    """The three splits; a loader that reads only some leaves the rest None."""
 
-    def named(self) -> dict[str, Dataset]:
+    train: Dataset | None = None
+    val: Dataset | None = None
+    test: Dataset | None = None
+
+    def named(self) -> dict[str, Dataset | None]:
         return {"train": self.train, "val": self.val, "test": self.test}
 
 

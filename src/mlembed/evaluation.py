@@ -38,8 +38,25 @@ class KMeansResult:
     objective_history: list[float]  # post-assignment objective per sweep
 
 
-def _squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+def _nearest_center(X: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each row's nearest center, ties to the lowest index: the argmin of the
+    (n, k, m) broadcast ``((x - c)**2).sum()``, computed by GEMM.
+
+    ``‖x‖² − 2xcᵀ + ‖c‖²`` rounds differently, but by far less than
+    ``1e-9·(1 + ‖x‖² + max‖c‖²)``. A row whose best two centers are closer
+    than that (or not finite) is assigned by the broadcast itself.
+    """
+    if len(centers) == 1:
+        return np.zeros(len(X), dtype=np.intp)
+    csq = (centers**2).sum(axis=1)
+    d2 = sq[:, None] - 2.0 * (X @ centers.T) + csq
+    assign = d2.argmin(axis=1)
+    best, second = np.partition(d2, 1, axis=1)[:, :2].T
+    near = ~(second - best > 1e-9 * (1.0 + sq + csq.max()))
+    if near.any():
+        close = X[near][:, None, :] - centers[None, :, :]
+        assign[near] = (close**2).sum(axis=2).argmin(axis=1)
+    return assign
 
 
 def kmeans(X: np.ndarray, k: int, seed: int) -> KMeansResult:
@@ -69,12 +86,12 @@ def kmeans(X: np.ndarray, k: int, seed: int) -> KMeansResult:
         centers[j] = X[pick]
         closest = np.minimum(closest, ((X - centers[j]) ** 2).sum(axis=1))
 
+    sq = (X**2).sum(axis=1)
     assign = None
     history: list[float] = []
     for _ in range(KMEANS_MAX_ITER):
-        d2 = _squared_distances(X, centers)
-        new_assign = d2.argmin(axis=1)
-        point_cost = d2[np.arange(n), new_assign]
+        new_assign = _nearest_center(X, sq, centers)
+        point_cost = ((X - centers[new_assign]) ** 2).sum(axis=1)
         history.append(float(point_cost.sum()))
         if assign is not None and np.array_equal(new_assign, assign):
             break
@@ -139,10 +156,17 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     """The ``k`` smallest entries' columns of each row of ``d2``, in the order
     of a stable sort: ascending distance, ties by column.
 
-    ``np.partition`` finds each row's k-th distance. A row with exactly k
-    candidates at or below it sorts only those; a row with a tie at that
-    boundary (or a NaN) falls back to the stable sort of the whole row.
+    For k = 1 that is ``argmin``, which takes the first of tied minima, except
+    on a row holding a NaN: ``argmin`` picks the NaN, the sort puts it last.
+    Otherwise ``np.partition`` finds each row's k-th distance. A row with
+    exactly k candidates at or below it sorts only those; a row with a tie at
+    that boundary (or a NaN) falls back to the stable sort of the whole row.
     """
+    if k == 1:
+        nearest = d2.argmin(axis=1)
+        nan = np.isnan(d2[np.arange(len(d2)), nearest])
+        nearest[nan] = np.argsort(d2[nan], axis=1, kind="stable")[:, 0]
+        return nearest[:, None]
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
     candidates = d2 <= kth[:, None]
     exact = np.count_nonzero(candidates, axis=1) == k
@@ -174,8 +198,8 @@ def recall_at_k(embeddings: np.ndarray, label_sets, ks) -> dict[int, float]:
         raise ContractError(f"{len(sets)} label sets for {n} embeddings")
     column = {label: c for c, label in enumerate(set().union(*sets))}
     members = np.zeros((n, len(column)), dtype=bool)  # the label matrix
-    for i, labels in enumerate(sets):
-        members[i, [column[label] for label in labels]] = True
+    rows = np.repeat(np.arange(n), [len(labels) for labels in sets])
+    members[rows, [column[label] for labels in sets for label in labels]] = True
 
     sq = (X**2).sum(axis=1)
     found = np.empty((n, k_max), dtype=bool)

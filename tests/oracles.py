@@ -98,6 +98,50 @@ def frozen_nmi(pred, truth):
     return float(min(1.0, max(0.0, 2.0 * info / (h_pred + h_truth))))
 
 
+def frozen_broadcast_kmeans(X, k, seed):
+    """k-means exactly as it assigned by the (n, k, m) broadcast: the same
+    seeding, sweeps and re-seeding as ``evaluation.kmeans``, with every
+    distance taken as ``((x - c)**2).sum()``. Returns (assignment, history)."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    closest = ((X - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = float(closest.sum())
+        if total <= 0.0:
+            pick = int(rng.integers(n))
+        else:
+            pick = int(rng.choice(n, p=closest / total))
+        centers[j] = X[pick]
+        closest = np.minimum(closest, ((X - centers[j]) ** 2).sum(axis=1))
+
+    assign = None
+    history = []
+    for _ in range(100):
+        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d2.argmin(axis=1)
+        point_cost = d2[np.arange(n), new_assign]
+        history.append(float(point_cost.sum()))
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        taken = set()
+        for j in range(k):
+            members = X[assign == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+        for j in range(k):
+            if np.any(assign == j):
+                continue
+            order = np.argsort(-point_cost, kind="stable")
+            pick = next(int(i) for i in order if int(i) not in taken)
+            taken.add(pick)
+            centers[j] = X[pick]
+    return assign, history
+
+
 def unit_at_distance(d, dim=2):
     """A unit vector at exact chord distance d from e1 (0 <= d <= 2)."""
     theta = 2.0 * math.asin(d / 2.0)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlembed import cli
+from mlembed import cli, trainer
 from mlembed.cli import build_parser, load_config, load_dataset_dir, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -129,7 +129,29 @@ class TestGenData:
         assert not out.exists()
 
 
+    def test_out_of_memory_exits_two(self, tmp_path, config_path, monkeypatch, capsys):
+        def exhausted(spec):
+            raise MemoryError("Unable to allocate 233. TiB for an array")
+
+        monkeypatch.setattr(cli, "generate_synthetic", exhausted)
+        code = main(["gen-data", "--config", config_path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "mlembed: failure: out of memory: Unable to allocate" in capsys.readouterr().err
+
+
 class TestTrain:
+    def test_out_of_memory_exits_two(self, tmp_path, config_path, data_dir, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 58.2 TiB for an array")
+
+        monkeypatch.setattr(trainer, "EmbeddingModel", exhausted)
+        run = tmp_path / "run"
+        code = main(
+            ["train", "--config", config_path, "--data", str(data_dir), "--run-dir", str(run)]
+        )
+        assert code == 2
+        assert "mlembed: failure: out of memory: Unable to allocate" in capsys.readouterr().err
+
     def test_run_artifacts(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())
         report = json.loads((run_dir / "report.json").read_text())
@@ -450,9 +472,38 @@ class TestLoadDatasetDir:
         path.write_text(
             "".join(json.dumps({**r, "features": r["features"][:4]}) + "\n" for r in records)
         )
-        code = main(["eval", "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir)])
+        code = main(
+            ["eval", "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir),
+             "--split", split]
+        )
         assert code == 1
         assert f"{split}.jsonl: feature width 4 != 8" in capsys.readouterr().err
+
+    def test_reads_only_the_named_splits(self, data_dir):
+        (data_dir / "val.jsonl").write_text("not json\n")
+        splits = load_dataset_dir(data_dir, ("test", "train"))
+        assert splits.val is None
+        assert (len(splits.train), len(splits.test)) == (80, 30)
+
+    @pytest.mark.parametrize(
+        "command, unread",
+        [("eval", "val"), ("embed", "train"), ("embed", "val"), ("project", "train")],
+    )
+    def test_unread_split_cannot_change_the_output(
+        self, tmp_path, data_dir, run_dir, command, unread
+    ):
+        # a command on the test split writes the same bytes whatever the
+        # file of a split it does not read holds
+        argv = [command, "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir),
+                "--split", "test"]
+        outputs = []
+        for corrupt in (False, True):
+            if corrupt:
+                (data_dir / f"{unread}.jsonl").write_bytes(b"\xff{not json\n")
+            out = tmp_path / f"out-{corrupt}"
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "manifest",

@@ -15,7 +15,12 @@ from mlembed.evaluation import (
     project_2d,
     recall_at_k,
 )
-from oracles import brute_force_logistic_weights, brute_force_recall_at_k, frozen_nmi
+from oracles import (
+    brute_force_logistic_weights,
+    brute_force_recall_at_k,
+    frozen_broadcast_kmeans,
+    frozen_nmi,
+)
 
 
 class TestKMeans:
@@ -60,6 +65,35 @@ class TestKMeans:
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
         assert result.assignment.shape == (10,)
         assert set(result.assignment.tolist()) <= {0, 1, 2}
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates", "large-norm"])
+    def test_matches_broadcast_assignment(self, kind):
+        # the GEMM assignment with its certified fallback gives the broadcast's
+        # assignment and objective bits; lattice and duplicate points tie
+        # exactly, and offsets up to 1e8 make the GEMM form cancel most digits
+        rng = np.random.default_rng(["random", "lattice", "duplicates", "large-norm"].index(kind))
+        for _ in range(25):
+            n, m = int(rng.integers(5, 150)), int(rng.integers(1, 40))
+            if kind == "random":
+                X = rng.standard_normal((n, m))
+            elif kind == "lattice":
+                X = rng.integers(0, 3, size=(n, m)).astype(np.float64)
+            elif kind == "duplicates":
+                X = np.repeat(rng.standard_normal((n // 5 + 1, m)), 5, axis=0)[:n]
+            else:
+                X = 10.0 ** rng.integers(2, 9) + rng.standard_normal((n, m))
+            k = int(rng.integers(1, min(n, 12) + 1))
+            for seed in range(3):
+                result = kmeans(X, k, seed)
+                assignment, history = frozen_broadcast_kmeans(X, k, seed)
+                assert np.array_equal(result.assignment, assignment)
+                assert result.objective_history == history
+
+    def test_equidistant_point_takes_the_lowest_center(self):
+        X = np.array([[0.5, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        sq = (X**2).sum(axis=1)
+        for centers in (X[1:], X[:0:-1]):
+            assert evaluation._nearest_center(X, sq, centers).tolist()[0] == 0
 
     def test_invalid_k(self):
         X = np.zeros((3, 2))
@@ -201,6 +235,27 @@ class TestRecallAtK:
         for k in range(1, 13):
             stable = np.argsort(d2, axis=1, kind="stable")[:, :k]
             assert np.array_equal(evaluation._nearest(d2, k), stable)
+
+    def test_recall_at_1_with_ties_matches_brute_force(self):
+        # k = 1 alone takes the argmin, whose first minimum is the sort's
+        rng = np.random.default_rng(21)
+        X = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
+        labels = [{int(rng.integers(4))} for _ in range(60)]
+        assert recall_at_k(X, labels, [1]) == {1: brute_force_recall_at_k(X, labels, 1)}
+
+    def test_recall_at_1_with_a_nan_embedding_keeps_the_sort_order(self):
+        # a NaN row puts a NaN in every row of the distances: argmin would
+        # pick its column, the stable sort puts it last
+        rng = np.random.default_rng(22)
+        X = rng.integers(0, 3, size=(30, 2)).astype(np.float64)
+        X[7] = np.nan
+        labels = [{int(rng.integers(3))} for _ in range(30)]
+        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        stable = np.argsort(d2, axis=1, kind="stable")[:, :1]
+        assert np.array_equal(evaluation._nearest(d2, 1), stable)
+        assert recall_at_k(X, labels, [1]) == {1: recall_at_k(X, labels, [1, 2])[1]}
+        assert recall_at_k(X, labels, [1]) == {1: 12 / 30}  # as the partition search gives it
 
     def test_isometry_invariance(self):
         rng = np.random.default_rng(9)

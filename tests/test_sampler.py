@@ -29,8 +29,8 @@ def five_label_dataset():
 def drawn_group(sample, ds, anchor_id, rng):
     """One row drawn for the anchor, checked for shape and split into its
     positive positions, negative positions and the positives' taus."""
-    row, p, taus = sample(ds, ds.position(anchor_id), rng)
-    assert row[0] == ds.position(anchor_id)
+    row, p, taus = sample(ds, ds.ids.index(anchor_id), rng)
+    assert row[0] == ds.ids.index(anchor_id)
     assert len(row) == 1 + ds.label_count and len(taus) == ds.label_count
     assert taus[p:] == [0.0] * (ds.label_count - p)
     return row[1 : 1 + p], row[1 + p :], taus[:p]
@@ -47,7 +47,7 @@ class TestSampleGroupMl2:
 
     def test_positives_share_negatives_do_not(self):
         ds = five_label_dataset()
-        anchor_labels = ds.labels[ds.position("anchor")]
+        anchor_labels = ds.labels[ds.ids.index("anchor")]
         for seed in range(30):
             positives, negatives, _ = drawn_group(
                 sample_group_ml2, ds, "anchor", np.random.default_rng(seed)
@@ -77,7 +77,7 @@ class TestSampleGroupMl2:
 
     def test_tau_values_match_overlap(self):
         ds = five_label_dataset()
-        anchor_labels = ds.labels[ds.position("anchor")]
+        anchor_labels = ds.labels[ds.ids.index("anchor")]
         positives, _, taus = drawn_group(sample_group_ml2, ds, "anchor", np.random.default_rng(2))
         for pos, tau in zip(positives, taus, strict=True):
             assert tau == overlap_tau(anchor_labels, ds.labels[pos])
@@ -96,13 +96,13 @@ class TestSampleGroupMl2:
         specs = [("anchor", {0, 1}), ("x0", {0}), ("x1", {1}), ("x01", {0, 1})]
         ds = make_dataset(specs, label_count=2)
         with pytest.raises(GroupRejected, match="empty negative"):
-            sample_group_ml2(ds, ds.position("anchor"), np.random.default_rng(0))
+            sample_group_ml2(ds, ds.ids.index("anchor"), np.random.default_rng(0))
 
     def test_label_without_candidate_named(self):
         specs = [("anchor", {0, 1}), ("x0", {0}), ("x2", {2})]
         ds = make_dataset(specs, label_count=3)
         with pytest.raises(SamplingError, match="label 1"):
-            sample_group_ml2(ds, ds.position("anchor"), np.random.default_rng(0))
+            sample_group_ml2(ds, ds.ids.index("anchor"), np.random.default_rng(0))
 
     def test_duplicate_pool_exhaustion_rejected(self):
         # the only example carrying labels 1 and 2 is the same record, so the
@@ -110,7 +110,7 @@ class TestSampleGroupMl2:
         specs = [("anchor", {0}), ("x0", {0}), ("x12", {1, 2})]
         ds = make_dataset(specs, label_count=3)
         with pytest.raises(GroupRejected, match="distinct"):
-            sample_group_ml2(ds, ds.position("anchor"), np.random.default_rng(0))
+            sample_group_ml2(ds, ds.ids.index("anchor"), np.random.default_rng(0))
 
 
 class TestSampleGroupMl2Plus:
@@ -174,20 +174,20 @@ class TestSampleGroupMl2Plus:
         specs = [("anchor", {1, 2}), ("s1", {1}), ("x2", {2, 3}), ("n0", {0})]
         ds = make_dataset(specs, label_count=4)
         with pytest.raises(SamplingError, match="label 2"):
-            sample_group_ml2plus(ds, ds.position("anchor"), np.random.default_rng(0))
+            sample_group_ml2plus(ds, ds.ids.index("anchor"), np.random.default_rng(0))
 
     def test_no_zero_overlap_negative_named(self):
         # every example with label 2 also carries anchor label 1
         specs = [("anchor", {1}), ("s1", {1}), ("x12", {1, 2}), ("n0", {0})]
         ds = make_dataset(specs, label_count=3)
         with pytest.raises(SamplingError, match="label 2"):
-            sample_group_ml2plus(ds, ds.position("anchor"), np.random.default_rng(0))
+            sample_group_ml2plus(ds, ds.ids.index("anchor"), np.random.default_rng(0))
 
     def test_full_label_anchor_rejected(self):
         specs = [("anchor", {0, 1}), ("s0", {0}), ("s1", {1})]
         ds = make_dataset(specs, label_count=2)
         with pytest.raises(GroupRejected, match="all labels"):
-            sample_group_ml2plus(ds, ds.position("anchor"), np.random.default_rng(0))
+            sample_group_ml2plus(ds, ds.ids.index("anchor"), np.random.default_rng(0))
 
 
 class TestBuildMinibatch:
@@ -320,7 +320,7 @@ class TestUniformDraws:
     )
     def test_counts_within_five_sigma(self, sample, anchor_id):
         ds = disjoint_pools_dataset()
-        anchor = ds.position(anchor_id)
+        anchor = ds.ids.index(anchor_id)
         rng = np.random.default_rng(2024)
         counts = {}
         for _ in range(self.DRAWS):
@@ -413,7 +413,7 @@ class TestBatchContracts:
         ds = make_dataset(specs + [("n0", {0}), ("m0", {0})], label_count=3)
         # the label matrix now says the label-1 positives carry two labels
         labels = ds.label_matrix.copy()
-        labels[[ds.position("s1"), ds.position("t1")], 0] = True
+        labels[[ds.ids.index("s1"), ds.ids.index("t1")], 0] = True
         ds.label_matrix = labels
         with pytest.raises(ContractError, match="single-label"):
             build_minibatch(ds, len(ds), "ml2plus", np.random.default_rng(0))
