@@ -12,7 +12,6 @@ from .dataset import (
     SyntheticSpec,
     default_synthetic_spec,
     generate_synthetic,
-    load_jsonl,
     load_jsonl_files,
     save_jsonl,
 )

@@ -210,7 +210,7 @@ def cmd_train(args) -> int:
     paths = PathsConfig(**config["paths"])
     if not paths.dataset_dir:
         raise ConfigError("no dataset directory; pass --data or set paths.dataset_dir")
-    splits = load_dataset_dir(paths.dataset_dir)
+    splits = load_dataset_dir(paths.dataset_dir, ("train", "val"))
     with _section("encoder"):
         encoder_cfg = EncoderConfig(input_dim=splits.train.feature_dim, **config["encoder"])
 

@@ -35,13 +35,14 @@ def validate_labels(labels, label_count: int) -> frozenset[int]:
     return frozenset(int(x) for x in items)
 
 
-def _label_sets(labels: list, label_count: int) -> list[frozenset[int]] | None:
-    """The rows as frozensets of ints when every row passes
+def _label_matrix(labels: list, label_count: int) -> np.ndarray | None:
+    """The rows as an (n, label_count) bool matrix when every row passes
     :func:`validate_labels`, checked as arrays: each label an int (not a
     bool), each row non-empty, every value in ``[0, label_count)`` and no
-    row repeating a label. ``None`` when any row fails."""
+    row repeating a label (its row sum short of its size). ``None`` when
+    any row fails."""
     try:
-        sizes = [len(labs) for labs in labels]
+        sizes = np.array([len(labs) for labs in labels], dtype=np.intp)
         flat = list(itertools.chain.from_iterable(labels))
     except TypeError:  # a row that is not a sized collection
         return None
@@ -51,19 +52,22 @@ def _label_sets(labels: list, label_count: int) -> list[frozenset[int]] | None:
         values = np.array(flat, dtype=np.int64)
     except OverflowError:
         return None
-    if 0 in sizes or (flat and (values.min() < 0 or int(values.max()) >= label_count)):
+    if np.any(sizes == 0) or (flat and (values.min() < 0 or int(values.max()) >= label_count)):
         return None
-    sets = [frozenset(map(int, labs)) for labs in labels]
-    return sets if sum(map(len, sets)) == len(flat) else None
+    L = np.zeros((len(sizes), label_count), dtype=bool)
+    L[np.repeat(np.arange(len(sizes)), sizes), values] = True
+    return L if np.array_equal(L.sum(axis=1), sizes) else None
 
 
 class Dataset:
-    """Immutable split: example ids, one feature matrix and one label set per row.
+    """Immutable split: example ids, one feature matrix and one label matrix.
 
-    ``X`` is a read-only (n, w) float64 matrix built once here. The label
-    arrays the training hot path reads (bitmasks, label matrix, per-label
-    positions) are built on first use and cached, so a caller pays only
-    for the ones it reads.
+    ``X`` is a read-only (n, w) float64 matrix and ``label_matrix`` a
+    read-only (n, label_count) bool matrix, row i marking the labels of
+    example i; both are built once here and are the only stored data. Every
+    other label form (bitmasks, per-label positions, the label sets) is
+    derived from ``label_matrix`` on first use and cached, so a caller pays
+    only for the ones it reads.
     """
 
     def __init__(self, ids: list[str], X, labels: list, label_count: int):
@@ -77,8 +81,8 @@ class Dataset:
             raise ContractError(
                 f"{len(ids)} ids, {len(labels)} label sets and features of shape {X.shape}"
             )
-        sets = _label_sets(labels, label_count)
-        if sets is None or len(set(ids)) != len(ids):
+        L = _label_matrix(labels, label_count)
+        if L is None or len(set(ids)) != len(ids):
             # find the first bad record, so the error names it
             seen = set()
             for pos, rid in enumerate(ids):
@@ -89,20 +93,28 @@ class Dataset:
                 except DataFormatError as exc:
                     raise DataFormatError(f"record {rid!r}: {exc}") from exc
                 seen.add(rid)
-            sets = labels
+            L = _label_matrix(labels, label_count)
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():
             rid = ids[int(np.argmin(finite))]
             raise DataFormatError(f"record {rid!r}: non-finite feature value")
         X.flags.writeable = False
+        L.flags.writeable = False
         self.ids = ids
         self.X = X
-        self.labels = sets
+        self.label_matrix = L
         self.label_count = label_count
         self.feature_dim = X.shape[1]
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def labels(self) -> list[frozenset[int]]:
+        """Each row's label set, for the writers of JSONL and CSV files."""
+        sizes = self.label_matrix.sum(axis=1).tolist()
+        columns = iter(np.nonzero(self.label_matrix)[1].tolist())  # row by row
+        return [frozenset(itertools.islice(columns, size)) for size in sizes]
 
     @cached_property
     def label_masks(self) -> list[int]:
@@ -111,32 +123,19 @@ class Dataset:
         Python ints, so any label count fits and the sampler's per-draw
         overlap test (``mask_a & mask_b``) stays a scalar operation.
         """
-        return [sum(1 << lab for lab in labs) for labs in self.labels]
-
-    @cached_property
-    def label_matrix(self) -> np.ndarray:
-        """Read-only (n, label_count) bool matrix of label membership."""
-        L = np.zeros((len(self.ids), self.label_count), dtype=bool)
-        rows = np.repeat(np.arange(len(self.ids)), [len(labs) for labs in self.labels])
-        L[rows, [lab for labs in self.labels for lab in labs]] = True
-        L.flags.writeable = False
-        return L
+        packed = np.packbits(self.label_matrix, axis=1, bitorder="little")
+        width, data = packed.shape[1], packed.tobytes()
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
     @cached_property
     def _label_positions(self) -> list[list[int]]:
         # Lists rather than arrays: the sampler reads one element per draw.
-        index: list[list[int]] = [[] for _ in range(self.label_count)]
-        for pos, labs in enumerate(self.labels):
-            for lab in labs:
-                index[lab].append(pos)
-        return index
+        return [np.flatnonzero(column).tolist() for column in self.label_matrix.T]
 
     @cached_property
     def _single_label_positions(self) -> list[list[int]]:
-        return [
-            [i for i in pool if len(self.labels[i]) == 1]
-            for pool in self._label_positions
-        ]
+        single = self.label_matrix.sum(axis=1) == 1
+        return [np.flatnonzero(column & single).tolist() for column in self.label_matrix.T]
 
     def positions_with_label(self, label: int) -> list[int]:
         """Ascending positions of examples carrying ``label``."""
@@ -334,11 +333,6 @@ def save_jsonl(ds: Dataset, path: str | Path) -> None:
         }
         lines.append(json.dumps(record) + "\n")
     write_atomic(Path(path), "".join(lines).encode("utf-8"))
-
-
-def load_jsonl(path: str | Path, label_count: int | None = None) -> Dataset:
-    """Load a JSONL dataset; infers label_count as max index + 1 when not given."""
-    return load_jsonl_files([path], label_count)[0]
 
 
 def load_jsonl_files(paths, label_count: int | None = None) -> list[Dataset]:

@@ -24,12 +24,17 @@ PROBE_MAX_NEWTON = 100
 PROBE_MIN_SCALE = 2.0**-40
 
 
-def label_set_clusters(label_sets) -> tuple[np.ndarray, int]:
-    """Ground-truth clusters: one per distinct label set, numbered in order
-    of first appearance. Returns the cluster of each example and their count."""
-    cluster_of: dict[frozenset, int] = {}
-    clusters = [cluster_of.setdefault(frozenset(s), len(cluster_of)) for s in label_sets]
-    return np.array(clusters, dtype=np.intp), max(len(cluster_of), 1)
+def label_set_clusters(L) -> tuple[np.ndarray, int]:
+    """Ground-truth clusters of the (n, l) label matrix ``L``: one per
+    distinct row (label set), numbered in order of first appearance. Returns
+    the cluster of each example and their count."""
+    packed = np.packbits(np.asarray(L, dtype=bool), axis=1)
+    # each row's packed bytes as one opaque key, so np.unique sorts rows
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse], max(len(first), 1)
 
 
 @dataclass
@@ -180,11 +185,12 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     return neighbors
 
 
-def recall_at_k(embeddings: np.ndarray, label_sets, ks) -> dict[int, float]:
+def recall_at_k(embeddings: np.ndarray, L, ks) -> dict[int, float]:
     """Recall@K for each k in ``ks``: the fraction of queries with a
     label-sharing example among the k nearest neighbors (self excluded, ties
-    broken by row order). One neighbor search serves every k; queries are
-    taken ``RECALL_BLOCK`` rows at a time, so memory grows with n, not n²."""
+    broken by row order), labels given as the (n, l) bool label matrix
+    ``L``. One neighbor search serves every k; queries are taken
+    ``RECALL_BLOCK`` rows at a time, so memory grows with n, not n²."""
     X = np.asarray(embeddings, dtype=np.float64)
     n = X.shape[0]
     ks = list(ks)
@@ -193,13 +199,9 @@ def recall_at_k(embeddings: np.ndarray, label_sets, ks) -> dict[int, float]:
     k_max = max(ks)
     if n < k_max + 1:
         raise ContractError(f"need at least {k_max + 1} examples, got {n}")
-    sets = [frozenset(s) for s in label_sets]
-    if len(sets) != n:
-        raise ContractError(f"{len(sets)} label sets for {n} embeddings")
-    column = {label: c for c, label in enumerate(set().union(*sets))}
-    members = np.zeros((n, len(column)), dtype=bool)  # the label matrix
-    rows = np.repeat(np.arange(n), [len(labels) for labels in sets])
-    members[rows, [column[label] for labels in sets for label in labels]] = True
+    members = np.asarray(L, dtype=bool)
+    if members.ndim != 2 or len(members) != n:
+        raise ContractError(f"label matrix of shape {members.shape} for {n} embeddings")
 
     sq = (X**2).sum(axis=1)
     found = np.empty((n, k_max), dtype=bool)
@@ -375,12 +377,12 @@ def evaluate_embeddings(
     for fitting the normal-vs-abnormal logistic probe; when omitted or
     single-class, the classification block is left empty.
     """
-    truth, k_truth = label_set_clusters(eval_ds.labels)
+    truth, k_truth = label_set_clusters(eval_ds.label_matrix)
     predicted = kmeans(eval_embeddings, k_truth, seed=kmeans_seed).assignment
     score = nmi(predicted, truth)
 
     ks = [k for k in recall_ks if len(eval_ds) >= k + 1]
-    recall = recall_at_k(eval_embeddings, eval_ds.labels, ks) if ks else {}
+    recall = recall_at_k(eval_embeddings, eval_ds.label_matrix, ks) if ks else {}
 
     classification = None
     if probe_train is not None:

@@ -133,9 +133,9 @@ def sgd_step(params: ParamStore, lr: float, momentum: float, weight_decay: float
 
 def _validation_scores(model: EmbeddingModel, ds: Dataset, kmeans_seed: int):
     E, _ = model.embed(ds.X)
-    truth, k_truth = label_set_clusters(ds.labels)
+    truth, k_truth = label_set_clusters(ds.label_matrix)
     predicted = kmeans(E, k_truth, seed=kmeans_seed).assignment
-    return nmi(predicted, truth), recall_at_k(E, ds.labels, [1])[1]
+    return nmi(predicted, truth), recall_at_k(E, ds.label_matrix, [1])[1]
 
 
 def _metric_batch_step(model, train_ds, cfg, lcfg, rng) -> float:

@@ -51,6 +51,24 @@ def brute_force_recall_at_k(embeddings, label_sets, k):
     return hits / n
 
 
+def label_matrix_of(label_sets, label_count):
+    """The (n, label_count) bool label matrix, one cell set at a time."""
+    L = np.zeros((len(label_sets), label_count), dtype=bool)
+    for i, labels in enumerate(label_sets):
+        for label in labels:
+            L[i, label] = True
+    return L
+
+
+def frozen_label_set_clusters(label_sets):
+    """Ground-truth clusters as the frozenset-keyed implementation numbered
+    them: one per distinct label set, in order of first appearance. Returns
+    (cluster of each example, cluster count, at least 1)."""
+    cluster_of = {}
+    clusters = [cluster_of.setdefault(frozenset(s), len(cluster_of)) for s in label_sets]
+    return np.array(clusters, dtype=np.intp), max(len(cluster_of), 1)
+
+
 def brute_force_logistic_weights(X, y, l2, tol, max_steps=200_000):
     """Weights, bias last, of the probe objective (mean logistic loss plus
     l2 / 2 times the squared weights, the bias unpenalized), by fixed-step

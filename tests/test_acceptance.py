@@ -50,6 +50,7 @@ from mlembed.trainer import TrainConfig, train
 from oracles import (
     brute_force_group_loss,
     brute_force_recall_at_k,
+    label_matrix_of,
     log_softmax_pairs,
     nearest_label_set_partition,
     random_unit,
@@ -109,7 +110,7 @@ def _best_point(report):
 
 def _test_nmi(model, ds):
     E, _ = model.embed(ds.X)
-    truth, k = label_set_clusters(ds.labels)
+    truth, k = label_set_clusters(ds.label_matrix)
     return nmi(kmeans(E, k, seed=0).assignment, truth)
 
 
@@ -393,7 +394,7 @@ def test_criterion_5_training_analogue(default_splits, default_spec, ml2plus_run
     # Oracle first: raw features must make the label sets recoverable.
     test_ds = default_splits.test
     assignment, _ = nearest_label_set_partition(test_ds, default_spec.prototypes)
-    truth, _ = label_set_clusters(test_ds.labels)
+    truth, _ = label_set_clusters(test_ds.label_matrix)
     oracle_nmi = nmi(np.array(assignment), truth)
     assert oracle_nmi >= ORACLE_NMI_FLOOR, f"oracle NMI {oracle_nmi:.3f}"
 
@@ -463,7 +464,7 @@ def test_criterion_8_evaluation_correctness():
         for _ in range(200)
     ]
     expected = {k: brute_force_recall_at_k(X, labels, k) for k in (1, 2, 4, 8)}
-    assert recall_at_k(X, labels, (1, 2, 4, 8)) == expected
+    assert recall_at_k(X, label_matrix_of(labels, 5), (1, 2, 4, 8)) == expected
 
     for seed in range(10):
         data = rng.standard_normal((80, 6))

@@ -505,6 +505,24 @@ class TestLoadDatasetDir:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("manifest", [True, False], ids=["manifest", "no-manifest"])
+    def test_train_cannot_read_the_test_split(self, tmp_path, config_path, data_dir, manifest):
+        # training reads train and val only: a corrupt test.jsonl leaves the
+        # run's bytes as they were, and the inferred label_count with them
+        if not manifest:
+            (data_dir / "manifest.json").unlink()
+        runs = []
+        for corrupt in (False, True):
+            if corrupt:
+                (data_dir / "test.jsonl").write_bytes(b"\xff{not json\n")
+            run = tmp_path / f"run-{corrupt}"
+            argv = ["train", "--config", config_path, "--data", str(data_dir), "--run-dir", str(run)]
+            assert main(argv) == 0
+            runs.append(run)
+        a, b = runs
+        assert checkpoint_in(a).read_bytes() == checkpoint_in(b).read_bytes()
+        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
     @pytest.mark.parametrize(
         "manifest",
         [

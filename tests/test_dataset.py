@@ -11,11 +11,17 @@ from mlembed.dataset import (
     SyntheticSpec,
     default_synthetic_spec,
     generate_synthetic,
-    load_jsonl,
+    load_jsonl_files,
     save_jsonl,
 )
 from mlembed.errors import ConfigError, ContractError, DataFormatError
-from oracles import generator_marginals, nearest_prototype_label
+from mlembed.evaluation import label_set_clusters, recall_at_k
+from oracles import (
+    brute_force_recall_at_k,
+    frozen_label_set_clusters,
+    generator_marginals,
+    nearest_prototype_label,
+)
 
 
 def small_spec(**overrides):
@@ -136,7 +142,7 @@ class TestJsonlRoundTrip:
         splits = generate_synthetic(small_spec())
         path = tmp_path / "train.jsonl"
         save_jsonl(splits.train, path)
-        loaded = load_jsonl(path, label_count=4)
+        loaded = load_jsonl_files([path], label_count=4)[0]
         assert loaded.ids == splits.train.ids
         assert loaded.labels == splits.train.labels
         assert np.array_equal(loaded.X, splits.train.X)
@@ -149,12 +155,12 @@ class TestJsonlRoundTrip:
     def test_empty_label_set_rejected(self, tmp_path):
         path = self._write(tmp_path, [{"id": "r0", "features": [1.0], "labels": []}])
         with pytest.raises(DataFormatError, match="r0"):
-            load_jsonl(path, label_count=3)
+            load_jsonl_files([path], label_count=3)[0]
 
     def test_out_of_range_label_rejected(self, tmp_path):
         path = self._write(tmp_path, [{"id": "r1", "features": [1.0], "labels": [3]}])
         with pytest.raises(DataFormatError, match="r1"):
-            load_jsonl(path, label_count=3)
+            load_jsonl_files([path], label_count=3)[0]
 
     def test_ragged_features_rejected(self, tmp_path):
         path = self._write(
@@ -165,7 +171,7 @@ class TestJsonlRoundTrip:
             ],
         )
         with pytest.raises(DataFormatError, match="b"):
-            load_jsonl(path, label_count=3)
+            load_jsonl_files([path], label_count=3)[0]
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_feature_rejected(self, tmp_path, value):
@@ -173,12 +179,12 @@ class TestJsonlRoundTrip:
         path.write_text('{"id": "a", "features": [1.0], "labels": [0]}\n'
                         f'{{"id": "nf", "features": [{value}], "labels": [0]}}\n')
         with pytest.raises(DataFormatError, match="'nf': non-finite"):
-            load_jsonl(path, label_count=3)
+            load_jsonl_files([path], label_count=3)[0]
 
     def test_duplicate_labels_rejected(self, tmp_path):
         path = self._write(tmp_path, [{"id": "dup", "features": [1.0], "labels": [1, 1]}])
         with pytest.raises(DataFormatError, match="dup"):
-            load_jsonl(path, label_count=3)
+            load_jsonl_files([path], label_count=3)[0]
 
     def test_label_count_inferred(self, tmp_path):
         path = self._write(
@@ -188,7 +194,7 @@ class TestJsonlRoundTrip:
                 {"id": "b", "features": [2.0], "labels": [4]},
             ],
         )
-        assert load_jsonl(path).label_count == 5
+        assert load_jsonl_files([path])[0].label_count == 5
 
 
 class TestJsonlBoundary:
@@ -202,28 +208,28 @@ class TestJsonlBoundary:
     def test_non_object_line_rejected(self, tmp_path):
         path = self._write(tmp_path, b'{"id": "a", "features": [1.0], "labels": [0]}\n5\n')
         with pytest.raises(DataFormatError, match="bad.jsonl:2"):
-            load_jsonl(path)
+            load_jsonl_files([path])[0]
 
     def test_non_utf8_bytes_rejected(self, tmp_path):
         path = self._write(tmp_path, b'{"id": "a", "features": [1.0], "labels": [0]}\n\xff\xfe\n')
         with pytest.raises(DataFormatError, match="bad.jsonl:2"):
-            load_jsonl(path)
+            load_jsonl_files([path])[0]
 
     def test_deeply_nested_line_rejected(self, tmp_path):
         path = self._write(tmp_path, b"[" * 100_000 + b"\n")
         with pytest.raises(DataFormatError, match="bad.jsonl:1"):
-            load_jsonl(path)
+            load_jsonl_files([path])[0]
 
     def test_feature_too_large_for_float_rejected(self, tmp_path):
         record = b'{"id": "big", "features": [1' + b"0" * 400 + b'], "labels": [0]}\n'
         with pytest.raises(DataFormatError, match="big"):
-            load_jsonl(self._write(tmp_path, record))
+            load_jsonl_files([self._write(tmp_path, record)])[0]
 
     @pytest.mark.parametrize("labels", [b"[[1]]", b'["a", 1, "a"]', b"[{}]"])
     def test_non_integer_labels_rejected(self, tmp_path, labels):
         record = b'{"id": "odd", "features": [1.0], "labels": ' + labels + b"}\n"
         with pytest.raises(DataFormatError, match="odd"):
-            load_jsonl(self._write(tmp_path, record), label_count=3)
+            load_jsonl_files([self._write(tmp_path, record)], label_count=3)[0]
 
     @pytest.mark.parametrize(
         "features", [b'["1.5", 2.0]', b"[1.5, true]", b"[false]", b"[null]", b"[[1.0]]", b"[{}]"]
@@ -231,7 +237,7 @@ class TestJsonlBoundary:
     def test_non_number_features_rejected(self, tmp_path, features):
         record = b'{"id": "odd", "features": ' + features + b', "labels": [0]}\n'
         with pytest.raises(DataFormatError, match="odd"):
-            load_jsonl(self._write(tmp_path, record), label_count=3)
+            load_jsonl_files([self._write(tmp_path, record)], label_count=3)[0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.binary(max_size=300))
@@ -239,7 +245,7 @@ class TestJsonlBoundary:
         path = tmp_path_factory.mktemp("fuzz") / "f.jsonl"
         path.write_bytes(data)
         try:
-            ds = load_jsonl(path)
+            ds = load_jsonl_files([path])[0]
         except DataFormatError:
             return
         assert isinstance(ds, Dataset)
@@ -257,7 +263,7 @@ class TestJsonlBoundary:
         path = tmp_path_factory.mktemp("fuzz") / "r.jsonl"
         path.write_text("\n".join(json.dumps(line) for line in lines))
         try:
-            load_jsonl(path, label_count=data.draw(st.none() | st.integers(1, 4)))
+            load_jsonl_files([path], label_count=data.draw(st.none() | st.integers(1, 4)))[0]
         except DataFormatError:
             return
         # a file that loads holds only records, and their features are numbers
@@ -355,3 +361,48 @@ class TestDatasetInvariants:
         assert ds.X[0, 0] == 0.0
         with pytest.raises(ValueError):
             ds.X[0, 0] = 1.0
+
+    def test_label_matrix_read_only(self):
+        ds = Dataset(["a", "b"], np.zeros((2, 1)), [{0}, {1}], 2)
+        assert ds.label_matrix.tolist() == [[True, False], [False, True]]
+        with pytest.raises(ValueError):
+            ds.label_matrix[0, 1] = True
+
+
+class TestOneLabelForm:
+    """Every label form a split offers is derived from its label matrix and
+    equals the form built from the label sets it was given."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_derived_forms_match_the_label_sets(self, data):
+        # 70 labels: the bitmasks outgrow 64 bits
+        label_count = data.draw(st.sampled_from([1, 3, 9, 70]))
+        # labels never drawn leave all-False columns in the matrix
+        absent = data.draw(
+            st.frozensets(st.integers(0, label_count - 1), max_size=label_count - 1)
+        )
+        present = st.sampled_from([k for k in range(label_count) if k not in absent])
+        sets = data.draw(st.lists(st.frozensets(present, min_size=1, max_size=4), max_size=12))
+        n = len(sets)
+        ds = Dataset([f"r{i}" for i in range(n)], np.zeros((n, 2)), [list(s) for s in sets],
+                     label_count)
+
+        assert ds.label_matrix.shape == (n, label_count)
+        assert ds.labels == sets
+        assert ds.label_masks == [sum(1 << k for k in s) for s in sets]
+        for k in range(label_count):
+            assert ds.positions_with_label(k) == [i for i, s in enumerate(sets) if k in s]
+            assert ds.single_label_positions(k) == [i for i, s in enumerate(sets) if s == {k}]
+
+        clusters, count = label_set_clusters(ds.label_matrix)
+        want, want_count = frozen_label_set_clusters(sets)
+        assert clusters.dtype == want.dtype and clusters.tolist() == want.tolist()
+        assert count == want_count
+
+        ks = [k for k in (1, 2, 4) if k < n]
+        if ks:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            E = rng.integers(0, 3, size=(n, 2)).astype(np.float64)  # many tied distances
+            expected = {k: brute_force_recall_at_k(E, sets, k) for k in ks}
+            assert recall_at_k(E, ds.label_matrix, ks) == expected

@@ -20,6 +20,7 @@ from oracles import (
     brute_force_recall_at_k,
     frozen_broadcast_kmeans,
     frozen_nmi,
+    label_matrix_of,
 )
 
 
@@ -159,12 +160,12 @@ class TestNmi:
 
 class TestLabelSetClusters:
     def test_first_appearance_order(self):
-        clusters, k = label_set_clusters([{2}, {0, 1}, {2}, {1, 0}, {3}])
+        clusters, k = label_set_clusters(label_matrix_of([{2}, {0, 1}, {2}, {1, 0}, {3}], 4))
         assert clusters.tolist() == [0, 1, 0, 1, 2]
         assert k == 3
 
     def test_empty(self):
-        clusters, k = label_set_clusters([])
+        clusters, k = label_set_clusters(np.zeros((0, 3), dtype=bool))
         assert clusters.shape == (0,) and k == 1
 
 
@@ -172,20 +173,23 @@ class TestRecallAtK:
     def test_duplicate_embeddings_hit(self):
         X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         labels = [{0}, {0}, {1}]
-        assert recall_at_k(X, labels, [1]) == {1: pytest.approx(2 / 3)}
+        L = label_matrix_of(labels, 4)
+        assert recall_at_k(X, L, [1]) == {1: pytest.approx(2 / 3)}
 
     def test_non_decreasing_in_k(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((30, 4))
         labels = [{int(rng.integers(3))} for _ in range(30)]
-        values = list(recall_at_k(X, labels, (1, 2, 4, 8)).values())
+        L = label_matrix_of(labels, 4)
+        values = list(recall_at_k(X, L, (1, 2, 4, 8)).values())
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_four_points_on_line_matches_brute_force(self):
         X = np.array([[0.0], [1.0], [2.5], [2.6]])
         labels = [{0}, {1}, {0}, {1}]
+        L = label_matrix_of(labels, 4)
         expected = {k: brute_force_recall_at_k(X, labels, k) for k in (1, 2, 3)}
-        assert recall_at_k(X, labels, (1, 2, 3)) == expected
+        assert recall_at_k(X, L, (1, 2, 3)) == expected
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(8)
@@ -194,8 +198,9 @@ class TestRecallAtK:
             set(int(x) for x in rng.choice(4, size=rng.integers(1, 3), replace=False))
             for _ in range(50)
         ]
+        L = label_matrix_of(labels, 4)
         expected = {k: brute_force_recall_at_k(X, labels, k) for k in (1, 2, 4, 8)}
-        assert recall_at_k(X, labels, (1, 2, 4, 8)) == expected
+        assert recall_at_k(X, L, (1, 2, 4, 8)) == expected
 
     def test_matches_brute_force_with_ties(self):
         # points on a small integer grid: many exact distance ties, which
@@ -203,9 +208,10 @@ class TestRecallAtK:
         rng = np.random.default_rng(18)
         X = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
         labels = [{int(rng.integers(4))} for _ in range(60)]
+        L = label_matrix_of(labels, 4)
         ks = range(1, 13)
         expected = {k: brute_force_recall_at_k(X, labels, k) for k in ks}
-        assert recall_at_k(X, labels, ks) == expected
+        assert recall_at_k(X, L, ks) == expected
         assert len(set(expected.values())) > 3  # the ks do not all agree
 
     @pytest.mark.parametrize("data", ["grid", "random"])
@@ -219,9 +225,10 @@ class TestRecallAtK:
         else:
             X = rng.standard_normal((60, 5))
         labels = [{int(rng.integers(4))} for _ in range(60)]
+        L = label_matrix_of(labels, 4)
         ks = range(1, 13)
         expected = {k: brute_force_recall_at_k(X, labels, k) for k in ks}
-        assert recall_at_k(X, labels, ks) == expected
+        assert recall_at_k(X, L, ks) == expected
 
     @pytest.mark.parametrize("data", ["grid", "random"])
     def test_neighbors_in_stable_sort_order(self, data):
@@ -241,7 +248,8 @@ class TestRecallAtK:
         rng = np.random.default_rng(21)
         X = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
         labels = [{int(rng.integers(4))} for _ in range(60)]
-        assert recall_at_k(X, labels, [1]) == {1: brute_force_recall_at_k(X, labels, 1)}
+        L = label_matrix_of(labels, 4)
+        assert recall_at_k(X, L, [1]) == {1: brute_force_recall_at_k(X, labels, 1)}
 
     def test_recall_at_1_with_a_nan_embedding_keeps_the_sort_order(self):
         # a NaN row puts a NaN in every row of the distances: argmin would
@@ -250,29 +258,36 @@ class TestRecallAtK:
         X = rng.integers(0, 3, size=(30, 2)).astype(np.float64)
         X[7] = np.nan
         labels = [{int(rng.integers(3))} for _ in range(30)]
+        L = label_matrix_of(labels, 4)
         d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
         stable = np.argsort(d2, axis=1, kind="stable")[:, :1]
         assert np.array_equal(evaluation._nearest(d2, 1), stable)
-        assert recall_at_k(X, labels, [1]) == {1: recall_at_k(X, labels, [1, 2])[1]}
-        assert recall_at_k(X, labels, [1]) == {1: 12 / 30}  # as the partition search gives it
+        assert recall_at_k(X, L, [1]) == {1: recall_at_k(X, L, [1, 2])[1]}
+        assert recall_at_k(X, L, [1]) == {1: 12 / 30}  # as the partition search gives it
 
     def test_isometry_invariance(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((40, 6))
         labels = [{int(rng.integers(3))} for _ in range(40)]
+        L = label_matrix_of(labels, 4)
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         shifted = X @ Q + rng.standard_normal(6)
-        assert recall_at_k(X, labels, (1, 2, 4)) == recall_at_k(shifted, labels, (1, 2, 4))
+        assert recall_at_k(X, L, (1, 2, 4)) == recall_at_k(shifted, L, (1, 2, 4))
 
     def test_too_few_examples(self):
         with pytest.raises(ContractError):
-            recall_at_k(np.zeros((3, 2)), [{0}] * 3, [1, 3])
+            recall_at_k(np.zeros((3, 2)), np.ones((3, 1), dtype=bool), [1, 3])
 
     def test_invalid_k(self):
         for ks in ([0], [1, 0], []):
             with pytest.raises(ContractError):
-                recall_at_k(np.zeros((3, 2)), [{0}] * 3, ks)
+                recall_at_k(np.zeros((3, 2)), np.ones((3, 1), dtype=bool), ks)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (4, 1), (3,)])
+    def test_label_matrix_not_one_row_per_embedding(self, shape):
+        with pytest.raises(ContractError, match="label matrix of shape"):
+            recall_at_k(np.zeros((3, 2)), np.ones(shape, dtype=bool), [1])
 
 
 def separable_blobs():

@@ -409,11 +409,13 @@ class TestBatchContracts:
             build_minibatch(ds, len(ds), "ml2plus", np.random.default_rng(0))
 
     def test_multi_label_ml2plus_positive_rejected(self):
-        specs = [("a", {1, 2}), ("s1", {1}), ("t1", {1}), ("s2", {2}), ("t2", {2})]
+        specs = [("a", {1, 2}), ("s1", {1}), ("s2", {2}), ("t2", {2})]
         ds = make_dataset(specs + [("n0", {0}), ("m0", {0})], label_count=3)
-        # the label matrix now says the label-1 positives carry two labels
-        labels = ds.label_matrix.copy()
-        labels[[ds.ids.index("s1"), ds.ids.index("t1")], 0] = True
-        ds.label_matrix = labels
+        # the single-label pool of label 1 now also holds the two-label "a",
+        # the only positive the anchor "s1" can draw
+        single = ds.single_label_positions
+        ds.single_label_positions = lambda label: (
+            ds.positions_with_label(1) if label == 1 else single(label)
+        )
         with pytest.raises(ContractError, match="single-label"):
             build_minibatch(ds, len(ds), "ml2plus", np.random.default_rng(0))
