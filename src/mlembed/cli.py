@@ -19,18 +19,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .dataset import Dataset, DatasetSplits, default_synthetic_spec, generate_synthetic
-from .dataset import load_jsonl_files, save_jsonl
-from .errors import ConfigError, ContractError, DataFormatError, SamplingError, TrainingAbort
+from .dataset import SPLITS, Dataset, DatasetSplits, default_synthetic_spec, generate_synthetic
+from .dataset import load_dataset_dir, save_dataset_dir
+from .errors import ConfigError, DataFormatError, MlembedError
 from .evaluation import abnormal_labels, evaluate_embeddings, project_2d
-from .model import EmbeddingModel, EncoderConfig, check_type, write_atomic
+from .model import EmbeddingModel, EncoderConfig, check_type, read_json_object, write_atomic
 from .sampler import REGIMES
 from .trainer import TrainConfig, train
 
 RUN_DIR_ENV = "MLEMBED_RUN_DIR"
-SPLITS = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
@@ -80,12 +77,7 @@ def load_config(args) -> dict:
     config: dict = {section: {} for section in _SECTIONS}
     path = args.config
     if path is not None:
-        try:
-            raw = json.loads(Path(path).read_bytes().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: top level must be an object")
+        raw = read_json_object(Path(path).read_bytes(), path, ConfigError)
         for section, body in raw.items():
             if section not in _SECTIONS:
                 raise ConfigError(f"{path}: unknown section {section!r}")
@@ -111,43 +103,6 @@ def _section(name: str):
         yield
     except ConfigError as exc:
         raise ConfigError(f"{name}.{exc}") from exc
-
-
-def load_dataset_dir(path: str | Path, names: tuple[str, ...] = SPLITS) -> DatasetSplits:
-    """Load the JSONL files of the splits in ``names`` (the others are None);
-    label_count comes from the manifest, or without one is inferred once
-    across the splits read."""
-    directory = Path(path)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"dataset directory {directory} does not exist")
-    label_count = None
-    manifest_path = directory / "manifest.json"
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise DataFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
-        if not isinstance(manifest, dict):
-            raise DataFormatError(f"{manifest_path}: top level must be an object")
-        label_count = manifest.get("label_count")
-        if label_count is not None and (type(label_count) is not int or label_count < 1):
-            raise DataFormatError(
-                f"{manifest_path}: label_count must be an int >= 1, got {label_count!r}"
-            )
-    read = [split for split in SPLITS if split in names]
-    files = [directory / f"{split}.jsonl" for split in read]
-    for file in files:
-        if not file.exists():
-            raise FileNotFoundError(f"missing dataset file {file}")
-    splits = dict(zip(read, load_jsonl_files(files, label_count=label_count)))
-    # an empty split has no width; commands that read one reject it by name
-    widths = [(file.name, ds.feature_dim) for file, ds in zip(files, splits.values()) if len(ds)]
-    for name, width in widths[1:]:
-        if width != widths[0][1]:
-            raise DataFormatError(
-                f"{directory / name}: feature width {width} != {widths[0][1]} of {widths[0][0]}"
-            )
-    return DatasetSplits(**splits)
 
 
 def _nonempty(splits: DatasetSplits, name: str) -> Dataset:
@@ -177,27 +132,8 @@ def cmd_gen_data(args) -> int:
     with _section("data"):
         spec = default_synthetic_spec(**config["data"])
     splits = generate_synthetic(spec)
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, split in splits.named().items():
-        save_jsonl(split, out / f"{name}.jsonl")
-    manifest = {
-        "label_count": spec.label_count,
-        "feature_dim": spec.feature_dim,
-        "noise_sigma": spec.noise_sigma,
-        "seed": spec.seed,
-        "counts": {
-            "train": spec.train_examples,
-            "val": spec.val_examples,
-            "test": spec.test_examples,
-        },
-        "exclusive_labels": list(spec.exclusive_labels),
-        "cooccurrence": np.asarray(spec.cooccurrence).tolist(),
-        "prototypes": np.asarray(spec.prototypes).tolist(),
-        "files": {name: f"{name}.jsonl" for name in SPLITS},
-    }
-    write_atomic(out / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+    save_dataset_dir(out, spec, splits)
     print(f"wrote {len(splits.train)}/{len(splits.val)}/{len(splits.test)} examples to {out}")
     return 0
 
@@ -228,17 +164,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_for(ds: Dataset, checkpoint: str) -> EmbeddingModel:
-    """The checkpoint's model, once its input width matches ``ds``."""
-    model = EmbeddingModel.load(checkpoint)
-    if model.config.input_dim != ds.feature_dim:
-        raise ContractError(
-            f"checkpoint expects feature dim {model.config.input_dim}, "
-            f"dataset has {ds.feature_dim}"
-        )
-    return model
-
-
 def cmd_eval(args) -> int:
     config = load_config(args)
     with _section("eval"):
@@ -250,16 +175,17 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"eval.normal_label must lie in [0, {eval_ds.label_count}), got {eval_cfg.normal_label}"
         )
-    model = _load_model_for(_nonempty(splits, "train"), args.checkpoint)
+    train_ds = _nonempty(splits, "train")
+    model = EmbeddingModel.load(args.checkpoint)  # embed checks its input width
 
     eval_E, _ = model.embed(eval_ds.X)
-    train_E, _ = model.embed(splits.train.X)
+    train_E, _ = model.embed(train_ds.X)
     report = evaluate_embeddings(
         eval_E,
         eval_ds,
         recall_ks=eval_cfg.recall_ks,
         kmeans_seed=eval_cfg.kmeans_seed,
-        probe_train=(train_E, abnormal_labels(splits.train, eval_cfg.normal_label)),
+        probe_train=(train_E, abnormal_labels(train_ds, eval_cfg.normal_label)),
         normal_label=eval_cfg.normal_label,
     )
     payload = json.dumps(report.as_dict(), indent=2) + "\n"
@@ -273,7 +199,7 @@ def cmd_eval(args) -> int:
 
 def cmd_embed(args) -> int:
     eval_ds = _nonempty(load_dataset_dir(args.data, (args.split,)), args.split)
-    model = _load_model_for(eval_ds, args.checkpoint)
+    model = EmbeddingModel.load(args.checkpoint)
     E, _ = model.embed(eval_ds.X)
     rows = [["id", *[f"e{i}" for i in range(E.shape[1])], "labels"]]
     for rid, row, labels in zip(eval_ds.ids, E, eval_ds.labels):
@@ -285,7 +211,7 @@ def cmd_embed(args) -> int:
 
 def cmd_project(args) -> int:
     eval_ds = _nonempty(load_dataset_dir(args.data, (args.split,)), args.split)
-    model = _load_model_for(eval_ds, args.checkpoint)
+    model = EmbeddingModel.load(args.checkpoint)
     E, _ = model.embed(eval_ds.X)
     result = project_2d(E)
     if result.degenerate:
@@ -370,7 +296,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataFormatError, FileNotFoundError) as exc:
         print(f"mlembed: error: {exc}", file=sys.stderr)
         return 1
-    except (SamplingError, TrainingAbort, ContractError, OSError) as exc:
+    except (MlembedError, OSError) as exc:
         print(f"mlembed: failure: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # e.g. a config size far beyond the machine

@@ -1,4 +1,4 @@
-"""Multi-labelled examples: data model, synthetic generator, JSONL ingestion.
+"""Multi-labelled examples: data model, synthetic generator, dataset directory.
 
 Every example carries a non-empty set of label indices. Label 0 plays the
 role of the "normal" class in the synthetic generator: it is mutually
@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataFormatError
-from .model import write_atomic
+from .model import MAX_ARRAY_ELEMENTS, check_size, read_json_object, write_atomic, write_json
+
+SPLITS = ("train", "val", "test")
 
 
 def validate_labels(labels, label_count: int) -> frozenset[int]:
@@ -71,9 +73,10 @@ class Dataset:
     """
 
     def __init__(self, ids: list[str], X, labels: list, label_count: int):
-        if label_count < 1:
-            raise DataFormatError("label_count must be >= 1")
         ids, labels = list(ids), list(labels)
+        limit = MAX_ARRAY_ELEMENTS // max(len(ids), 1)  # values in the label matrix
+        if not 1 <= label_count <= limit:
+            raise DataFormatError(f"label_count must lie in [1, {limit}], got {label_count}")
         X = np.array(X, dtype=np.float64)
         if X.shape == (0,):  # an empty list of rows
             X = X.reshape(0, 0)
@@ -158,7 +161,7 @@ class DatasetSplits:
     test: Dataset | None = None
 
     def named(self) -> dict[str, Dataset | None]:
-        return {"train": self.train, "val": self.val, "test": self.test}
+        return {name: getattr(self, name) for name in SPLITS}
 
 
 @dataclass
@@ -212,6 +215,7 @@ class SyntheticSpec:
         for name in ("train_examples", "val_examples", "test_examples"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+            check_size(name, getattr(self, name) * max(w, l))  # its feature and label matrices
 
 
 def default_synthetic_spec(
@@ -236,6 +240,8 @@ def default_synthetic_spec(
         raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
     if label_count < 2:
         raise ConfigError(f"label_count must be >= 2, got {label_count}")
+    check_size("label_count", label_count * label_count)
+    check_size("feature_dim", label_count * feature_dim)
     if prototypes is None:
         prototypes = np.random.default_rng(seed).standard_normal((label_count, feature_dim))
         prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
@@ -343,13 +349,12 @@ def load_jsonl_files(paths, label_count: int | None = None) -> list[Dataset]:
     still agrees with the others.
     """
     records = [_read_jsonl(Path(path)) for path in paths]
-    if label_count is None:
-        top = -1
-        for labels in (labs for _, _, split_labels in records for labs in split_labels):
-            for lab in labels:
-                if isinstance(lab, int) and not isinstance(lab, bool):
-                    top = max(top, lab)
-        label_count = top + 1 if top >= 0 else 1
+    if label_count is None:  # JSON labels are ints; a bool is not one
+        label_count = 1 + max(
+            (lab for _, _, split in records for labs in split for lab in labs
+             if type(lab) is int and lab > 0),
+            default=0,
+        )
     return [Dataset(ids, rows, labels, label_count) for ids, rows, labels in records]
 
 
@@ -364,26 +369,19 @@ def _read_jsonl(path: Path) -> tuple[list[str], list[np.ndarray], list[list]]:
     ids: list[str] = []
     rows: list[np.ndarray] = []
     labels: list[list] = []
+    name = path.name
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            try:
-                line = line.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise DataFormatError(f"{path.name}:{lineno}: not UTF-8 text") from exc
+            line = line.strip()  # ASCII whitespace: JSON allows no other around a value
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise DataFormatError(f"{path.name}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DataFormatError(f"{path.name}:{lineno}: record is not a JSON object")
+            record = read_json_object(line, f"{name}:{lineno}")
             for key in ("id", "features", "labels"):
                 if key not in record:
-                    raise DataFormatError(f"{path.name}:{lineno}: missing key {key!r}")
+                    raise DataFormatError(f"{name}:{lineno}: missing key {key!r}")
             rid = record["id"]
             if not isinstance(rid, str):
-                raise DataFormatError(f"{path.name}:{lineno}: id must be a string")
+                raise DataFormatError(f"{name}:{lineno}: id must be a string")
             if not isinstance(record["features"], list) or not record["features"]:
                 raise DataFormatError(f"record {rid!r}: features must be a non-empty list")
             if not isinstance(record["labels"], list):
@@ -403,3 +401,53 @@ def _read_jsonl(path: Path) -> tuple[list[str], list[np.ndarray], list[list]]:
             ids.append(rid)
             labels.append(record["labels"])
     return ids, rows, labels
+
+
+def load_dataset_dir(path: str | Path, names: tuple[str, ...] = SPLITS) -> DatasetSplits:
+    """Load the JSONL files of the splits in ``names`` (the others are None);
+    label_count comes from the manifest, or without one is inferred once
+    across the splits read."""
+    directory = Path(path)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"dataset directory {directory} does not exist")
+    label_count = None
+    manifest_path = directory / "manifest.json"
+    if manifest_path.exists():
+        label_count = read_json_object(manifest_path.read_bytes(), manifest_path).get("label_count")
+        if label_count is not None and (
+            type(label_count) is not int or not 1 <= label_count <= MAX_ARRAY_ELEMENTS
+        ):
+            raise DataFormatError(
+                f"{manifest_path}: label_count must be an int in [1, {MAX_ARRAY_ELEMENTS}], "
+                f"got {label_count!r}"
+            )
+    read = [split for split in SPLITS if split in names]
+    files = [directory / f"{split}.jsonl" for split in read]
+    splits = dict(zip(read, load_jsonl_files(files, label_count=label_count)))
+    # an empty split has no width; commands that read one reject it by name
+    widths = [(file.name, ds.feature_dim) for file, ds in zip(files, splits.values()) if len(ds)]
+    for name, width in widths[1:]:
+        if width != widths[0][1]:
+            raise DataFormatError(
+                f"{directory / name}: feature width {width} != {widths[0][1]} of {widths[0][0]}"
+            )
+    return DatasetSplits(**splits)
+
+
+def save_dataset_dir(out: Path, spec: SyntheticSpec, splits: DatasetSplits) -> None:
+    """Write each split's JSONL file and a manifest of ``spec`` into ``out``, each whole."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, split in splits.named().items():
+        save_jsonl(split, out / f"{name}.jsonl")
+    manifest = {
+        "label_count": spec.label_count,
+        "feature_dim": spec.feature_dim,
+        "noise_sigma": spec.noise_sigma,
+        "seed": spec.seed,
+        "counts": {name: len(split) for name, split in splits.named().items()},
+        "exclusive_labels": list(spec.exclusive_labels),
+        "cooccurrence": np.asarray(spec.cooccurrence).tolist(),
+        "prototypes": np.asarray(spec.prototypes).tolist(),
+        "files": {name: f"{name}.jsonl" for name in SPLITS},
+    }
+    write_json(out / "manifest.json", manifest)

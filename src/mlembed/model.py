@@ -40,6 +40,31 @@ def write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
+def write_json(path: Path, payload) -> None:
+    """``payload`` as indented JSON plus a newline, via :func:`write_atomic`."""
+    write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+
+
+def read_json_object(data: bytes, where, error=DataFormatError) -> dict:
+    """The JSON object in the UTF-8 bytes ``data``; else ``error`` naming ``where``."""
+    try:
+        value = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise error(f"{where}: not a JSON object")
+    return value
+
+
+MAX_ARRAY_ELEMENTS = sys.maxsize // 8  # so that a float64 array's byte count fits an index
+
+
+def check_size(name: str, elements: int) -> None:
+    """Raise ConfigError naming ``name`` before it makes an array too large to index."""
+    if elements > MAX_ARRAY_ELEMENTS:
+        raise ConfigError(f"{name} is too large: {elements} values exceed {MAX_ARRAY_ELEMENTS}")
+
+
 # Accepted value types per annotation name; bool is only accepted for "bool".
 _FIELD_TYPES = {
     "str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool, "None": type(None)
@@ -97,6 +122,9 @@ class EncoderConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        # the parameters are one flat buffer; all but the projection scale with hidden_sizes
+        check_size("hidden_sizes", self.param_count - (self.hidden_out + 1) * self.embedding_dim)
+        check_size("embedding_dim", self.param_count)
 
     @property
     def hidden_out(self) -> int:
@@ -328,12 +356,7 @@ class EmbeddingModel:
             blob = fh.read(min(blob_len, path.stat().st_size))
             if len(blob) != blob_len:
                 raise DataFormatError(f"{path.name}: truncated header")
-            try:
-                header = json.loads(blob.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-                raise DataFormatError(f"{path.name}: header is not valid JSON") from exc
-            if not isinstance(header, dict):
-                raise DataFormatError(f"{path.name}: header is not a JSON object")
+            header = read_json_object(blob, f"{path.name} header")
             if header.get("format_version") != CHECKPOINT_VERSION:
                 raise DataFormatError(
                     f"{path.name}: unsupported format version {header.get('format_version')}"

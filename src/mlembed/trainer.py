@@ -10,7 +10,6 @@ runs with the same inputs produce bit-identical checkpoints.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +30,7 @@ from .losses import (
 # The benchmark's tracer (bench/tracer.py) hooks these names here. Training
 # no longer calls them: every regime and pre-training use the batched kernels.
 from .losses import contrastive_loss, ml2plus_loss, pretrain_loss  # noqa: F401
-from .model import EmbeddingModel, EncoderConfig, check_fields, write_atomic
+from .model import EmbeddingModel, EncoderConfig, check_fields, write_json
 from .numeric import ParamStore
 from .sampler import REGIMES, build_minibatch
 
@@ -200,6 +199,8 @@ def train(
         raise ConfigError("training split is empty")
     if len(splits.val) == 0:
         raise ConfigError("validation split is empty")
+    if len(splits.val) < 2:  # Recall@1 needs a neighbour for every row
+        raise ConfigError("validation split has 1 example; Recall@1 needs at least 2")
 
     if cfg.pretrain:
         if encoder_cfg.label_count is None:
@@ -305,7 +306,7 @@ def emit_run(
     run_dir.mkdir(parents=True, exist_ok=True)
     ckpt_name = (report.best_checkpoint or "final") + CHECKPOINT_SUFFIX
     model.save(run_dir / ckpt_name)
-    write_atomic(run_dir / "report.json", _json_bytes(report.report_dict()))
+    write_json(run_dir / "report.json", report.report_dict())
     manifest = {
         "train_config": dataclasses.asdict(cfg),
         "encoder_config": encoder_cfg.as_dict(),
@@ -318,8 +319,4 @@ def emit_run(
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    write_atomic(run_dir / "manifest.json", _json_bytes(manifest))
-
-
-def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    write_json(run_dir / "manifest.json", manifest)

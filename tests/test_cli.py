@@ -1,12 +1,15 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlembed import cli, trainer
+from mlembed import cli, errors, trainer
 from mlembed.cli import build_parser, load_config, load_dataset_dir, main
+from mlembed.errors import ConfigError, DataFormatError, MlembedError
+from mlembed.model import CHECKPOINT_MAGIC, EmbeddingModel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -138,6 +141,18 @@ class TestGenData:
         assert code == 2
         assert "mlembed: failure: out of memory: Unable to allocate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key", ["train_examples", "val_examples", "test_examples", "feature_dim", "label_count"]
+    )
+    def test_size_beyond_any_array_exits_one(self, tmp_path, capsys, key):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"data": {key: 10**30}}))
+        out = tmp_path / "out"
+        code = main(["gen-data", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert f"mlembed: error: data.{key} is too large" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_out_of_memory_exits_two(self, tmp_path, config_path, data_dir, monkeypatch, capsys):
@@ -151,6 +166,21 @@ class TestTrain:
         )
         assert code == 2
         assert "mlembed: failure: out of memory: Unable to allocate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("hidden_sizes", [10**30]), ("hidden_sizes", [64, 10**30]), ("embedding_dim", 10**30)],
+    )
+    def test_size_beyond_any_array_exits_one(
+        self, tmp_path, config_path, data_dir, capsys, key, value
+    ):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"encoder": {key: value}}))
+        run = tmp_path / "run"
+        code = main(["train", "--config", str(path), "--data", str(data_dir), "--run-dir", str(run)])
+        assert code == 1
+        assert f"mlembed: error: encoder.{key} is too large" in capsys.readouterr().err
+        assert not run.exists()
 
     def test_run_artifacts(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -352,6 +382,24 @@ class TestEval:
         err = capsys.readouterr().err
         assert "8" in err and "16" in err
 
+    @pytest.mark.parametrize("command", ["eval", "embed", "project"])
+    def test_width_mismatch_exits_two_before_any_output(
+        self, tmp_path, data_dir, run_dir, capsys, command
+    ):
+        # only the model checks a checkpoint's input width, at its first embed
+        for split in ("train", "test"):
+            path = data_dir / f"{split}.jsonl"
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            path.write_text(
+                "".join(json.dumps({**r, "features": r["features"][:4]}) + "\n" for r in records)
+            )
+        out = tmp_path / "out"
+        argv = [command, "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir)]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "mlembed: failure: expected inputs of dim 8, got shape (30, 4)" in err
+        assert not out.exists()
+
 
     def test_truncated_checkpoint_header_exits_one(self, tmp_path, data_dir, run_dir, capsys):
         bad = tmp_path / "cut.ckpt"
@@ -437,6 +485,20 @@ class TestEmptySplit:
         assert "validation split is empty" in capsys.readouterr().err
         assert not run.exists()
 
+    def test_train_with_one_val_row_exits_one_before_training(
+        self, tmp_path, config_path, data_dir, capsys
+    ):
+        # Recall@1 needs a neighbour for every row: a config error, found before training
+        path = data_dir / "val.jsonl"
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        run = tmp_path / "run"
+        code = main(
+            ["train", "--config", config_path, "--data", str(data_dir), "--run-dir", str(run)]
+        )
+        assert code == 1
+        assert "mlembed: error: validation split has 1 example" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_train_on_generated_data_without_val_exits_one(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY_CONFIG))
         cfg["data"]["val_examples"] = 0
@@ -478,6 +540,26 @@ class TestLoadDatasetDir:
         )
         assert code == 1
         assert f"{split}.jsonl: feature width 4 != 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "embed", "project"])
+    def test_commands_read_through_the_cli_binding(
+        self, tmp_path, config_path, data_dir, run_dir, monkeypatch, command
+    ):
+        # the benchmark's tracer times dataset reads by rebinding this name in cli
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return load_dataset_dir(*args)
+
+        monkeypatch.setattr(cli, "load_dataset_dir", counted)
+        out = str(tmp_path / "out")
+        if command == "train":
+            argv = ["--config", config_path, "--run-dir", out]
+        else:
+            argv = ["--checkpoint", str(checkpoint_in(run_dir)), "--out", out]
+        assert main([command, *argv, "--data", str(data_dir)]) == 0
+        assert len(calls) == 1
 
     def test_reads_only_the_named_splits(self, data_dir):
         (data_dir / "val.jsonl").write_text("not json\n")
@@ -532,8 +614,10 @@ class TestLoadDatasetDir:
             b'{"label_count": "5"}',
             b'{"label_count": true}',
             b'{"label_count": 0}',
+            b'{"label_count": 1000000000000000000000000000000}',
         ],
-        ids=["truncated-json", "not-utf8", "not-an-object", "string-count", "bool-count", "zero"],
+        ids=["truncated-json", "not-utf8", "not-an-object", "string-count", "bool-count", "zero",
+             "beyond-any-array"],
     )
     def test_malformed_manifest_exits_one(self, tmp_path, config_path, data_dir, capsys, manifest):
         (data_dir / "manifest.json").write_bytes(manifest)
@@ -548,8 +632,8 @@ class TestLoadDatasetDir:
 class TestConfigFile:
     @pytest.mark.parametrize(
         "content",
-        [b"\xff\xfe{}", b'{"data": {"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}}"],
-        ids=["not-utf8", "nested-too-deep"],
+        [b"\xff\xfe{}", b'{"data": {"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}}", b"[1]"],
+        ids=["not-utf8", "nested-too-deep", "not-an-object"],
     )
     def test_unreadable_config_exits_one_naming_the_file(self, tmp_path, capsys, content):
         path = tmp_path / "config.json"
@@ -603,6 +687,75 @@ class TestConfigFile:
             outputs.append({p.relative_to(root): p.read_bytes() for p in files})
         assert len(outputs[0]) == 7
         assert outputs[0] == outputs[1]
+
+
+MALFORMED_JSON = {
+    "not-utf8": b"\xff\xfe{}",
+    "truncated": b'{"label_count": 3',
+    "nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "not-an-object": b"[1]",
+}
+
+
+class TestJsonReaders:
+    """The config, the manifest, a checkpoint header and a JSONL line are
+    each decoded by one reader: a payload that is not a JSON object raises
+    the reader's typed error naming the file, and the command exits 1."""
+
+    @pytest.mark.parametrize("payload", MALFORMED_JSON.values(), ids=MALFORMED_JSON.keys())
+    @pytest.mark.parametrize("reader", ["config", "manifest", "checkpoint", "jsonl"])
+    def test_malformed_payload_raises_typed_error_and_exits_one(
+        self, tmp_path, config_path, data_dir, capsys, reader, payload
+    ):
+        if reader == "config":
+            path = tmp_path / "bad.json"
+            path.write_bytes(payload)
+            argv = ["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]
+            error, where = ConfigError, str(path)
+            read = lambda: load_config(build_parser().parse_args(argv))  # noqa: E731
+        elif reader == "checkpoint":
+            path = tmp_path / "bad.ckpt"
+            path.write_bytes(CHECKPOINT_MAGIC + len(payload).to_bytes(8, "little") + payload)
+            argv = ["eval", "--checkpoint", str(path), "--data", str(data_dir)]
+            error, where = DataFormatError, "bad.ckpt header"
+            read = lambda: EmbeddingModel.load(path)  # noqa: E731
+        else:
+            path = data_dir / ("manifest.json" if reader == "manifest" else "val.jsonl")
+            path.write_bytes(payload + b"\n")
+            argv = ["train", "--config", config_path, "--data", str(data_dir),
+                    "--run-dir", str(tmp_path / "run")]
+            error = DataFormatError
+            where = str(path) if reader == "manifest" else "val.jsonl:1"
+            read = lambda: load_dataset_dir(data_dir, ("train", "val"))  # noqa: E731
+        with pytest.raises(error, match=re.escape(f"{where}: ")):
+            read()
+        assert main(argv) == 1
+        assert f"mlembed: error: {where}: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
+
+
+class TestErrorExitCodes:
+    def test_every_error_class_has_the_package_base(self):
+        classes = [c for c in vars(errors).values() if isinstance(c, type)]
+        assert len(classes) == 11
+        for c in classes:
+            assert issubclass(c, MlembedError)
+            assert c is MlembedError or issubclass(c, (ValueError, RuntimeError))
+
+    @pytest.mark.parametrize("command", ["eval", "embed", "project"])
+    def test_degenerate_checkpoint_exits_two(self, tmp_path, data_dir, run_dir, capsys, command):
+        # a well-formed checkpoint whose projection maps every row to zero
+        model = EmbeddingModel.load(checkpoint_in(run_dir))
+        model.params.value("proj_W").fill(0.0)
+        model.params.value("proj_b").fill(0.0)
+        zero = tmp_path / "zero.ckpt"
+        model.save(zero)
+        out = tmp_path / "out"
+        assert main([command, "--checkpoint", str(zero), "--data", str(data_dir),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "mlembed: failure: pre-normalization activation for row 0" in err
+        assert not out.exists()
 
 
 class TestEmbedAndProject:

@@ -215,6 +215,28 @@ class TestJsonlBoundary:
         with pytest.raises(DataFormatError, match="bad.jsonl:2"):
             load_jsonl_files([path])[0]
 
+    @pytest.mark.parametrize("pad", [b" ", b"\t", b"\r", b"\x0b", b"\x0c"])
+    def test_line_padded_with_ascii_whitespace_loads(self, tmp_path, pad):
+        record = b'{"id": "a", "features": [1.0], "labels": [0]}'
+        path = self._write(tmp_path, pad + record + pad + b"\n" + pad + b"\n")
+        assert load_jsonl_files([path])[0].ids == ["a"]
+
+    @pytest.mark.parametrize("pad", ["\u00a0", "\u2028", "\u3000", "\x1c"])
+    @pytest.mark.parametrize("blank", [False, True], ids=["padded-record", "padding-only"])
+    def test_line_padded_with_other_whitespace_rejected(self, tmp_path, pad, blank):
+        # JSON allows only ASCII whitespace around a value; str.strip would remove these too
+        record = "" if blank else '{"id": "a", "features": [1.0], "labels": [0]}'
+        path = self._write(tmp_path, (pad + record + "\n").encode("utf-8"))
+        with pytest.raises(DataFormatError, match="bad.jsonl:1: invalid JSON"):
+            load_jsonl_files([path])
+
+    @pytest.mark.parametrize("label", [2**63 - 1, 2**70])
+    def test_inferred_label_count_beyond_any_array_rejected(self, tmp_path, label):
+        # a label matrix this wide could not be indexed; one label beyond int64 is the extreme
+        record = b'{"id": "a", "features": [1.0], "labels": [%d]}\n' % label
+        with pytest.raises(DataFormatError, match="label_count must lie in"):
+            load_jsonl_files([self._write(tmp_path, record)])
+
     def test_deeply_nested_line_rejected(self, tmp_path):
         path = self._write(tmp_path, b"[" * 100_000 + b"\n")
         with pytest.raises(DataFormatError, match="bad.jsonl:1"):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import mlembed.model
 from mlembed.errors import ConfigError, ContractError, DataFormatError, DegenerateInputError
 from mlembed.losses import LossConfig, ml2_loss, pretrain_loss
-from mlembed.model import CHECKPOINT_MAGIC, EmbeddingModel, EncoderConfig
+from mlembed.model import CHECKPOINT_MAGIC, MAX_ARRAY_ELEMENTS, EmbeddingModel, EncoderConfig
+from mlembed.model import check_size
 from mlembed.numeric import ParamStore, check_gradient
 
 
@@ -309,6 +310,14 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match=key):
             EmbeddingModel.load(saved)
 
+    @pytest.mark.parametrize(
+        "key, value", [("hidden_sizes", [10**30]), ("embedding_dim", 10**30), ("input_dim", 10**30)]
+    )
+    def test_config_beyond_any_array_rejected_before_allocating(self, saved, key, value):
+        self.rewrite(saved, lambda header: header["config"].update({key: value}))
+        with pytest.raises(DataFormatError, match="too large"):
+            EmbeddingModel.load(saved)
+
     def test_unknown_config_key_rejected(self, saved):
         self.rewrite(saved, lambda header: header["config"].update(dropout=0.5))
         with pytest.raises(DataFormatError, match="dropout"):
@@ -442,6 +451,19 @@ class TestEncoderConfig:
         with pytest.raises(ConfigError, match="input_dim"):
             EncoderConfig(input_dim="4")
 
+
+    def test_size_bound_is_the_largest_indexable_float64_array(self):
+        check_size("n", MAX_ARRAY_ELEMENTS)
+        with pytest.raises(ConfigError, match="n is too large"):
+            check_size("n", MAX_ARRAY_ELEMENTS + 1)
+
+    @pytest.mark.parametrize(
+        "hidden_sizes, embedding_dim, named",
+        [((2**60,), 3, "hidden_sizes"), ((5, 2**60), 3, "hidden_sizes"), ((5,), 2**60, "embedding_dim")],
+    )
+    def test_layer_beyond_any_array_names_its_key(self, hidden_sizes, embedding_dim, named):
+        with pytest.raises(ConfigError, match=f"{named} is too large"):
+            EncoderConfig(input_dim=4, hidden_sizes=hidden_sizes, embedding_dim=embedding_dim)
 
     def test_invalid_embedding_dim(self):
         with pytest.raises(ConfigError):
