@@ -102,19 +102,16 @@ def kmeans(X: np.ndarray, k: int, seed: int) -> KMeansResult:
             break
         assign = new_assign
 
-        taken = set()
-        for j in range(k):
-            members = X[assign == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
-        for j in range(k):
-            if np.any(assign == j):
-                continue
-            # Re-seed from the farthest point not already claimed this sweep.
-            order = np.argsort(-point_cost, kind="stable")
-            pick = next(int(i) for i in order if int(i) not in taken)
-            taken.add(pick)
-            centers[j] = X[pick]
+        # Each mean is taken over its members' rows in order, one contiguous
+        # slice of the sorted rows, so its bits are those of X[assign == j].
+        counts = np.bincount(assign, minlength=k)
+        ends = np.cumsum(counts)
+        members = X[np.argsort(assign, kind="stable")]
+        for j in np.flatnonzero(counts):
+            centers[j] = members[ends[j] - counts[j] : ends[j]].mean(axis=0)
+        # Empty clusters are re-seeded, in index order, from the farthest points.
+        empty = np.flatnonzero(counts == 0)
+        centers[empty] = X[np.argsort(-point_cost, kind="stable")[: len(empty)]]
 
     return KMeansResult(assign, history)
 

@@ -101,6 +101,12 @@ def check_fields(obj) -> None:
         check_type(field.name, getattr(obj, field.name), field.type)
 
 
+def _param_count(input_dim: int, hidden_sizes, embedding_dim: int, label_count: int) -> int:
+    dims = [input_dim, *hidden_sizes, embedding_dim]
+    heads = 2 * (hidden_sizes[-1] + 1) * label_count
+    return sum((a + 1) * b for a, b in zip(dims, dims[1:])) + heads
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     input_dim: int
@@ -122,8 +128,12 @@ class EncoderConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        # the parameters are one flat buffer; all but the projection scale with hidden_sizes
-        check_size("hidden_sizes", self.param_count - (self.hidden_out + 1) * self.embedding_dim)
+        # The parameters are one flat buffer. Each bound takes one more key at
+        # its value, the keys after it at their least, so it names its key.
+        hidden, labels = self.hidden_sizes, self.label_count or 0
+        check_size("hidden_sizes", _param_count(1, hidden, 2, 0))
+        check_size("input_dim", _param_count(self.input_dim, hidden, 2, 0))
+        check_size("label_count", _param_count(self.input_dim, hidden, 2, labels))
         check_size("embedding_dim", self.param_count)
 
     @property
@@ -133,9 +143,9 @@ class EncoderConfig:
     @property
     def param_count(self) -> int:
         """Number of float64 values in the parameter slots of this config."""
-        dims = [self.input_dim, *self.hidden_sizes, self.embedding_dim]
-        heads = 2 * (self.hidden_out + 1) * (self.label_count or 0)
-        return sum((a + 1) * b for a, b in zip(dims, dims[1:])) + heads
+        return _param_count(
+            self.input_dim, self.hidden_sizes, self.embedding_dim, self.label_count or 0
+        )
 
     def as_dict(self) -> dict:
         """JSON-ready fields, in declaration order."""
@@ -180,7 +190,6 @@ class EmbedCache:
 class ClassifyCache:
     inputs: list[np.ndarray]
     pre_activations: list[np.ndarray]
-    probs: np.ndarray              # softmax per head (n, l, 2)
 
 
 class EmbeddingModel:
@@ -283,7 +292,7 @@ class EmbeddingModel:
         logits = (inputs[-1] @ heads[:, :h]).transpose(1, 0, 2) + heads[:, h]
         shift = logits.max(axis=2, keepdims=True)
         log_probs = logits - shift - np.log(np.exp(logits - shift).sum(axis=2, keepdims=True))
-        return log_probs, ClassifyCache(inputs, pre, np.exp(log_probs))
+        return log_probs, ClassifyCache(inputs, pre)
 
     def backward_classify(self, cache: ClassifyCache, G_logits: np.ndarray) -> None:
         """Accumulate gradients given upstream grads on the head logits."""

@@ -2,8 +2,10 @@
 positives (share a label with the anchor) and negatives (share none).
 
 All draws are uniform; there is deliberately no hard-example mining of any
-kind here. Groups that cannot be completed for a given anchor (empty
-negative set, duplicate draws that cannot be resolved) raise
+kind here. Every slot of every regime is drawn by one primitive: rejection
+draws, then, if they all miss, one draw among every candidate that passes.
+Groups that cannot be completed for a given anchor (no distinct candidate
+left for a slot, empty negative set) raise
 :class:`~mlembed.errors.GroupRejected`, which :func:`build_minibatch`
 handles by moving on to a fresh anchor.
 
@@ -26,7 +28,7 @@ from .errors import ContractError, GroupRejected, SamplingError
 
 REGIMES = ("contrastive", "triplet", "ml2", "ml2plus")
 
-# Redraw budget before giving up on an anchor (duplicate or rejected draws).
+# Rejection draws per slot before the draw among every candidate that passes.
 MAX_DRAW_ATTEMPTS = 100
 
 
@@ -51,24 +53,24 @@ def _tau(mask_a: int, mask_b: int) -> float:
     return (union - (mask_a & mask_b).bit_count()) / union
 
 
-def _draw_distinct(
-    pool: list[int], a: int, holds_anchor: bool, used: set[int], rng
-) -> int | None:
-    """Uniform draw from ``pool`` without the anchor position ``a``, redrawn
-    while it hits ``used``; None when every attempt did.
+def _draw(pool, ok, rng, skip: int | None = None) -> int | None:
+    """Uniform draw of a position in ``pool``, other than ``skip``, that
+    passes ``ok``; None when none does.
 
-    The anchor is skipped by shifting the drawn index past its rank, so each
-    draw is one ``rng.integers`` call and the pool is never rebuilt.
+    Up to ``MAX_DRAW_ATTEMPTS`` rejection draws come first, each one
+    ``rng.integers`` call: ``skip``, a member of the ascending ``pool``, is
+    passed over by shifting the drawn index past its rank, so the pool is
+    never rebuilt. Then one draw among every candidate that passes.
     """
-    rank = bisect_left(pool, a) if holds_anchor else len(pool)
-    size = len(pool) - holds_anchor
+    rank = len(pool) if skip is None else bisect_left(pool, skip)
+    size = len(pool) - (skip is not None)
     for _ in range(MAX_DRAW_ATTEMPTS):
         j = int(rng.integers(size))
         pos = pool[j + (j >= rank)]
-        if pos not in used:
-            used.add(pos)
+        if ok(pos):
             return pos
-    return None
+    valid = [pos for pos in pool if pos != skip and ok(pos)]
+    return valid[int(rng.integers(len(valid)))] if valid else None
 
 
 def sample_group_ml2(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float]]:
@@ -88,9 +90,10 @@ def sample_group_ml2(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[flo
         holds_anchor = bool(anchor_mask >> label & 1)
         if len(pool) == holds_anchor:
             raise SamplingError(f"label {label} has no candidate besides the anchor")
-        pos = _draw_distinct(pool, a, holds_anchor, used, rng)
+        pos = _draw(pool, lambda i: i not in used, rng, a if holds_anchor else None)
         if pos is None:
             raise GroupRejected(f"no distinct representative for label {label}")
+        used.add(pos)
         drawn.append(pos)
 
     positives = [i for i in drawn if masks[i] & anchor_mask]
@@ -116,37 +119,29 @@ def sample_group_ml2plus(ds: Dataset, a: int, rng) -> tuple[list[int], int, list
             f"anchor {ds.ids[a]!r} carries all labels; empty negative set"
         )
 
-    used = {a}
     row = [a]
-    holds_anchor = p == 1  # a single-label anchor sits in its label's pool
+    skip = a if p == 1 else None  # a single-label anchor sits in its label's pool
     for label in anchor_labels:
         pool = ds.single_label_positions(label)
-        if len(pool) == holds_anchor:
+        if len(pool) == (skip is not None):
             raise SamplingError(f"no single-label example for label {label}")
-        pos = _draw_distinct(pool, a, holds_anchor, used, rng)
-        if pos is None:
-            raise GroupRejected(f"no distinct single-label positive for label {label}")
-        row.append(pos)
+        # Single-label pools are disjoint, so every candidate is distinct.
+        row.append(_draw(pool, lambda i: True, rng, skip))
 
+    # The anchor and the positives share a label with the anchor, so a
+    # negative can only repeat an earlier negative.
+    used = set()
     for label in range(ds.label_count):
         if anchor_mask >> label & 1:
             continue
         pool = ds.positions_with_label(label)
         if not pool:
             raise SamplingError(f"label {label} has no examples")
-        for _ in range(MAX_DRAW_ATTEMPTS):
-            pos = pool[int(rng.integers(len(pool)))]
-            if pos not in used and not masks[pos] & anchor_mask:
-                break
-        else:
-            # Rare path: prove whether a valid candidate exists at all.
-            valid = [i for i in pool if i not in used and not masks[i] & anchor_mask]
-            if not valid:
-                raise SamplingError(
-                    f"no zero-overlap negative for label {label} given anchor "
-                    f"{ds.ids[a]!r}"
-                )
-            pos = valid[int(rng.integers(len(valid)))]
+        pos = _draw(pool, lambda i: i not in used and not masks[i] & anchor_mask, rng)
+        if pos is None:
+            raise SamplingError(
+                f"no zero-overlap negative for label {label} given anchor {ds.ids[a]!r}"
+            )
         used.add(pos)
         row.append(pos)
 
@@ -155,20 +150,13 @@ def sample_group_ml2plus(ds: Dataset, a: int, rng) -> tuple[list[int], int, list
 
 
 def _draw_partner(ds: Dataset, a: int, want_shared: bool, rng) -> int | None:
-    """Uniform draw over positions that share (or do not share) a label with
-    the anchor at position ``a``, via rejection sampling with an exhaustive
-    fallback."""
+    """Uniform draw over positions other than ``a`` that share (or do not
+    share) a label with the anchor at position ``a``."""
     masks = ds.label_masks
     anchor_mask = masks[a]
-    n = len(masks)
-    for _ in range(MAX_DRAW_ATTEMPTS):
-        i = int(rng.integers(n))
-        if i != a and bool(masks[i] & anchor_mask) == want_shared:
-            return i
-    valid = [i for i in range(n) if i != a and bool(masks[i] & anchor_mask) == want_shared]
-    if not valid:
-        return None
-    return valid[int(rng.integers(len(valid)))]
+    return _draw(
+        range(len(masks)), lambda i: i != a and bool(masks[i] & anchor_mask) == want_shared, rng
+    )
 
 
 def sample_pair(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float]]:

@@ -234,55 +234,50 @@ def train(
             wall_clock_seconds=time.perf_counter() - started,
         )
 
-    # Pre-training phase: per-label binary heads on the shared trunk.
+    # Each phase: its name, its iteration count, its step (the batch's mean
+    # loss, gradients left for sgd_step) and its scores at an eval point.
+    # Pre-training fits per-label binary heads on the shared trunk.
+    phases = []
     if cfg.pretrain and cfg.pretrain_iterations > 0:
-        window: list[float] = []
-        for it in range(cfg.pretrain_iterations):
+        phases.append((
+            "pretrain",
+            cfg.pretrain_iterations,
+            lambda: _pretrain_batch_step(model, train_ds, cfg, rng_pretrain),
+            lambda: (None, None),
+        ))
+    phases.append((
+        "metric",
+        cfg.iterations,
+        lambda: _metric_batch_step(model, train_ds, cfg, lcfg, rng_metric),
+        lambda: _validation_scores(model, splits.val, kmeans_seed),
+    ))
+
+    for phase, iterations, step, score in phases:
+        window = []
+        for it in range(iterations):
             lr = lr_schedule(it, cfg.learning_rate, cfg.lr_decay_factor, cfg.lr_decay_period)
             try:
-                loss = _pretrain_batch_step(model, train_ds, cfg, rng_pretrain)
+                loss = step()
             except SamplingError as exc:
                 raise TrainingAbort(
-                    f"pre-training sampler exhausted: {exc}", report=report_so_far()
+                    f"{phase} phase: sampler exhausted: {exc}", report=report_so_far()
                 ) from exc
             if not np.isfinite(loss):
                 raise TrainingAbort(
-                    f"non-finite pre-training loss at iteration {it}", report=report_so_far()
+                    f"{phase} phase: non-finite loss at iteration {it}", report=report_so_far()
                 )
             sgd_step(model.params, lr, cfg.momentum, cfg.weight_decay)
             window.append(loss)
-            if (it + 1) % cfg.eval_every == 0 or it + 1 == cfg.pretrain_iterations:
-                points.append(
-                    EvalPoint(it + 1, "pretrain", float(np.mean(window)), None, None)
-                )
+            if (it + 1) % cfg.eval_every == 0 or it + 1 == iterations:
+                val_nmi, val_r1 = score()
+                points.append(EvalPoint(it + 1, phase, float(np.mean(window)), val_nmi, val_r1))
                 window = []
-        model.reinit_projection(proj_seed)
-
-    # Metric phase.
-    window = []
-    for it in range(cfg.iterations):
-        lr = lr_schedule(it, cfg.learning_rate, cfg.lr_decay_factor, cfg.lr_decay_period)
-        try:
-            loss = _metric_batch_step(model, train_ds, cfg, lcfg, rng_metric)
-        except SamplingError as exc:
-            raise TrainingAbort(f"sampler exhausted: {exc}", report=report_so_far()) from exc
-        if not np.isfinite(loss):
-            raise TrainingAbort(
-                f"non-finite loss at iteration {it}", report=report_so_far()
-            )
-        sgd_step(model.params, lr, cfg.momentum, cfg.weight_decay)
-        window.append(loss)
-
-        if (it + 1) % cfg.eval_every == 0 or it + 1 == cfg.iterations:
-            val_nmi, val_r1 = _validation_scores(model, splits.val, kmeans_seed)
-            points.append(
-                EvalPoint(it + 1, "metric", float(np.mean(window)), val_nmi, val_r1)
-            )
-            window = []
-            if best_nmi is None or val_nmi > best_nmi:
-                best_nmi = val_nmi
-                best_iter = it + 1
-                best_values = model.params.values.copy()
+                if val_nmi is not None and (best_nmi is None or val_nmi > best_nmi):
+                    best_nmi = val_nmi
+                    best_iter = it + 1
+                    best_values = model.params.values.copy()
+        if phase == "pretrain":
+            model.reinit_projection(proj_seed)
 
     if best_values is not None:
         np.copyto(model.params.values, best_values)

@@ -311,11 +311,17 @@ class TestCheckpoint:
             EmbeddingModel.load(saved)
 
     @pytest.mark.parametrize(
-        "key, value", [("hidden_sizes", [10**30]), ("embedding_dim", 10**30), ("input_dim", 10**30)]
+        "key, value",
+        [
+            ("hidden_sizes", [10**30]),
+            ("embedding_dim", 10**30),
+            ("input_dim", 10**30),
+            ("label_count", 10**30),
+        ],
     )
     def test_config_beyond_any_array_rejected_before_allocating(self, saved, key, value):
         self.rewrite(saved, lambda header: header["config"].update({key: value}))
-        with pytest.raises(DataFormatError, match="too large"):
+        with pytest.raises(DataFormatError, match=f"{key} is too large"):
             EmbeddingModel.load(saved)
 
     def test_unknown_config_key_rejected(self, saved):

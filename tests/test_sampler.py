@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mlembed.errors import ContractError, GroupRejected, SamplingError
+from mlembed import sampler
 from mlembed.losses import overlap_tau
 from mlembed.sampler import GroupBatch, build_minibatch, sample_group_ml2, sample_group_ml2plus
 from conftest import make_dataset
@@ -111,6 +112,28 @@ class TestSampleGroupMl2:
         ds = make_dataset(specs, label_count=3)
         with pytest.raises(GroupRejected, match="distinct"):
             sample_group_ml2(ds, ds.ids.index("anchor"), np.random.default_rng(0))
+
+
+class TestDrawRule:
+    """Each slot takes up to MAX_DRAW_ATTEMPTS rejection draws, then one draw
+    among every candidate that passes; a group is rejected only when none does."""
+
+    def test_ml2_slot_filled_after_its_draws_miss(self, monkeypatch):
+        # with seed 11, label 1's one draw hits x01, already drawn for label 0,
+        # while x1 is still free
+        monkeypatch.setattr(sampler, "MAX_DRAW_ATTEMPTS", 1)
+        specs = [("anchor", {0, 1}), ("x01", {0, 1}), ("x0", {0}), ("x1", {1}), ("n2", {2})]
+        ds = make_dataset(specs, label_count=3)
+        row, p, _ = sample_group_ml2(ds, 0, np.random.default_rng(11))
+        assert [ds.ids[i] for i in row] == ["anchor", "x01", "x1", "n2"] and p == 2
+
+    def test_every_seed_fills_a_group_that_has_candidates(self, monkeypatch):
+        monkeypatch.setattr(sampler, "MAX_DRAW_ATTEMPTS", 1)
+        ds = five_label_dataset()
+        for seed in range(50):
+            for sample in (sample_group_ml2, sample_group_ml2plus):
+                row, _, _ = sample(ds, ds.ids.index("anchor"), np.random.default_rng(seed))
+                assert len(set(row)) == len(row)
 
 
 class TestSampleGroupMl2Plus:

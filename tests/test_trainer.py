@@ -7,6 +7,7 @@ import pytest
 
 from mlembed.dataset import default_synthetic_spec, generate_synthetic
 from mlembed.errors import ConfigError, TrainingAbort
+from mlembed.losses import pretrain_batch_loss
 from mlembed.model import EmbeddingModel, EncoderConfig
 from mlembed.numeric import ParamStore
 from mlembed import trainer
@@ -215,6 +216,31 @@ class TestTrain:
             train(splits, cfg, TINY_ENCODER)
         assert excinfo.value.report is not None
         assert excinfo.value.report.points == []
+
+    def test_pretrain_batch_beyond_split_aborts_with_report(self):
+        splits = tiny_splits()
+        cfg = tiny_config(pretrain=True, batch_size=len(splits.train) + 1)
+        with pytest.raises(TrainingAbort, match="pretrain phase: sampler exhausted") as excinfo:
+            train(splits, cfg, TINY_ENCODER)
+        assert excinfo.value.report.points == []
+
+    def test_non_finite_pretrain_loss_aborts_with_report(self, monkeypatch):
+        calls = []
+
+        def poisoned(log_probs, labels):
+            values, G = pretrain_batch_loss(log_probs, labels)
+            calls.append(None)
+            return (values * np.nan if len(calls) > 12 else values), G
+
+        monkeypatch.setattr(trainer, "pretrain_batch_loss", poisoned)
+        cfg = tiny_config(pretrain=True, pretrain_iterations=20)
+        with pytest.raises(
+            TrainingAbort, match="pretrain phase: non-finite loss at iteration 12"
+        ) as excinfo:
+            train(tiny_splits(), cfg, TINY_ENCODER)
+        report = excinfo.value.report
+        assert [(p.phase, p.iteration) for p in report.points] == [("pretrain", 10)]
+        assert report.best_checkpoint is None
 
     def test_invalid_config_rejected(self):
         splits = tiny_splits()
