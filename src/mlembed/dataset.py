@@ -8,8 +8,12 @@ single-label examples and participate in sampling like any other.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -37,12 +41,16 @@ def validate_labels(labels, label_count: int) -> frozenset[int]:
     return frozenset(int(x) for x in items)
 
 
-def _label_matrix(labels: list, label_count: int) -> np.ndarray | None:
+def _label_matrix(labels, label_count: int) -> np.ndarray | None:
     """The rows as an (n, label_count) bool matrix when every row passes
     :func:`validate_labels`, checked as arrays: each label an int (not a
     bool), each row non-empty, every value in ``[0, label_count)`` and no
     row repeating a label (its row sum short of its size). ``None`` when
-    any row fails."""
+    any row fails. A bool matrix passes when it is that wide and no row is
+    empty, and comes back as a C-ordered copy."""
+    if isinstance(labels, np.ndarray):
+        fits = labels.shape[1:] == (label_count,) and labels.any(axis=1).all()
+        return np.array(labels, order="C") if fits else None
     try:
         sizes = np.array([len(labs) for labs in labels], dtype=np.intp)
         flat = list(itertools.chain.from_iterable(labels))
@@ -72,13 +80,16 @@ class Dataset:
     only for the ones it reads.
     """
 
-    def __init__(self, ids: list[str], X, labels: list, label_count: int):
-        ids, labels = list(ids), list(labels)
+    def __init__(self, ids: list[str], X, labels, label_count: int):
+        """``labels`` holds one label collection per row, or is already a
+        bool label matrix (the binary split reader passes one)."""
+        matrix = isinstance(labels, np.ndarray) and labels.dtype == bool
+        ids, labels = list(ids), labels if matrix else list(labels)
         limit = MAX_ARRAY_ELEMENTS // max(len(ids), 1)  # values in the label matrix
         if not 1 <= label_count <= limit:
             raise DataFormatError(f"label_count must lie in [1, {limit}], got {label_count}")
-        X = np.array(X, dtype=np.float64)
-        if X.shape == (0,):  # an empty list of rows
+        X = np.array(X, dtype=np.float64, order="C")
+        if not ids and X.shape[:1] == (0,):  # an empty split has no width
             X = X.reshape(0, 0)
         if X.ndim != 2 or X.shape[0] != len(ids) or len(labels) != len(ids):
             raise ContractError(
@@ -87,6 +98,8 @@ class Dataset:
         L = _label_matrix(labels, label_count)
         if L is None or len(set(ids)) != len(ids):
             # find the first bad record, so the error names it
+            if matrix:
+                labels = [np.flatnonzero(row).tolist() for row in labels]
             seen = set()
             for pos, rid in enumerate(ids):
                 if rid in seen:
@@ -327,9 +340,16 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetSplits:
     return DatasetSplits(train=train, val=splits["val"], test=splits["test"])
 
 
-def save_jsonl(ds: Dataset, path: str | Path) -> None:
+# A split's binary copy is an uncompressed .npz of these arrays (name: dtype).
+# Each id is stored as its UTF-8 bytes, cut from one blob by ``id_ends``: a
+# numpy string array would drop an id's trailing "\x00".
+_BINARY_ARRAYS = {"X": "<f8", "label_matrix": "|b1", "id_bytes": "|u1", "id_ends": "<i8"}
+
+
+def save_jsonl(ds: Dataset, path: str | Path) -> bytes:
     """One JSON record per line: {"id", "features", "labels"}. The file is
-    moved into place whole (see :func:`~mlembed.model.write_atomic`)."""
+    moved into place whole (see :func:`~mlembed.model.write_atomic`);
+    returns the bytes written."""
     lines = []
     for rid, features, labels in zip(ds.ids, ds.X, ds.labels):
         record = {
@@ -338,7 +358,25 @@ def save_jsonl(ds: Dataset, path: str | Path) -> None:
             "labels": sorted(labels),
         }
         lines.append(json.dumps(record) + "\n")
-    write_atomic(Path(path), "".join(lines).encode("utf-8"))
+    data = "".join(lines).encode("utf-8")
+    write_atomic(Path(path), data)
+    return data
+
+
+def _save_binary(ds: Dataset, path: Path) -> bytes:
+    """The split's :data:`_BINARY_ARRAYS`, written whole; returns the bytes written."""
+    encoded = [rid.encode("utf-8", "surrogatepass") for rid in ds.ids]
+    arrays = {
+        "X": ds.X,
+        "label_matrix": ds.label_matrix,
+        "id_bytes": np.frombuffer(b"".join(encoded), dtype=np.uint8),
+        "id_ends": np.cumsum([len(e) for e in encoded]),
+    }
+    buffer = io.BytesIO()
+    np.savez(buffer, **{key: np.asarray(arrays[key], dtype=_BINARY_ARRAYS[key]) for key in arrays})
+    data = buffer.getvalue()
+    write_atomic(path, data)
+    return data
 
 
 def load_jsonl_files(paths, label_count: int | None = None) -> list[Dataset]:
@@ -348,7 +386,11 @@ def load_jsonl_files(paths, label_count: int | None = None) -> list[Dataset]:
     over the records of every file, so a split that lacks the top label
     still agrees with the others.
     """
-    records = [_read_jsonl(Path(path)) for path in paths]
+    return _datasets([_read_jsonl(Path(p).read_bytes(), Path(p).name) for p in paths], label_count)
+
+
+def _datasets(records, label_count: int | None) -> list[Dataset]:
+    """One Dataset per (ids, rows, labels) triple; see :func:`load_jsonl_files`."""
     if label_count is None:  # JSON labels are ints; a bool is not one
         label_count = 1 + max(
             (lab for _, _, split in records for labs in split for lab in labs
@@ -358,8 +400,9 @@ def load_jsonl_files(paths, label_count: int | None = None) -> list[Dataset]:
     return [Dataset(ids, rows, labels, label_count) for ids, rows, labels in records]
 
 
-def _read_jsonl(path: Path) -> tuple[list[str], list[np.ndarray], list[list]]:
-    """Parse one JSONL file into ids, feature rows and raw label lists.
+def _read_jsonl(data: bytes, name: str) -> tuple[list[str], list[np.ndarray], list[list]]:
+    """Parse the JSONL bytes ``data`` of the file ``name`` into ids, feature
+    rows and raw label lists.
 
     Only the record format is checked here; :class:`Dataset` checks the ids,
     the labels and that every feature is finite.
@@ -369,51 +412,98 @@ def _read_jsonl(path: Path) -> tuple[list[str], list[np.ndarray], list[list]]:
     ids: list[str] = []
     rows: list[np.ndarray] = []
     labels: list[list] = []
-    name = path.name
-    with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()  # ASCII whitespace: JSON allows no other around a value
-            if not line:
-                continue
-            record = read_json_object(line, f"{name}:{lineno}")
-            for key in ("id", "features", "labels"):
-                if key not in record:
-                    raise DataFormatError(f"{name}:{lineno}: missing key {key!r}")
-            rid = record["id"]
-            if not isinstance(rid, str):
-                raise DataFormatError(f"{name}:{lineno}: id must be a string")
-            if not isinstance(record["features"], list) or not record["features"]:
-                raise DataFormatError(f"record {rid!r}: features must be a non-empty list")
-            if not isinstance(record["labels"], list):
-                raise DataFormatError(f"record {rid!r}: labels must be a list")
-            # float64 conversion would take strings and booleans as numbers
-            if not set(map(type, record["features"])) <= {int, float}:
-                bad = next(x for x in record["features"] if type(x) not in (int, float))
-                raise DataFormatError(f"record {rid!r}: feature {bad!r} is not a number")
-            if rows and len(record["features"]) != len(rows[0]):
-                raise DataFormatError(
-                    f"record {rid!r}: feature length {len(record['features'])} != {len(rows[0])}"
-                )
-            try:
-                rows.append(np.asarray(record["features"], dtype=np.float64))
-            except OverflowError as exc:
-                raise DataFormatError(f"record {rid!r}: feature too large for a float") from exc
-            ids.append(rid)
-            labels.append(record["labels"])
+    for lineno, line in enumerate(io.BytesIO(data), start=1):  # lines end at b"\n" only
+        line = line.strip()  # ASCII whitespace: JSON allows no other around a value
+        if not line:
+            continue
+        record = read_json_object(line, f"{name}:{lineno}")
+        for key in ("id", "features", "labels"):
+            if key not in record:
+                raise DataFormatError(f"{name}:{lineno}: missing key {key!r}")
+        rid = record["id"]
+        if not isinstance(rid, str):
+            raise DataFormatError(f"{name}:{lineno}: id must be a string")
+        if not isinstance(record["features"], list) or not record["features"]:
+            raise DataFormatError(f"record {rid!r}: features must be a non-empty list")
+        if not isinstance(record["labels"], list):
+            raise DataFormatError(f"record {rid!r}: labels must be a list")
+        # float64 conversion would take strings and booleans as numbers
+        if not set(map(type, record["features"])) <= {int, float}:
+            bad = next(x for x in record["features"] if type(x) not in (int, float))
+            raise DataFormatError(f"record {rid!r}: feature {bad!r} is not a number")
+        if rows and len(record["features"]) != len(rows[0]):
+            raise DataFormatError(
+                f"record {rid!r}: feature length {len(record['features'])} != {len(rows[0])}"
+            )
+        try:
+            rows.append(np.asarray(record["features"], dtype=np.float64))
+        except OverflowError as exc:
+            raise DataFormatError(f"record {rid!r}: feature too large for a float") from exc
+        ids.append(rid)
+        labels.append(record["labels"])
     return ids, rows, labels
 
 
+def _read_binary(data: bytes, path: Path, label_count: int) -> Dataset:
+    """The split in the binary bytes ``data`` of the file ``path``: its own
+    dtype and shape checks, then those of :class:`Dataset`, as for a JSONL
+    file. A failed check raises DataFormatError naming ``path``."""
+    try:
+        npz = np.load(io.BytesIO(data), allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with npz:
+            arrays = {key: npz[key] for key in npz.files}
+    except (OSError, ValueError, EOFError, RuntimeError, MemoryError, zipfile.BadZipFile,
+            zlib.error) as exc:
+        raise DataFormatError(f"{path}: unreadable: {exc}") from exc
+    if sorted(arrays) != sorted(_BINARY_ARRAYS):
+        raise DataFormatError(f"{path}: holds {sorted(arrays)}, not {sorted(_BINARY_ARRAYS)}")
+    for key, dtype in _BINARY_ARRAYS.items():
+        if arrays[key].dtype != np.dtype(dtype):
+            raise DataFormatError(f"{path}: {key} has dtype {arrays[key].dtype.str}, not {dtype}")
+    X, L, blob, ends = (arrays[key] for key in _BINARY_ARRAYS)
+    if L.ndim != 2 or L.shape[1] != label_count:
+        raise DataFormatError(
+            f"{path}: label_matrix of shape {L.shape} is not {label_count} labels wide"
+        )
+    if blob.ndim != 1 or ends.ndim != 1:
+        raise DataFormatError(f"{path}: id_bytes and id_ends must be 1-D")
+    starts = np.concatenate(([0], ends[:-1]))
+    if np.any(ends < starts) or len(blob) != ends[-1:].sum():
+        raise DataFormatError(f"{path}: id_ends do not cut id_bytes into ids")
+    blob, starts, ends = blob.tobytes(), starts.tolist(), ends.tolist()
+    try:
+        ids = [blob[a:b].decode("utf-8", "surrogatepass") for a, b in zip(starts, ends)]
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: an id is not UTF-8: {exc}") from exc
+    try:
+        return Dataset(ids, X, L, label_count)
+    except (ContractError, DataFormatError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _digest_matches(digests: dict, name: str, data: bytes) -> bool:
+    return name in digests and digests[name] == hashlib.sha256(data).hexdigest()
+
+
 def load_dataset_dir(path: str | Path, names: tuple[str, ...] = SPLITS) -> DatasetSplits:
-    """Load the JSONL files of the splits in ``names`` (the others are None);
-    label_count comes from the manifest, or without one is inferred once
-    across the splits read."""
+    """Load the splits in ``names`` (the others are None).
+
+    A split is read from its binary file when the manifest records
+    label_count and the SHA-256 of both the split's files, and both match
+    their bytes; otherwise from its JSONL file, the source of truth. Each
+    file is read once, and hashed as read. label_count comes from the
+    manifest, or without one is inferred once across the splits read.
+    """
     directory = Path(path)
     if not directory.is_dir():
         raise FileNotFoundError(f"dataset directory {directory} does not exist")
-    label_count = None
+    label_count, digests = None, {}
     manifest_path = directory / "manifest.json"
     if manifest_path.exists():
-        label_count = read_json_object(manifest_path.read_bytes(), manifest_path).get("label_count")
+        manifest = read_json_object(manifest_path.read_bytes(), manifest_path)
+        label_count = manifest.get("label_count")
         if label_count is not None and (
             type(label_count) is not int or not 1 <= label_count <= MAX_ARRAY_ELEMENTS
         ):
@@ -421,11 +511,25 @@ def load_dataset_dir(path: str | Path, names: tuple[str, ...] = SPLITS) -> Datas
                 f"{manifest_path}: label_count must be an int in [1, {MAX_ARRAY_ELEMENTS}], "
                 f"got {label_count!r}"
             )
+        if label_count is not None and isinstance(manifest.get("files"), dict):
+            digests = manifest["files"]
     read = [split for split in SPLITS if split in names]
-    files = [directory / f"{split}.jsonl" for split in read]
-    splits = dict(zip(read, load_jsonl_files(files, label_count=label_count)))
+    splits, records = {}, {}
+    for split in read:
+        jsonl, binary = f"{split}.jsonl", f"{split}.npz"
+        data = (directory / jsonl).read_bytes()
+        if _digest_matches(digests, jsonl, data):
+            try:
+                binary_data = (directory / binary).read_bytes()
+            except OSError:  # a missing binary file, like an empty one, matches no digest
+                binary_data = b""
+            if _digest_matches(digests, binary, binary_data):
+                splits[split] = _read_binary(binary_data, directory / binary, label_count)
+                continue
+        records[split] = _read_jsonl(data, jsonl)
+    splits.update(zip(records, _datasets(records.values(), label_count)))
     # an empty split has no width; commands that read one reject it by name
-    widths = [(file.name, ds.feature_dim) for file, ds in zip(files, splits.values()) if len(ds)]
+    widths = [(f"{split}.jsonl", splits[split].feature_dim) for split in read if len(splits[split])]
     for name, width in widths[1:]:
         if width != widths[0][1]:
             raise DataFormatError(
@@ -435,10 +539,15 @@ def load_dataset_dir(path: str | Path, names: tuple[str, ...] = SPLITS) -> Datas
 
 
 def save_dataset_dir(out: Path, spec: SyntheticSpec, splits: DatasetSplits) -> None:
-    """Write each split's JSONL file and a manifest of ``spec`` into ``out``, each whole."""
+    """Write each split's JSONL file and binary copy, then a manifest of
+    ``spec`` that records the SHA-256 of each of those files, into ``out``,
+    each file whole. The manifest goes last, so a write that fails leaves
+    no recorded digest that matches a file it changed."""
     out.mkdir(parents=True, exist_ok=True)
+    digests = {}
     for name, split in splits.named().items():
-        save_jsonl(split, out / f"{name}.jsonl")
+        for file, save in ((f"{name}.jsonl", save_jsonl), (f"{name}.npz", _save_binary)):
+            digests[file] = hashlib.sha256(save(split, out / file)).hexdigest()
     manifest = {
         "label_count": spec.label_count,
         "feature_dim": spec.feature_dim,
@@ -448,6 +557,6 @@ def save_dataset_dir(out: Path, spec: SyntheticSpec, splits: DatasetSplits) -> N
         "exclusive_labels": list(spec.exclusive_labels),
         "cooccurrence": np.asarray(spec.cooccurrence).tolist(),
         "prototypes": np.asarray(spec.prototypes).tolist(),
-        "files": {name: f"{name}.jsonl" for name in SPLITS},
+        "files": digests,
     }
     write_json(out / "manifest.json", manifest)

@@ -138,8 +138,8 @@ def sample_group_ml2plus(ds: Dataset, a: int, rng) -> tuple[list[int], int, list
         if not pool:
             raise SamplingError(f"label {label} has no examples")
         pos = _draw(pool, lambda i: i not in used and not masks[i] & anchor_mask, rng)
-        if pos is None:
-            raise SamplingError(
+        if pos is None:  # the anchor and the negatives drawn so far decide this
+            raise GroupRejected(
                 f"no zero-overlap negative for label {label} given anchor {ds.ids[a]!r}"
             )
         used.add(pos)

@@ -1,3 +1,7 @@
+import hashlib
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,25 @@ def make_dataset(label_specs, label_count, dim=4):
     ids = [ex_id for ex_id, _ in label_specs]
     labels = [labels for _, labels in label_specs]
     return Dataset(ids, np.zeros((len(ids), dim)), labels, label_count)
+
+
+def forge_binary(directory, split, data=None, **arrays):
+    """Replace ``split``'s binary file with ``data``, or with its arrays
+    where ``arrays`` overrides some of them (None drops one), and record
+    its SHA-256 in the manifest, as only a hand-made manifest would."""
+    path = directory / f"{split}.npz"
+    if data is None:
+        with np.load(path, allow_pickle=False) as npz:
+            merged = {key: npz[key] for key in npz.files}
+        merged.update(arrays)
+        buffer = io.BytesIO()
+        np.savez(buffer, **{key: value for key, value in merged.items() if value is not None})
+        data = buffer.getvalue()
+    path.write_bytes(data)
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"][path.name] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
 
 
 @pytest.fixture(scope="session")

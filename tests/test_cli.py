@@ -1,13 +1,18 @@
 import csv
+import hashlib
 import json
 import re
+import shutil
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlembed import cli, errors, trainer
+from conftest import forge_binary
+from mlembed import cli, errors, model, trainer
 from mlembed.cli import build_parser, load_config, load_dataset_dir, main
+from mlembed.dataset import SPLITS
 from mlembed.errors import ConfigError, DataFormatError, MlembedError
 from mlembed.model import CHECKPOINT_MAGIC, EmbeddingModel
 
@@ -73,11 +78,16 @@ class TestGenData:
         assert manifest["label_count"] == 3
         assert manifest["counts"] == {"train": 80, "val": 30, "test": 30}
 
-    def test_same_seed_identical_files(self, tmp_path, config_path):
+    def test_same_seed_identical_files(self, tmp_path, config_path, monkeypatch):
+        # the binary files, and with them the manifest's digests, do not
+        # depend on when gen-data ran
         a, b = tmp_path / "d1", tmp_path / "d2"
         assert main(["gen-data", "--config", config_path, "--out", str(a)]) == 0
+        later = time.time() + 400 * 86400.0
+        monkeypatch.setattr(time, "time", lambda: later)
         assert main(["gen-data", "--config", config_path, "--out", str(b)]) == 0
-        for name in ("train.jsonl", "val.jsonl", "test.jsonl", "manifest.json"):
+        names = [f"{split}.{kind}" for split in SPLITS for kind in ("jsonl", "npz")]
+        for name in [*names, "manifest.json"]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_invalid_cooccurrence_names_key(self, tmp_path, capsys):
@@ -629,6 +639,140 @@ class TestLoadDatasetDir:
         assert "manifest.json" in capsys.readouterr().err
 
 
+def eval_output(data_dir, run_dir, out):
+    """The bytes ``mlembed eval`` writes for the run's checkpoint on ``data_dir``."""
+    argv = ["eval", "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir)]
+    assert main([*argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def other_seed_binaries(tmp_path, config_path, data_dir):
+    other = tmp_path / "other-seed"
+    assert main(["gen-data", "--config", config_path, "--seed", "20", "--out", str(other)]) == 0
+    for split in SPLITS:
+        assert (other / f"{split}.npz").read_bytes() != (data_dir / f"{split}.npz").read_bytes()
+        shutil.copy(other / f"{split}.npz", data_dir)
+
+
+def rewrite_manifest(data_dir, **changes):
+    path = data_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest.update(changes)
+    path.write_text(json.dumps({k: v for k, v in manifest.items() if v is not None}))
+
+
+def truncate_binaries(tmp_path, config_path, data_dir):
+    for split in SPLITS:
+        path = data_dir / f"{split}.npz"
+        path.write_bytes(path.read_bytes()[:-100])
+
+
+def remove_binaries(tmp_path, config_path, data_dir):
+    for split in SPLITS:
+        (data_dir / f"{split}.npz").unlink()
+
+
+def manifest_without_digests(tmp_path, config_path, data_dir):
+    # as every dataset directory made before the binary files; binaries
+    # from another seed show whether they were read
+    other_seed_binaries(tmp_path, config_path, data_dir)
+    rewrite_manifest(data_dir, files=None)
+
+
+def manifest_naming_files_only(tmp_path, config_path, data_dir):
+    other_seed_binaries(tmp_path, config_path, data_dir)
+    rewrite_manifest(data_dir, files={split: f"{split}.jsonl" for split in SPLITS})
+
+
+def manifest_without_label_count(tmp_path, config_path, data_dir):
+    other_seed_binaries(tmp_path, config_path, data_dir)
+    for split in SPLITS:  # digests that match the other seed's binaries
+        forge_binary(data_dir, split, data=(data_dir / f"{split}.npz").read_bytes())
+    rewrite_manifest(data_dir, label_count=None)
+
+
+class TestBinarySplitFiles:
+    """A split's binary file is read only when the manifest's digests of it
+    and of its JSONL file both match; otherwise the JSONL file is."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [other_seed_binaries, truncate_binaries, remove_binaries, manifest_without_digests,
+         manifest_naming_files_only, manifest_without_label_count],
+        ids=["other-seed", "truncated", "missing", "no-digests", "files-named-only",
+             "no-label-count"],
+    )
+    def test_unverified_binary_falls_back_to_jsonl(
+        self, tmp_path, config_path, data_dir, run_dir, damage
+    ):
+        expected = eval_output(data_dir, run_dir, tmp_path / "expected.json")
+        damage(tmp_path, config_path, data_dir)
+        assert eval_output(data_dir, run_dir, tmp_path / "out.json") == expected
+
+    def test_jsonl_edited_after_gen_data_is_what_eval_reads(self, tmp_path, data_dir, run_dir):
+        before = eval_output(data_dir, run_dir, tmp_path / "before.json")
+        path = data_dir / "test.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["features"][0] += 3.0
+        lines[0] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+        assert load_dataset_dir(data_dir, ("test",)).test.X[0, 0] == record["features"][0]
+        jsonl_only = tmp_path / "jsonl-only"
+        shutil.copytree(data_dir, jsonl_only, ignore=shutil.ignore_patterns("*.npz"))
+        after = eval_output(data_dir, run_dir, tmp_path / "after.json")
+        assert after != before
+        assert after == eval_output(jsonl_only, run_dir, tmp_path / "jsonl-only.json")
+
+    @pytest.mark.parametrize(
+        "forge, message",
+        [
+            (lambda npz: {"X": npz["X"].astype(np.float32)}, "X has dtype <f4, not <f8"),
+            (lambda npz: {"label_matrix": np.pad(npz["label_matrix"], ((0, 0), (0, 1)))},
+             "label_matrix of shape (30, 4) is not 3 labels wide"),
+        ],
+        ids=["wrong-dtype", "label-width"],
+    )
+    @pytest.mark.parametrize("command", ["eval", "embed", "project"])
+    def test_verified_binary_failing_a_check_exits_one_naming_the_file(
+        self, tmp_path, data_dir, run_dir, capsys, command, forge, message
+    ):
+        with np.load(data_dir / "test.npz") as npz:
+            forge_binary(data_dir, "test", **forge(npz))
+        out = tmp_path / "out"
+        argv = [command, "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir)]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"mlembed: error: {data_dir / 'test.npz'}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_write_failing_before_the_manifest_leaves_no_matching_digest(
+        self, tmp_path, config_path, data_dir, monkeypatch
+    ):
+        # the old manifest survives a failed gen-data of another seed into
+        # the same directory; none of its digests may vouch for a new file
+        real = model.write_atomic
+
+        def failing(path, data):
+            if path.name == "manifest.json":
+                raise OSError("no space left on device")
+            real(path, data)
+
+        monkeypatch.setattr(model, "write_atomic", failing)
+        argv = ["gen-data", "--config", config_path, "--seed", "20", "--out", str(data_dir)]
+        assert main(argv) == 2
+        monkeypatch.undo()
+        digests = json.loads((data_dir / "manifest.json").read_text())["files"]
+        split_files = sorted(p.name for p in data_dir.iterdir() if p.name != "manifest.json")
+        assert sorted(digests) == split_files
+        for name, digest in digests.items():
+            assert hashlib.sha256((data_dir / name).read_bytes()).hexdigest() != digest
+        fresh = tmp_path / "fresh"
+        assert main(["gen-data", "--config", config_path, "--seed", "20", "--out", str(fresh)]) == 0
+        for split in SPLITS:
+            a, b = load_dataset_dir(data_dir).named()[split], load_dataset_dir(fresh).named()[split]
+            assert a.ids == b.ids and a.X.tobytes() == b.X.tobytes()
+
+
 class TestConfigFile:
     @pytest.mark.parametrize(
         "content",
@@ -685,7 +829,8 @@ class TestConfigFile:
             assert main([*argv, "--out", str(root / "eval.json")]) == 0
             files = sorted(p for p in root.rglob("*") if p.is_file() and p != run / "manifest.json")
             outputs.append({p.relative_to(root): p.read_bytes() for p in files})
-        assert len(outputs[0]) == 7
+        # three JSONL and three binary files, the manifest, checkpoint, report and eval output
+        assert len(outputs[0]) == 10
         assert outputs[0] == outputs[1]
 
 

@@ -1,4 +1,7 @@
+import io
 import json
+import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,15 +10,20 @@ from hypothesis import strategies as st
 
 from mlembed import dataset as dataset_mod
 from mlembed.dataset import (
+    SPLITS,
     Dataset,
+    DatasetSplits,
     SyntheticSpec,
     default_synthetic_spec,
     generate_synthetic,
+    load_dataset_dir,
     load_jsonl_files,
+    save_dataset_dir,
     save_jsonl,
 )
 from mlembed.errors import ConfigError, ContractError, DataFormatError
 from mlembed.evaluation import label_set_clusters, recall_at_k
+from conftest import forge_binary
 from oracles import (
     brute_force_recall_at_k,
     frozen_label_set_clusters,
@@ -290,6 +298,178 @@ class TestJsonlBoundary:
             return
         # a file that loads holds only records, and their features are numbers
         assert all(type(x) in (int, float) for line in lines for x in line["features"])
+
+
+def bare_spec(label_count, feature_dim):
+    """A spec that only names label_count, for saving hand-built splits."""
+    return SyntheticSpec(
+        label_count=label_count,
+        feature_dim=feature_dim,
+        prototypes=np.zeros((label_count, feature_dim)),
+        noise_sigma=0.0,
+        cooccurrence=np.eye(label_count),
+        train_examples=0,
+        val_examples=0,
+        test_examples=0,
+        seed=0,
+    )
+
+
+def loaded(directory):
+    """Each split a load of ``directory`` gives, as values that compare."""
+    return {
+        name: (
+            ds.ids, ds.X.shape, ds.X.tobytes(), ds.label_matrix.shape, ds.label_matrix.tobytes(),
+            ds.label_count, ds.X.flags.writeable, ds.label_matrix.flags.writeable,
+            ds.X.flags.c_contiguous, ds.label_matrix.flags.c_contiguous,
+        )
+        for name, ds in load_dataset_dir(directory).named().items()
+    }
+
+
+def binary_reads(directory):
+    """The splits of ``directory`` and how many of them came from a binary file."""
+    with mock.patch.object(dataset_mod, "_read_binary", wraps=dataset_mod._read_binary) as spy:
+        return loaded(directory), spy.call_count
+
+
+def npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+# Ids the binary file must keep exactly: a numpy string array drops the
+# trailing "\x00", and a lone surrogate is not valid UTF-8.
+AWKWARD_IDS = ["a\x00", "\x00", "é\x00", "\ud800", "日本", ""]
+
+
+class TestBinarySplits:
+    """gen-data writes each split also as a binary file; the loader reads it
+    only when the manifest's SHA-256 of both files match, and checks it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_round_trip_equal_with_and_without_binary_files(self, tmp_path_factory, data):
+        label_count = data.draw(st.integers(1, 5))
+        used = data.draw(st.integers(1, label_count))  # labels from here on never occur
+        width = data.draw(st.integers(1, 3))
+        ids = st.text(max_size=4) | st.sampled_from(AWKWARD_IDS)
+        features = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width,
+                            max_size=width)
+        splits = {}
+        for name in SPLITS:
+            n = data.draw(st.integers(0, 5))  # 0 rows included
+            rows = data.draw(st.lists(features, min_size=n, max_size=n))
+            splits[name] = Dataset(
+                data.draw(st.lists(ids, min_size=n, max_size=n, unique=True)),
+                np.array(rows, dtype=np.float64).reshape(n, width),
+                data.draw(st.lists(st.sets(st.integers(0, used - 1), min_size=1),
+                                   min_size=n, max_size=n)),
+                label_count,
+            )
+        with_binary, without = tmp_path_factory.mktemp("with"), tmp_path_factory.mktemp("without")
+        save_dataset_dir(with_binary, bare_spec(label_count, width), DatasetSplits(**splits))
+        for path in with_binary.iterdir():
+            if path.suffix != ".npz":
+                shutil.copy(path, without)
+        (a, from_binary), (b, from_jsonl) = binary_reads(with_binary), binary_reads(without)
+        assert (from_binary, from_jsonl) == (3, 0)
+        assert a == b
+        for name, ds in splits.items():
+            ids, _, X, _, L, count, *flags = a[name]
+            assert (ids, X, L, count) == (ds.ids, ds.X.tobytes(), ds.label_matrix.tobytes(),
+                                          label_count)
+            assert flags == [False, False, True, True]
+
+    def test_awkward_ids_round_trip_exactly(self, tmp_path):
+        ds = Dataset(AWKWARD_IDS, np.zeros((6, 2)), [[0]] * 6, 2)
+        save_dataset_dir(tmp_path, bare_spec(2, 2), DatasetSplits(train=ds, val=ds, test=ds))
+        splits, from_binary = binary_reads(tmp_path)
+        assert from_binary == 3
+        assert splits["train"][0] == AWKWARD_IDS
+
+    def test_fortran_ordered_features_load_as_a_c_ordered_copy(self, tmp_path):
+        spec = small_spec()
+        save_dataset_dir(tmp_path, spec, generate_synthetic(spec))
+        expected = load_dataset_dir(tmp_path).test
+        forge_binary(tmp_path, "test", X=np.asfortranarray(expected.X))
+        ds = load_dataset_dir(tmp_path).test
+        assert ds.X.flags.c_contiguous and ds.X.flags.owndata and not ds.X.flags.writeable
+        assert ds.X.tobytes() == expected.X.tobytes()
+
+    @pytest.mark.parametrize(
+        "forge, message",
+        [
+            (lambda a: {"X": a["X"].astype(np.float32)}, "X has dtype <f4, not <f8"),
+            (lambda a: {"X": a["X"].astype(">f8")}, "X has dtype >f8, not <f8"),
+            (lambda a: {"label_matrix": a["label_matrix"].astype(np.int8)},
+             "label_matrix has dtype |i1, not |b1"),
+            (lambda a: {"id_ends": a["id_ends"].astype(np.int32)}, "id_ends has dtype"),
+            (lambda a: {"label_matrix": np.pad(a["label_matrix"], ((0, 0), (0, 1)))},
+             "label_matrix of shape (50, 5) is not 4 labels wide"),
+            (lambda a: {"label_matrix": a["label_matrix"][:, :3]}, "not 4 labels wide"),
+            (lambda a: {"label_matrix": a["label_matrix"][0]}, "not 4 labels wide"),
+            (lambda a: {"X": np.where(np.arange(6) == 2, np.inf, a["X"])},
+             "record 'test-00000': non-finite feature value"),
+            (lambda a: {"label_matrix": np.vstack([a["label_matrix"][:1] & False,
+                                                    a["label_matrix"][1:]])},
+             "record 'test-00000': label set is empty"),
+            (lambda a: {"id_bytes": np.tile(a["id_bytes"][:10], 50)},
+             "duplicate example id 'test-00000'"),
+            (lambda a: {"id_ends": a["id_ends"] + 1}, "id_ends do not cut id_bytes into ids"),
+            (lambda a: {"id_ends": a["id_ends"][::-1].copy()}, "id_ends do not cut"),
+            (lambda a: {"id_bytes": a["id_bytes"].reshape(50, 10)}, "must be 1-D"),
+            (lambda a: {"id_bytes": np.full_like(a["id_bytes"], 0xFF)}, "an id is not UTF-8"),
+            (lambda a: {"X": a["X"][1:]}, "50 ids, 50 label sets and features of shape (49, 6)"),
+            (lambda a: {"label_matrix": None}, "holds ['X', 'id_bytes', 'id_ends'], not"),
+            (lambda a: {"extra": np.zeros(1)}, "holds ['X', 'extra', 'id_bytes'"),
+            (lambda a: {"id_bytes": np.array(["t"], dtype=object)}, "unreadable"),
+        ],
+        ids=["X-float32", "X-big-endian", "labels-int8", "ends-int32", "labels-wider",
+             "labels-narrower", "labels-1d", "non-finite", "empty-label-row", "duplicate-ids",
+             "ends-past-bytes", "ends-decreasing", "bytes-2d", "ids-not-utf8", "rows-disagree",
+             "array-missing", "array-extra", "pickled-array"],
+    )
+    def test_verified_binary_failing_a_check_names_the_file(self, tmp_path, forge, message):
+        # only a hand-made manifest can vouch for such a file
+        spec = small_spec()
+        save_dataset_dir(tmp_path, spec, generate_synthetic(spec))
+        with np.load(tmp_path / "test.npz") as npz:
+            forge_binary(tmp_path, "test", **forge({key: npz[key] for key in npz.files}))
+        with pytest.raises(DataFormatError, match=f"{tmp_path / 'test.npz'}: .*") as excinfo:
+            load_dataset_dir(tmp_path, ("test",))
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "data", [b"", b"PK\x03\x04", b"\x93NUMPY", b"not a binary split", npy_bytes(np.zeros(3))],
+        ids=["empty", "zip-magic-only", "npy-magic-only", "text", "npy-file"],
+    )
+    def test_verified_bytes_that_are_no_archive_name_the_file(self, tmp_path, data):
+        spec = small_spec()
+        save_dataset_dir(tmp_path, spec, generate_synthetic(spec))
+        forge_binary(tmp_path, "test", data=data)
+        with pytest.raises(DataFormatError, match="test.npz: unreadable"):
+            load_dataset_dir(tmp_path, ("test",))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_verified_binary_loads_or_raises_data_format_error(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("forged")
+        ds = Dataset(["a", "b\x00", "ü"], np.eye(3), [[0], [1], [0, 1]], 2)
+        save_dataset_dir(directory, bare_spec(2, 3), DatasetSplits(train=ds, val=ds, test=ds))
+        original = (directory / "test.npz").read_bytes()
+        forged = bytearray(original[: data.draw(st.integers(0, len(original)))])
+        for _ in range(data.draw(st.integers(0, 4))):
+            if forged:
+                forged[data.draw(st.integers(0, len(forged) - 1))] = data.draw(st.integers(0, 255))
+        forge_binary(directory, "test", data=bytes(forged))
+        try:
+            loaded = load_dataset_dir(directory, ("test",)).test
+        except DataFormatError as exc:
+            assert "test.npz" in str(exc)
+            return
+        assert isinstance(loaded, Dataset)
 
 
 class TestDatasetInvariants:

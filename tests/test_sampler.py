@@ -206,6 +206,19 @@ class TestSampleGroupMl2Plus:
         with pytest.raises(SamplingError, match="label 2"):
             sample_group_ml2plus(ds, ds.ids.index("anchor"), np.random.default_rng(0))
 
+    def test_negative_slot_left_empty_by_earlier_draws_rejects_the_anchor(self):
+        # p12 is the only label-2 candidate; once "n0b" draws it as its
+        # label-1 negative, the label-2 slot is empty for this anchor only
+        # (and for "p1a" and "p1b", which p12 overlaps), so the group is
+        # rejected and the batch moves on to the next anchor
+        specs = [("p1a", {1}), ("p1b", {1}), ("p12", {1, 2}), ("n0a", {0}), ("n0b", {0})]
+        ds = make_dataset(specs, label_count=3)
+        with pytest.raises(GroupRejected, match="label 2 given anchor 'n0b'"):
+            sample_group_ml2plus(ds, ds.ids.index("n0b"), np.random.default_rng(0))
+        # with seed 21 the anchor "p1a" is drawn before both label-0 anchors
+        batch = build_minibatch(ds, 2, "ml2plus", np.random.default_rng(21))
+        assert sorted(ds.ids[a] for a in batch.rows[:, 0]) == ["n0a", "n0b"]
+
     def test_full_label_anchor_rejected(self):
         specs = [("anchor", {0, 1}), ("s0", {0}), ("s1", {1})]
         ds = make_dataset(specs, label_count=2)
