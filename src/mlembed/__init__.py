@@ -10,9 +10,8 @@ from .dataset import (
     Dataset,
     DatasetSplits,
     SyntheticSpec,
-    default_synthetic_spec,
     generate_synthetic,
-    load_jsonl_files,
+    load_dataset_dir,
     save_jsonl,
 )
 from .losses import (

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataset import SPLITS, Dataset, DatasetSplits, default_synthetic_spec, generate_synthetic
+from .dataset import SPLITS, Dataset, DatasetSplits, SyntheticSpec, generate_synthetic
 from .dataset import load_dataset_dir, save_dataset_dir
 from .errors import ConfigError, DataFormatError, MlembedError
 from .evaluation import abnormal_labels, evaluate_embeddings, project_2d
@@ -62,7 +62,7 @@ def _schema(configured, *excluded: str) -> dict[str, str]:
 
 # Each section's keys, types and defaults are the parameters of what it configures.
 _SECTIONS = {
-    "data": _schema(default_synthetic_spec),
+    "data": _schema(SyntheticSpec),
     "encoder": _schema(EncoderConfig, "input_dim", "label_count"),  # both from the dataset
     "train": _schema(TrainConfig),
     "eval": _schema(EvalConfig),
@@ -130,7 +130,7 @@ def _write_csv(path: Path, rows: list[list]) -> None:
 def cmd_gen_data(args) -> int:
     config = load_config(args)
     with _section("data"):
-        spec = default_synthetic_spec(**config["data"])
+        spec = SyntheticSpec(**config["data"])
     splits = generate_synthetic(spec)
     out = Path(args.out)
     save_dataset_dir(out, spec, splits)

@@ -177,36 +177,65 @@ class DatasetSplits:
         return {name: getattr(self, name) for name in SPLITS}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
-    """Controls the synthetic multi-label generator.
+    """Controls the synthetic multi-label generator; the fields are the keys
+    of the config's ``data`` section, and a spec checks itself when built.
 
     ``cooccurrence`` is an l x l symmetric table. Its diagonal holds the
     relative weights used to draw each example's primary label; entry (i, j)
     off the diagonal is the probability that label j is added to an example
     whose primary label is i. Exclusive labels must have zero co-occurrence
-    with everything, which makes them single-label by construction.
+    with everything, which makes them single-label by construction. Without
+    ``prototypes``, unit-norm random prototypes drawn from ``seed``; without
+    ``cooccurrence``, label 0 exclusive and consecutive abnormal labels
+    paired with moderate co-occurrence. Both tables are kept as read-only
+    float64 arrays.
     """
 
-    label_count: int
-    feature_dim: int
-    prototypes: np.ndarray
-    noise_sigma: float
-    cooccurrence: np.ndarray
-    train_examples: int
-    val_examples: int
-    test_examples: int
-    seed: int
+    label_count: int = 5
+    feature_dim: int = 32
+    noise_sigma: float = 0.15
+    train_examples: int = 2000
+    val_examples: int = 500
+    test_examples: int = 500
+    seed: int = 7
+    prototypes: list[list[float]] | None = None
+    cooccurrence: list[list[float]] | None = None
     exclusive_labels: tuple[int, ...] = (0,)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         l, w = self.label_count, self.feature_dim
-        proto = np.asarray(self.prototypes, dtype=np.float64)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if w < 1:
+            raise ConfigError(f"feature_dim must be >= 1, got {w}")
+        if l < 2:
+            raise ConfigError(f"label_count must be >= 2, got {l}")
+        check_size("label_count", l * l)
+        check_size("feature_dim", l * w)
+        prototypes, cooccurrence = self.prototypes, self.cooccurrence
+        if prototypes is None:
+            prototypes = np.random.default_rng(self.seed).standard_normal((l, w))
+            prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
+        if cooccurrence is None:
+            cooccurrence = np.zeros((l, l))
+            cooccurrence[0, 0] = 0.30
+            for k in range(1, l):
+                cooccurrence[k, k] = 0.70 / (l - 1)
+            for a in range(1, l - 1, 2):
+                cooccurrence[a, a + 1] = cooccurrence[a + 1, a] = 0.40
+        resolve = object.__setattr__  # how a frozen dataclass sets its own fields
+        resolve(self, "prototypes", _table("prototypes", prototypes))
+        resolve(self, "noise_sigma", float(self.noise_sigma))
+        resolve(self, "cooccurrence", _table("cooccurrence", cooccurrence))
+        resolve(self, "exclusive_labels", tuple(self.exclusive_labels))
+
+        proto, co = self.prototypes, self.cooccurrence
         if proto.shape != (l, w):
             raise ConfigError(f"prototypes shape {proto.shape} != ({l}, {w})")
         if not np.all(np.isfinite(proto)):
             raise ConfigError("prototypes contain non-finite values")
-        co = np.asarray(self.cooccurrence, dtype=np.float64)
         if co.shape != (l, l):
             raise ConfigError(f"cooccurrence shape {co.shape} != ({l}, {l})")
         if np.any(co < 0.0) or np.any(co > 1.0):
@@ -231,61 +260,14 @@ class SyntheticSpec:
             check_size(name, getattr(self, name) * max(w, l))  # its feature and label matrices
 
 
-def default_synthetic_spec(
-    label_count: int = 5,
-    feature_dim: int = 32,
-    noise_sigma: float = 0.15,
-    train_examples: int = 2000,
-    val_examples: int = 500,
-    test_examples: int = 500,
-    seed: int = 7,
-    prototypes: list[list[float]] | None = None,
-    cooccurrence: list[list[float]] | None = None,
-    exclusive_labels: tuple[int, ...] = (0,),
-) -> SyntheticSpec:
-    """Desk-scale spec, validated. Without ``prototypes``, unit-norm random
-    prototypes drawn from ``seed``; without ``cooccurrence``, label 0
-    exclusive and consecutive abnormal labels paired with moderate
-    co-occurrence."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if feature_dim < 1:
-        raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
-    if label_count < 2:
-        raise ConfigError(f"label_count must be >= 2, got {label_count}")
-    check_size("label_count", label_count * label_count)
-    check_size("feature_dim", label_count * feature_dim)
-    if prototypes is None:
-        prototypes = np.random.default_rng(seed).standard_normal((label_count, feature_dim))
-        prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
-    if cooccurrence is None:
-        cooccurrence = np.zeros((label_count, label_count))
-        cooccurrence[0, 0] = 0.30
-        for k in range(1, label_count):
-            cooccurrence[k, k] = 0.70 / (label_count - 1)
-        for a in range(1, label_count - 1, 2):
-            cooccurrence[a, a + 1] = cooccurrence[a + 1, a] = 0.40
-    spec = SyntheticSpec(
-        label_count=label_count,
-        feature_dim=feature_dim,
-        prototypes=_table("prototypes", prototypes),
-        noise_sigma=float(noise_sigma),
-        cooccurrence=_table("cooccurrence", cooccurrence),
-        train_examples=train_examples,
-        val_examples=val_examples,
-        test_examples=test_examples,
-        seed=seed,
-        exclusive_labels=tuple(exclusive_labels),
-    )
-    spec.validate()
-    return spec
-
-
 def _table(name: str, rows) -> np.ndarray:
+    """``rows`` as a read-only float64 array of its own."""
     try:
-        return np.asarray(rows, dtype=np.float64)
+        table = np.array(rows, dtype=np.float64)
     except ValueError as exc:  # rows of unequal length
         raise ConfigError(f"{name} rows must all have the same length") from exc
+    table.flags.writeable = False
+    return table
 
 
 def _draw_label_set(spec: SyntheticSpec, primary_probs: np.ndarray, rng) -> frozenset[int]:
@@ -307,10 +289,9 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetSplits:
     Features are the sum of the prototypes of the active labels plus
     isotropic Gaussian noise.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
-    proto = np.asarray(spec.prototypes, dtype=np.float64)
-    weights = np.diag(np.asarray(spec.cooccurrence, dtype=np.float64))
+    proto = spec.prototypes
+    weights = np.diag(spec.cooccurrence)
     primary_probs = weights / weights.sum()
 
     splits = {}
@@ -329,15 +310,13 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetSplits:
         ids = [f"{split}-{i:05d}" for i in range(count)]
         splits[split] = Dataset(ids, X, labels, spec.label_count)
 
-    train = splits["train"]
-    if spec.train_examples > 0:
-        for k in range(spec.label_count):
-            if not train.positions_with_label(k):
-                raise ConfigError(
-                    f"label {k} has no training examples; raise train_examples "
-                    f"or its marginal weight"
-                )
-    return DatasetSplits(train=train, val=splits["val"], test=splits["test"])
+    missing = np.flatnonzero(~splits["train"].label_matrix.any(axis=0))
+    if spec.train_examples > 0 and missing.size:
+        raise ConfigError(
+            f"label {missing[0]} has no training examples; raise train_examples "
+            f"or its marginal weight"
+        )
+    return DatasetSplits(**splits)
 
 
 # A split's binary copy is an uncompressed .npz of these arrays (name: dtype).
@@ -377,27 +356,6 @@ def _save_binary(ds: Dataset, path: Path) -> bytes:
     data = buffer.getvalue()
     write_atomic(path, data)
     return data
-
-
-def load_jsonl_files(paths, label_count: int | None = None) -> list[Dataset]:
-    """Load JSONL datasets that share one label_count.
-
-    When ``label_count`` is not given it is inferred once, as max index + 1
-    over the records of every file, so a split that lacks the top label
-    still agrees with the others.
-    """
-    return _datasets([_read_jsonl(Path(p).read_bytes(), Path(p).name) for p in paths], label_count)
-
-
-def _datasets(records, label_count: int | None) -> list[Dataset]:
-    """One Dataset per (ids, rows, labels) triple; see :func:`load_jsonl_files`."""
-    if label_count is None:  # JSON labels are ints; a bool is not one
-        label_count = 1 + max(
-            (lab for _, _, split in records for labs in split for lab in labs
-             if type(lab) is int and lab > 0),
-            default=0,
-        )
-    return [Dataset(ids, rows, labels, label_count) for ids, rows, labels in records]
 
 
 def _read_jsonl(data: bytes, name: str) -> tuple[list[str], list[np.ndarray], list[list]]:
@@ -527,7 +485,14 @@ def load_dataset_dir(path: str | Path, names: tuple[str, ...] = SPLITS) -> Datas
                 splits[split] = _read_binary(binary_data, directory / binary, label_count)
                 continue
         records[split] = _read_jsonl(data, jsonl)
-    splits.update(zip(records, _datasets(records.values(), label_count)))
+    if label_count is None:  # JSON labels are ints; a bool is not one
+        label_count = 1 + max(
+            (lab for _, _, labels in records.values() for labs in labels for lab in labs
+             if type(lab) is int and lab > 0),
+            default=0,
+        )
+    for split, (ids, rows, labels) in records.items():
+        splits[split] = Dataset(ids, rows, labels, label_count)
     # an empty split has no width; commands that read one reject it by name
     widths = [(f"{split}.jsonl", splits[split].feature_dim) for split in read if len(splits[split])]
     for name, width in widths[1:]:
@@ -555,8 +520,8 @@ def save_dataset_dir(out: Path, spec: SyntheticSpec, splits: DatasetSplits) -> N
         "seed": spec.seed,
         "counts": {name: len(split) for name, split in splits.named().items()},
         "exclusive_labels": list(spec.exclusive_labels),
-        "cooccurrence": np.asarray(spec.cooccurrence).tolist(),
-        "prototypes": np.asarray(spec.prototypes).tolist(),
+        "cooccurrence": spec.cooccurrence.tolist(),
+        "prototypes": spec.prototypes.tolist(),
         "files": digests,
     }
     write_json(out / "manifest.json", manifest)

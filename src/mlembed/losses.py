@@ -18,18 +18,20 @@ import numpy as np
 from .errors import ConfigError, ContractError, DegenerateGroupError
 
 
+# Added to a distance before dividing by it, so coincident embeddings give a
+# finite gradient.
+EPSILON_DIST = 1e-8
+
+
 @dataclass(frozen=True)
 class LossConfig:
-    """Margin and numerical guards shared by the loss family."""
+    """The margin shared by the loss family."""
 
     margin: float = 0.2
-    epsilon_dist: float = 1e-8
 
     def __post_init__(self):
         if self.margin <= 0.0:
             raise ConfigError(f"margin must be > 0, got {self.margin}")
-        if self.epsilon_dist <= 0.0:
-            raise ConfigError("epsilon_dist must be > 0")
 
 
 @dataclass
@@ -73,17 +75,17 @@ def dist(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(u, dtype=np.float64) - v))
 
 
-def _dists_and_grads(anchor: np.ndarray, others: np.ndarray, eps: float):
+def _dists_and_grads(anchor: np.ndarray, others: np.ndarray):
     """Distances from the anchor to each row, plus d(dist)/d(anchor).
 
     ``anchor`` is (..., m) and ``others`` (..., n, m), so a stack of groups
     is handled the same way as one group. The gradient with respect to row
-    i is the negation of row i of the returned gradient matrix. The guard
-    ``eps`` removes the d=0 singularity.
+    i is the negation of row i of the returned gradient matrix.
+    :data:`EPSILON_DIST` removes the d=0 singularity.
     """
     diffs = anchor[..., None, :] - others
     d = np.linalg.norm(diffs, axis=-1)
-    grads = diffs / (d + eps)[..., None]
+    grads = diffs / (d + EPSILON_DIST)[..., None]
     return d, grads
 
 
@@ -112,7 +114,7 @@ def triplet_batch_loss(E: np.ndarray, cfg: LossConfig) -> tuple[np.ndarray, np.n
     E = np.asarray(E, dtype=np.float64)
     if E.ndim != 3 or E.shape[1] != 3:
         raise ContractError(f"expected triplets of shape (b, 3, m), got {E.shape}")
-    d, g = _dists_and_grads(E[:, 0], E[:, 1:], cfg.epsilon_dist)
+    d, g = _dists_and_grads(E[:, 0], E[:, 1:])
     raw = d[:, 0] - d[:, 1] + cfg.margin
     active = raw > 0.0
     G = np.zeros_like(E)
@@ -134,8 +136,8 @@ def group_loss(
     N = _as_matrix(negatives, "negative")
     p, n = P.shape[0], N.shape[0]
 
-    d_p, g_p = _dists_and_grads(anchor, P, cfg.epsilon_dist)
-    d_n, g_n = _dists_and_grads(anchor, N, cfg.epsilon_dist)
+    d_p, g_p = _dists_and_grads(anchor, P)
+    d_n, g_n = _dists_and_grads(anchor, N)
     raw = d_p[:, None] - d_n[None, :] + cfg.margin
     active = raw > 0.0
     value = float(np.sum(raw[active])) / (p * n)
@@ -166,7 +168,7 @@ def smooth_max_negative(
     """
     anchor = np.asarray(anchor, dtype=np.float64)
     N = _as_matrix(negatives, "negative")
-    d, g = _dists_and_grads(anchor, N, cfg.epsilon_dist)
+    d, g = _dists_and_grads(anchor, N)
     value, anchor_grad, negative_grads = _smooth_max_rows(d[None], g[None], cfg)
     return SmoothMaxTerm(float(value[0]), anchor_grad[0], negative_grads[0])
 
@@ -255,7 +257,7 @@ def ml2_batch_loss(E: np.ndarray, p, taus, cfg: LossConfig) -> tuple[np.ndarray,
     # in the caller's order at the end.
     order = np.argsort(p, kind="stable")
     E_sorted, taus = E[order], taus[order]
-    d, g = _dists_and_grads(E_sorted[:, 0], E_sorted[:, 1:], cfg.epsilon_dist)
+    d, g = _dists_and_grads(E_sorted[:, 0], E_sorted[:, 1:])
     values, G = np.empty(b), np.empty_like(E)  # in sorted order
     start = 0
     for q, size in enumerate(np.bincount(p).tolist()):
@@ -303,7 +305,7 @@ def contrastive_batch_loss(E: np.ndarray, same, cfg: LossConfig) -> tuple[np.nda
     slack = cfg.margin - d
     active = same | (slack > 0.0)
     values = np.where(same, sq, np.where(active, slack * slack, 0.0))
-    scale = np.where(same, 2.0, -2.0 * slack / (d + cfg.epsilon_dist))
+    scale = np.where(same, 2.0, -2.0 * slack / (d + EPSILON_DIST))
     g = scale[active, None] * diff[active]
     G = np.zeros_like(E)
     G[active, 0] = g

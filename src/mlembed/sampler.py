@@ -4,10 +4,11 @@ positives (share a label with the anchor) and negatives (share none).
 All draws are uniform; there is deliberately no hard-example mining of any
 kind here. Every slot of every regime is drawn by one primitive: rejection
 draws, then, if they all miss, one draw among every candidate that passes.
-Groups that cannot be completed for a given anchor (no distinct candidate
-left for a slot, empty negative set) raise
-:class:`~mlembed.errors.GroupRejected`, which :func:`build_minibatch`
-handles by moving on to a fresh anchor.
+Groups that cannot be completed for a given anchor (no candidate left for
+a slot, empty negative set) raise :class:`~mlembed.errors.GroupRejected`,
+which :func:`build_minibatch` handles by moving on to a fresh anchor. Only a
+label with no example at all raises :class:`~mlembed.errors.SamplingError`,
+which aborts training, as does a batch that the split cannot fill.
 
 Every regime draws rows of dataset positions, ``[anchor, positives...,
 negatives...]``, so a minibatch is a dense index matrix (:class:`GroupBatch`):
@@ -89,7 +90,9 @@ def sample_group_ml2(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[flo
         pool = ds.positions_with_label(label)
         holds_anchor = bool(anchor_mask >> label & 1)
         if len(pool) == holds_anchor:
-            raise SamplingError(f"label {label} has no candidate besides the anchor")
+            if not pool:
+                raise SamplingError(f"label {label} has no examples")
+            raise GroupRejected(f"label {label} has no candidate besides the anchor")
         pos = _draw(pool, lambda i: i not in used, rng, a if holds_anchor else None)
         if pos is None:
             raise GroupRejected(f"no distinct representative for label {label}")
@@ -124,7 +127,7 @@ def sample_group_ml2plus(ds: Dataset, a: int, rng) -> tuple[list[int], int, list
     for label in anchor_labels:
         pool = ds.single_label_positions(label)
         if len(pool) == (skip is not None):
-            raise SamplingError(f"no single-label example for label {label}")
+            raise GroupRejected(f"no single-label example for label {label}")
         # Single-label pools are disjoint, so every candidate is distinct.
         row.append(_draw(pool, lambda i: True, rng, skip))
 
@@ -212,13 +215,15 @@ def build_minibatch(ds: Dataset, b: int, regime: str, rng) -> GroupBatch:
     for pos in rng.permutation(len(ds)):
         try:
             items.append(sample(ds, int(pos), rng))
-        except GroupRejected:
+        except GroupRejected as exc:
+            rejection = exc
             continue
         if len(items) == b:
             break
-    if len(items) < b:
+    if len(items) < b:  # b <= len(ds), so some anchor was rejected
         raise SamplingError(
-            f"only {len(items)} of {b} requested items could be assembled"
+            f"only {len(items)} of {b} requested items could be assembled; "
+            f"last rejection: {rejection}"
         )
 
     rows, p, taus = (np.array(column) for column in zip(*items))

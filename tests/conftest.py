@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mlembed.dataset import Dataset, default_synthetic_spec, generate_synthetic
+from mlembed.dataset import Dataset, SyntheticSpec, generate_synthetic
 
 
 def make_dataset(label_specs, label_count, dim=4):
@@ -38,9 +38,9 @@ def forge_binary(directory, split, data=None, **arrays):
 @pytest.fixture(scope="session")
 def default_splits():
     """The desk-scale synthetic dataset used across sampler/trainer tests."""
-    return generate_synthetic(default_synthetic_spec())
+    return generate_synthetic(SyntheticSpec())
 
 
 @pytest.fixture(scope="session")
 def default_spec():
-    return default_synthetic_spec()
+    return SyntheticSpec()

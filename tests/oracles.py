@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mlembed.errors import ContractError, DegenerateGroupError, GroupRejected, SamplingError
+from mlembed.losses import EPSILON_DIST
 
 
 def brute_force_group_loss(anchor, positives, negatives, margin):
@@ -370,7 +371,7 @@ def _frozen_as_matrix(vectors, name):
 def frozen_smooth_max_negative(anchor, negatives, cfg):
     anchor = np.asarray(anchor, dtype=np.float64)
     N = _frozen_as_matrix(negatives, "negative")
-    d, g = _frozen_dists_and_grads(anchor, N, cfg.epsilon_dist)
+    d, g = _frozen_dists_and_grads(anchor, N, EPSILON_DIST)
     terms = cfg.margin - d
     shift = float(np.max(terms))
     exps = np.exp(terms - shift)
@@ -392,7 +393,7 @@ def frozen_ml2_loss(anchor, positives, negatives, taus, cfg):
         raise ContractError("tau values must lie in [0, 1]")
 
     neg_value, neg_anchor_grad, neg_grads = frozen_smooth_max_negative(anchor, negatives, cfg)
-    d_p, g_p = _frozen_dists_and_grads(anchor, P, cfg.epsilon_dist)
+    d_p, g_p = _frozen_dists_and_grads(anchor, P, EPSILON_DIST)
     hinges = d_p - cfg.margin * taus + neg_value
     active = (hinges > 0.0).astype(np.float64)
     n_active = int(np.count_nonzero(active))
@@ -552,7 +553,7 @@ def frozen_build_item_minibatch(ds, b, regime, rng):
 def frozen_triplet_loss(anchor, positive, negative, cfg):
     """Returns (value, anchor grad, positive grad, negative grad)."""
     anchor = np.asarray(anchor, dtype=np.float64)
-    d, g = _frozen_dists_and_grads(anchor, np.stack([positive, negative]), cfg.epsilon_dist)
+    d, g = _frozen_dists_and_grads(anchor, np.stack([positive, negative]), EPSILON_DIST)
     raw = d[0] - d[1] + cfg.margin
     if raw <= 0.0:
         zero = np.zeros_like(anchor)
@@ -572,7 +573,7 @@ def frozen_contrastive_loss(x1, x2, same, cfg):
     if slack <= 0.0:
         zero = np.zeros_like(x1)
         return 0.0, zero, zero.copy()
-    g = (2.0 * slack / (d + cfg.epsilon_dist)) * diff
+    g = (2.0 * slack / (d + EPSILON_DIST)) * diff
     return float(slack * slack), -g, g
 
 

@@ -12,7 +12,7 @@ import pytest
 from conftest import forge_binary
 from mlembed import cli, errors, model, trainer
 from mlembed.cli import build_parser, load_config, load_dataset_dir, main
-from mlembed.dataset import SPLITS
+from mlembed.dataset import SPLITS, SyntheticSpec
 from mlembed.errors import ConfigError, DataFormatError, MlembedError
 from mlembed.model import CHECKPOINT_MAGIC, EmbeddingModel
 
@@ -807,6 +807,38 @@ class TestConfigFile:
     def test_flag_sets_its_key(self, argv, section, key, value):
         config = load_config(build_parser().parse_args(argv))
         assert config[section] == {key: value}
+
+    def test_data_section_and_its_defaults_pinned(self):
+        assert list(cli._SECTIONS["data"].items()) == [
+            ("label_count", "int"),
+            ("feature_dim", "int"),
+            ("noise_sigma", "float"),
+            ("train_examples", "int"),
+            ("val_examples", "int"),
+            ("test_examples", "int"),
+            ("seed", "int"),
+            ("prototypes", "list[list[float]] | None"),
+            ("cooccurrence", "list[list[float]] | None"),
+            ("exclusive_labels", "tuple[int, ...]"),
+        ]
+        spec = SyntheticSpec()
+        assert {key: getattr(spec, key) for key in cli._SECTIONS["data"]
+                if key not in ("prototypes", "cooccurrence")} == {
+            "label_count": 5, "feature_dim": 32, "noise_sigma": 0.15, "train_examples": 2000,
+            "val_examples": 500, "test_examples": 500, "seed": 7, "exclusive_labels": (0,),
+        }
+        assert spec.cooccurrence.tolist() == [
+            [0.3, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.175, 0.4, 0.0, 0.0],
+            [0.0, 0.4, 0.175, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.175, 0.4],
+            [0.0, 0.0, 0.0, 0.4, 0.175],
+        ]
+        # unit-norm rows drawn from seed 7
+        assert spec.prototypes.shape == (5, 32) and spec.prototypes.dtype == np.float64
+        assert hashlib.sha256(spec.prototypes.tobytes()).hexdigest() == (
+            "1bf79f95a947b82665a575317e42b2463924a10339931f4a7e8e6b31f2982f80"
+        )
 
     def test_readme_config_lists_every_key_at_its_default(self, tmp_path):
         readme = README.read_text(encoding="utf-8")

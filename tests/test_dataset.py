@@ -1,6 +1,7 @@
 import io
 import json
 import shutil
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,10 +15,8 @@ from mlembed.dataset import (
     Dataset,
     DatasetSplits,
     SyntheticSpec,
-    default_synthetic_spec,
     generate_synthetic,
     load_dataset_dir,
-    load_jsonl_files,
     save_dataset_dir,
     save_jsonl,
 )
@@ -42,12 +41,15 @@ def small_spec(**overrides):
         test_examples=50,
         seed=11,
     )
-    kwargs.update({k: v for k, v in overrides.items() if k in kwargs})
-    spec = default_synthetic_spec(**kwargs)
-    for key, value in overrides.items():
-        if key not in kwargs:
-            setattr(spec, key, value)
-    return spec
+    return SyntheticSpec(**{**kwargs, **overrides})
+
+
+def small_cooccurrence(*entries):
+    """small_spec's co-occurrence table with each (i, j, value) of ``entries`` set."""
+    co = small_spec().cooccurrence.copy()
+    for i, j, value in entries:
+        co[i, j] = value
+    return co
 
 
 class TestSyntheticGenerator:
@@ -71,12 +73,10 @@ class TestSyntheticGenerator:
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_certain_cooccurrence_propagates(self):
-        spec = small_spec()
         co = np.zeros((4, 4))
         np.fill_diagonal(co, 0.25)
         co[2, 3] = co[3, 2] = 1.0
-        spec.cooccurrence = co
-        splits = generate_synthetic(spec)
+        splits = generate_synthetic(small_spec(cooccurrence=co))
         for ds in (splits.train, splits.val, splits.test):
             for ex_id, labels in zip(ds.ids, ds.labels):
                 if 2 in labels:
@@ -115,63 +115,75 @@ class TestSyntheticGenerator:
         assert correct / total >= 0.99
 
     def test_prototype_shape_mismatch(self):
-        spec = small_spec()
-        spec.prototypes = np.zeros((4, 7))
         with pytest.raises(ConfigError, match="prototypes shape"):
-            generate_synthetic(spec)
+            small_spec(prototypes=np.zeros((4, 7)))
 
     def test_cooccurrence_entry_out_of_range_named(self):
-        spec = small_spec()
-        co = spec.cooccurrence.copy()
-        co[1, 2] = co[2, 1] = 1.5
-        spec.cooccurrence = co
+        co = small_cooccurrence((1, 2, 1.5), (2, 1, 1.5))
         with pytest.raises(ConfigError, match=r"cooccurrence\[1\]\[2\]"):
-            generate_synthetic(spec)
+            small_spec(cooccurrence=co)
 
     def test_asymmetric_cooccurrence_rejected(self):
-        spec = small_spec()
-        co = spec.cooccurrence.copy()
-        co[1, 2] = 0.9
-        spec.cooccurrence = co
         with pytest.raises(ConfigError, match="symmetric"):
-            generate_synthetic(spec)
+            small_spec(cooccurrence=small_cooccurrence((1, 2, 0.9)))
 
     def test_exclusive_violation_rejected(self):
-        spec = small_spec()
-        co = spec.cooccurrence.copy()
-        co[0, 1] = co[1, 0] = 0.2
-        spec.cooccurrence = co
+        co = small_cooccurrence((0, 1, 0.2), (1, 0, 0.2))
         with pytest.raises(ConfigError, match="exclusive"):
-            generate_synthetic(spec)
+            small_spec(cooccurrence=co)
+
+    def test_label_never_drawn_named(self):
+        # label 3 co-occurs with nothing in this table; with marginal weight 0
+        # it is never drawn
+        co = small_cooccurrence((3, 3, 0.0))
+        with pytest.raises(ConfigError, match="^label 3 has no training examples"):
+            generate_synthetic(small_spec(cooccurrence=co))
+
+    def test_spec_and_its_tables_are_read_only(self):
+        prototypes = np.eye(4, 6)
+        spec = small_spec(prototypes=prototypes)
+        with pytest.raises(AttributeError):
+            spec.noise_sigma = 1.0
+        for table in (spec.prototypes, spec.cooccurrence):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.5
+        prototypes[0, 0] = 0.5  # the spec keeps a copy of its own
+        assert spec.prototypes[0, 0] == 1.0
+
+
+def load_train(directory, label_count=None):
+    """The train split of ``directory``, whose ``train.jsonl`` a test wrote,
+    beside a manifest holding only ``label_count`` when one is given."""
+    if label_count is not None:
+        (directory / "manifest.json").write_text(json.dumps({"label_count": label_count}))
+    return load_dataset_dir(directory, ("train",)).train
 
 
 class TestJsonlRoundTrip:
     def test_round_trip_identity(self, tmp_path):
         splits = generate_synthetic(small_spec())
-        path = tmp_path / "train.jsonl"
-        save_jsonl(splits.train, path)
-        loaded = load_jsonl_files([path], label_count=4)[0]
+        save_jsonl(splits.train, tmp_path / "train.jsonl")
+        loaded = load_train(tmp_path, label_count=4)
         assert loaded.ids == splits.train.ids
         assert loaded.labels == splits.train.labels
         assert np.array_equal(loaded.X, splits.train.X)
 
     def _write(self, tmp_path, records):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-        return path
+        (tmp_path / "train.jsonl").write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        return tmp_path
 
     def test_empty_label_set_rejected(self, tmp_path):
-        path = self._write(tmp_path, [{"id": "r0", "features": [1.0], "labels": []}])
+        directory = self._write(tmp_path, [{"id": "r0", "features": [1.0], "labels": []}])
         with pytest.raises(DataFormatError, match="r0"):
-            load_jsonl_files([path], label_count=3)[0]
+            load_train(directory, label_count=3)
 
     def test_out_of_range_label_rejected(self, tmp_path):
-        path = self._write(tmp_path, [{"id": "r1", "features": [1.0], "labels": [3]}])
+        directory = self._write(tmp_path, [{"id": "r1", "features": [1.0], "labels": [3]}])
         with pytest.raises(DataFormatError, match="r1"):
-            load_jsonl_files([path], label_count=3)[0]
+            load_train(directory, label_count=3)
 
     def test_ragged_features_rejected(self, tmp_path):
-        path = self._write(
+        directory = self._write(
             tmp_path,
             [
                 {"id": "a", "features": [1.0, 2.0], "labels": [0]},
@@ -179,87 +191,85 @@ class TestJsonlRoundTrip:
             ],
         )
         with pytest.raises(DataFormatError, match="b"):
-            load_jsonl_files([path], label_count=3)[0]
+            load_train(directory, label_count=3)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_feature_rejected(self, tmp_path, value):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": "a", "features": [1.0], "labels": [0]}\n'
+        (tmp_path / "train.jsonl").write_text('{"id": "a", "features": [1.0], "labels": [0]}\n'
                         f'{{"id": "nf", "features": [{value}], "labels": [0]}}\n')
         with pytest.raises(DataFormatError, match="'nf': non-finite"):
-            load_jsonl_files([path], label_count=3)[0]
+            load_train(tmp_path, label_count=3)
 
     def test_duplicate_labels_rejected(self, tmp_path):
-        path = self._write(tmp_path, [{"id": "dup", "features": [1.0], "labels": [1, 1]}])
+        directory = self._write(tmp_path, [{"id": "dup", "features": [1.0], "labels": [1, 1]}])
         with pytest.raises(DataFormatError, match="dup"):
-            load_jsonl_files([path], label_count=3)[0]
+            load_train(directory, label_count=3)
 
     def test_label_count_inferred(self, tmp_path):
-        path = self._write(
+        directory = self._write(
             tmp_path,
             [
                 {"id": "a", "features": [1.0], "labels": [0]},
                 {"id": "b", "features": [2.0], "labels": [4]},
             ],
         )
-        assert load_jsonl_files([path])[0].label_count == 5
+        assert load_train(directory).label_count == 5
 
 
 class TestJsonlBoundary:
     """Every malformed file raises DataFormatError, never another exception."""
 
     def _write(self, tmp_path, data: bytes):
-        path = tmp_path / "bad.jsonl"
-        path.write_bytes(data)
-        return path
+        (tmp_path / "train.jsonl").write_bytes(data)
+        return tmp_path
 
     def test_non_object_line_rejected(self, tmp_path):
-        path = self._write(tmp_path, b'{"id": "a", "features": [1.0], "labels": [0]}\n5\n')
-        with pytest.raises(DataFormatError, match="bad.jsonl:2"):
-            load_jsonl_files([path])[0]
+        directory = self._write(tmp_path, b'{"id": "a", "features": [1.0], "labels": [0]}\n5\n')
+        with pytest.raises(DataFormatError, match="train.jsonl:2"):
+            load_train(directory)
 
     def test_non_utf8_bytes_rejected(self, tmp_path):
-        path = self._write(tmp_path, b'{"id": "a", "features": [1.0], "labels": [0]}\n\xff\xfe\n')
-        with pytest.raises(DataFormatError, match="bad.jsonl:2"):
-            load_jsonl_files([path])[0]
+        directory = self._write(tmp_path, b'{"id": "a", "features": [1.0], "labels": [0]}\n\xff\xfe\n')
+        with pytest.raises(DataFormatError, match="train.jsonl:2"):
+            load_train(directory)
 
     @pytest.mark.parametrize("pad", [b" ", b"\t", b"\r", b"\x0b", b"\x0c"])
     def test_line_padded_with_ascii_whitespace_loads(self, tmp_path, pad):
         record = b'{"id": "a", "features": [1.0], "labels": [0]}'
-        path = self._write(tmp_path, pad + record + pad + b"\n" + pad + b"\n")
-        assert load_jsonl_files([path])[0].ids == ["a"]
+        directory = self._write(tmp_path, pad + record + pad + b"\n" + pad + b"\n")
+        assert load_train(directory).ids == ["a"]
 
     @pytest.mark.parametrize("pad", ["\u00a0", "\u2028", "\u3000", "\x1c"])
     @pytest.mark.parametrize("blank", [False, True], ids=["padded-record", "padding-only"])
     def test_line_padded_with_other_whitespace_rejected(self, tmp_path, pad, blank):
         # JSON allows only ASCII whitespace around a value; str.strip would remove these too
         record = "" if blank else '{"id": "a", "features": [1.0], "labels": [0]}'
-        path = self._write(tmp_path, (pad + record + "\n").encode("utf-8"))
-        with pytest.raises(DataFormatError, match="bad.jsonl:1: invalid JSON"):
-            load_jsonl_files([path])
+        directory = self._write(tmp_path, (pad + record + "\n").encode("utf-8"))
+        with pytest.raises(DataFormatError, match="train.jsonl:1: invalid JSON"):
+            load_train(directory)
 
     @pytest.mark.parametrize("label", [2**63 - 1, 2**70])
     def test_inferred_label_count_beyond_any_array_rejected(self, tmp_path, label):
         # a label matrix this wide could not be indexed; one label beyond int64 is the extreme
         record = b'{"id": "a", "features": [1.0], "labels": [%d]}\n' % label
         with pytest.raises(DataFormatError, match="label_count must lie in"):
-            load_jsonl_files([self._write(tmp_path, record)])
+            load_train(self._write(tmp_path, record))
 
     def test_deeply_nested_line_rejected(self, tmp_path):
-        path = self._write(tmp_path, b"[" * 100_000 + b"\n")
-        with pytest.raises(DataFormatError, match="bad.jsonl:1"):
-            load_jsonl_files([path])[0]
+        directory = self._write(tmp_path, b"[" * 100_000 + b"\n")
+        with pytest.raises(DataFormatError, match="train.jsonl:1"):
+            load_train(directory)
 
     def test_feature_too_large_for_float_rejected(self, tmp_path):
         record = b'{"id": "big", "features": [1' + b"0" * 400 + b'], "labels": [0]}\n'
         with pytest.raises(DataFormatError, match="big"):
-            load_jsonl_files([self._write(tmp_path, record)])[0]
+            load_train(self._write(tmp_path, record))
 
     @pytest.mark.parametrize("labels", [b"[[1]]", b'["a", 1, "a"]', b"[{}]"])
     def test_non_integer_labels_rejected(self, tmp_path, labels):
         record = b'{"id": "odd", "features": [1.0], "labels": ' + labels + b"}\n"
         with pytest.raises(DataFormatError, match="odd"):
-            load_jsonl_files([self._write(tmp_path, record)], label_count=3)[0]
+            load_train(self._write(tmp_path, record), label_count=3)
 
     @pytest.mark.parametrize(
         "features", [b'["1.5", 2.0]', b"[1.5, true]", b"[false]", b"[null]", b"[[1.0]]", b"[{}]"]
@@ -267,15 +277,15 @@ class TestJsonlBoundary:
     def test_non_number_features_rejected(self, tmp_path, features):
         record = b'{"id": "odd", "features": ' + features + b', "labels": [0]}\n'
         with pytest.raises(DataFormatError, match="odd"):
-            load_jsonl_files([self._write(tmp_path, record)], label_count=3)[0]
+            load_train(self._write(tmp_path, record), label_count=3)
 
     @settings(max_examples=300, deadline=None)
     @given(st.binary(max_size=300))
     def test_any_bytes_load_or_raise_data_format_error(self, tmp_path_factory, data):
-        path = tmp_path_factory.mktemp("fuzz") / "f.jsonl"
-        path.write_bytes(data)
+        directory = tmp_path_factory.mktemp("fuzz")
+        (directory / "train.jsonl").write_bytes(data)
         try:
-            ds = load_jsonl_files([path])[0]
+            ds = load_train(directory)
         except DataFormatError:
             return
         assert isinstance(ds, Dataset)
@@ -290,10 +300,10 @@ class TestJsonlBoundary:
             {}, optional={"id": st.text(max_size=3) | values, "features": values, "labels": values}
         )
         lines = data.draw(st.lists(record | values, max_size=4))
-        path = tmp_path_factory.mktemp("fuzz") / "r.jsonl"
-        path.write_text("\n".join(json.dumps(line) for line in lines))
+        directory = tmp_path_factory.mktemp("fuzz")
+        (directory / "train.jsonl").write_text("\n".join(json.dumps(line) for line in lines))
         try:
-            load_jsonl_files([path], label_count=data.draw(st.none() | st.integers(1, 4)))[0]
+            load_train(directory, label_count=data.draw(st.none() | st.integers(1, 4)))
         except DataFormatError:
             return
         # a file that loads holds only records, and their features are numbers
@@ -301,17 +311,16 @@ class TestJsonlBoundary:
 
 
 def bare_spec(label_count, feature_dim):
-    """A spec that only names label_count, for saving hand-built splits."""
-    return SyntheticSpec(
+    """The seven fields of a spec that the manifest records, for saving
+    hand-built splits; a 1-label split has no valid SyntheticSpec."""
+    return SimpleNamespace(
         label_count=label_count,
         feature_dim=feature_dim,
-        prototypes=np.zeros((label_count, feature_dim)),
         noise_sigma=0.0,
-        cooccurrence=np.eye(label_count),
-        train_examples=0,
-        val_examples=0,
-        test_examples=0,
         seed=0,
+        exclusive_labels=(),
+        cooccurrence=np.eye(label_count),
+        prototypes=np.zeros((label_count, feature_dim)),
     )
 
 

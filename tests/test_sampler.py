@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,7 @@ class TestSampleGroupMl2:
     def test_label_without_candidate_named(self):
         specs = [("anchor", {0, 1}), ("x0", {0}), ("x2", {2})]
         ds = make_dataset(specs, label_count=3)
-        with pytest.raises(SamplingError, match="label 1"):
+        with pytest.raises(GroupRejected, match="label 1"):
             sample_group_ml2(ds, ds.ids.index("anchor"), np.random.default_rng(0))
 
     def test_duplicate_pool_exhaustion_rejected(self):
@@ -196,7 +198,7 @@ class TestSampleGroupMl2Plus:
     def test_missing_single_label_candidate_named(self):
         specs = [("anchor", {1, 2}), ("s1", {1}), ("x2", {2, 3}), ("n0", {0})]
         ds = make_dataset(specs, label_count=4)
-        with pytest.raises(SamplingError, match="label 2"):
+        with pytest.raises(GroupRejected, match="label 2"):
             sample_group_ml2plus(ds, ds.ids.index("anchor"), np.random.default_rng(0))
 
     def test_no_zero_overlap_negative_named(self):
@@ -224,6 +226,67 @@ class TestSampleGroupMl2Plus:
         ds = make_dataset(specs, label_count=2)
         with pytest.raises(GroupRejected, match="all labels"):
             sample_group_ml2plus(ds, ds.ids.index("anchor"), np.random.default_rng(0))
+
+
+# p12 is the only example carrying label 2: it has no single-label peer
+# (ML2+) and no other candidate for label 2 (ML2), so it can never be an
+# anchor, while the other anchors complete unless their draws take p12.
+ML2PLUS_P12 = [("p1a", {1}), ("p1b", {1}), ("p12", {1, 2}), ("n0a", {0}), ("n0b", {0})]
+ML2_P12 = [("n0a", {0}), ("n0b", {0}), ("p1a", {1}), ("p1b", {1}), ("p12", {1, 2})]
+
+
+class TestOneAnchorNeverAborts:
+    """A group that one anchor cannot complete is rejected, and the batch
+    moves on to the next anchor; only a label with no example aborts."""
+
+    @pytest.mark.parametrize(
+        "sample, specs, message",
+        [
+            (sample_group_ml2plus, ML2PLUS_P12, "no single-label example for label 2"),
+            (sample_group_ml2, ML2_P12, "label 2 has no candidate besides the anchor"),
+        ],
+        ids=["ml2plus", "ml2"],
+    )
+    def test_anchor_without_a_candidate_is_rejected(self, sample, specs, message):
+        ds = make_dataset(specs, label_count=3)
+        for seed in range(12):
+            with pytest.raises(GroupRejected) as excinfo:
+                sample(ds, ds.ids.index("p12"), np.random.default_rng(seed))
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("regime, specs", [("ml2plus", ML2PLUS_P12), ("ml2", ML2_P12)])
+    def test_batch_skips_the_anchor(self, regime, specs):
+        ds = make_dataset(specs, label_count=3)
+        for seed in range(12):
+            try:
+                batch = build_minibatch(ds, 1, regime, np.random.default_rng(seed))
+            except GroupRejected as exc:
+                pytest.fail(f"seed {seed}: one anchor's rejection escaped: {exc}")
+            except SamplingError as exc:  # every anchor drew p12 where it needed it
+                assert str(exc).startswith("only 0 of 1 requested items could be assembled; "
+                                           "last rejection: "), seed
+                continue
+            assert ds.ids[batch.rows[0, 0]] != "p12"
+
+    @pytest.mark.parametrize("regime", ["ml2", "ml2plus"])
+    def test_label_without_examples_aborts(self, regime):
+        specs = [("a0", {0}), ("b0", {0}), ("a1", {1}), ("b1", {1})]
+        ds = make_dataset(specs, label_count=3)
+        with pytest.raises(SamplingError, match="label 2 has no examples") as excinfo:
+            build_minibatch(ds, 1, regime, np.random.default_rng(0))
+        assert not isinstance(excinfo.value, GroupRejected)
+
+    def test_short_batch_gives_the_last_rejection(self):
+        # every anchor but "n0a" and "n0b" is rejected; a batch of 3 falls short
+        ds = make_dataset(ML2PLUS_P12, label_count=3)
+        reasons = ("no single-label example for label 2"
+                   "|no zero-overlap negative for label 2 given anchor '(p1a|p1b|n0a|n0b)'")
+        with pytest.raises(SamplingError) as excinfo:
+            build_minibatch(ds, 3, "ml2plus", np.random.default_rng(0))
+        assert re.fullmatch(
+            f"only [0-2] of 3 requested items could be assembled; last rejection: ({reasons})",
+            str(excinfo.value),
+        )
 
 
 class TestBuildMinibatch:
@@ -438,10 +501,12 @@ class TestStreamEquivalence:
 class TestBatchContracts:
     def test_empty_pool_raises_sampling_error(self):
         # no single-label example for label 2, so no ML2+ group can be drawn
-        # for an anchor carrying it
+        # for an anchor carrying it, and none for the others, whose labels
+        # have one single-label example each: every anchor is rejected
         specs = [("a", {1, 2}), ("s1", {1}), ("x23", {2, 3}), ("n0", {0})]
         ds = make_dataset(specs, label_count=4)
-        with pytest.raises(SamplingError, match="label 2"):
+        with pytest.raises(SamplingError, match=r"^only 0 of 4 requested items could be "
+                                                r"assembled; last rejection: no single-label"):
             build_minibatch(ds, len(ds), "ml2plus", np.random.default_rng(0))
 
     def test_multi_label_ml2plus_positive_rejected(self):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlembed.dataset import default_synthetic_spec, generate_synthetic
+from mlembed.dataset import SyntheticSpec, generate_synthetic
 from mlembed.errors import ConfigError, TrainingAbort
 from mlembed.losses import pretrain_batch_loss
 from mlembed.model import EmbeddingModel, EncoderConfig
@@ -17,7 +17,7 @@ from oracles import frozen_metric_batch_step, frozen_pretrain_batch_step, moment
 
 
 def tiny_splits(seed=21):
-    spec = default_synthetic_spec(
+    spec = SyntheticSpec(
         label_count=3,
         feature_dim=8,
         train_examples=80,
