@@ -131,7 +131,7 @@ def cmd_gen_data(args) -> int:
     config = load_config(args)
     with _section("data"):
         spec = SyntheticSpec(**config["data"])
-    splits = generate_synthetic(spec)
+        splits = generate_synthetic(spec)
     out = Path(args.out)
     save_dataset_dir(out, spec, splits)
     print(f"wrote {len(splits.train)}/{len(splits.val)}/{len(splits.test)} examples to {out}")

@@ -26,8 +26,8 @@ from .model import MAX_ARRAY_ELEMENTS, check_size, read_json_object, write_atomi
 SPLITS = ("train", "val", "test")
 
 
-def validate_labels(labels, label_count: int) -> frozenset[int]:
-    """Check a raw label collection and return it as a frozenset."""
+def validate_labels(labels, label_count: int) -> list:
+    """Check a raw label collection and return its labels as a list."""
     items = list(labels)
     if not items:
         raise DataFormatError("label set is empty")
@@ -38,35 +38,31 @@ def validate_labels(labels, label_count: int) -> frozenset[int]:
             raise DataFormatError(f"label {lab} outside [0, {label_count})")
     if len(items) != len(set(items)):
         raise DataFormatError(f"duplicate labels in {sorted(items)}")
-    return frozenset(int(x) for x in items)
+    return items
 
 
-def _label_matrix(labels, label_count: int) -> np.ndarray | None:
-    """The rows as an (n, label_count) bool matrix when every row passes
-    :func:`validate_labels`, checked as arrays: each label an int (not a
-    bool), each row non-empty, every value in ``[0, label_count)`` and no
-    row repeating a label (its row sum short of its size). ``None`` when
-    any row fails. A bool matrix passes when it is that wide and no row is
-    empty, and comes back as a C-ordered copy."""
-    if isinstance(labels, np.ndarray):
-        fits = labels.shape[1:] == (label_count,) and labels.any(axis=1).all()
-        return np.array(labels, order="C") if fits else None
-    try:
-        sizes = np.array([len(labs) for labs in labels], dtype=np.intp)
-        flat = list(itertools.chain.from_iterable(labels))
-    except TypeError:  # a row that is not a sized collection
-        return None
-    if not all(t is int or issubclass(t, np.integer) for t in set(map(type, flat))):
-        return None
-    try:
-        values = np.array(flat, dtype=np.int64)
-    except OverflowError:
-        return None
-    if np.any(sizes == 0) or (flat and (values.min() < 0 or int(values.max()) >= label_count)):
-        return None
-    L = np.zeros((len(sizes), label_count), dtype=bool)
-    L[np.repeat(np.arange(len(sizes)), sizes), values] = True
-    return L if np.array_equal(L.sum(axis=1), sizes) else None
+def labels_to_matrix(ids: list[str], labels: list, label_count: int) -> np.ndarray:
+    """The (n, label_count) bool matrix of ``labels``, one label collection
+    per id in ``ids``. Records are checked in row order, each for a repeated
+    id and then by :func:`validate_labels`, so the DataFormatError names the
+    first bad record; this is the only check of label collections."""
+    limit = MAX_ARRAY_ELEMENTS // max(len(labels), 1)  # values in the label matrix
+    if not 1 <= label_count <= limit:
+        raise DataFormatError(f"label_count must lie in [1, {limit}], got {label_count}")
+    seen, sizes, columns = set(), [], []
+    for rid, labs in zip(ids, labels):
+        if rid in seen:
+            raise DataFormatError(f"duplicate example id {rid!r}")
+        try:
+            labs = validate_labels(labs, label_count)
+        except DataFormatError as exc:
+            raise DataFormatError(f"record {rid!r}: {exc}") from exc
+        seen.add(rid)
+        sizes.append(len(labs))
+        columns.extend(labs)
+    L = np.zeros((len(labels), label_count), dtype=bool)
+    L[np.repeat(np.arange(len(sizes)), sizes), np.array(columns, dtype=np.intp)] = True
+    return L
 
 
 class Dataset:
@@ -74,42 +70,39 @@ class Dataset:
 
     ``X`` is a read-only (n, w) float64 matrix and ``label_matrix`` a
     read-only (n, label_count) bool matrix, row i marking the labels of
-    example i; both are built once here and are the only stored data. Every
+    example i; both are copied once here and are the only stored data. Every
     other label form (bitmasks, per-label positions, the label sets) is
     derived from ``label_matrix`` on first use and cached, so a caller pays
     only for the ones it reads.
     """
 
-    def __init__(self, ids: list[str], X, labels, label_count: int):
-        """``labels`` holds one label collection per row, or is already a
-        bool label matrix (the binary split reader passes one)."""
-        matrix = isinstance(labels, np.ndarray) and labels.dtype == bool
-        ids, labels = list(ids), labels if matrix else list(labels)
-        limit = MAX_ARRAY_ELEMENTS // max(len(ids), 1)  # values in the label matrix
-        if not 1 <= label_count <= limit:
-            raise DataFormatError(f"label_count must lie in [1, {limit}], got {label_count}")
+    def __init__(self, ids: list[str], X, label_matrix: np.ndarray):
+        """``label_matrix`` is the split's bool label matrix, at least one
+        label wide (:func:`labels_to_matrix` builds one from label
+        collections); ``label_count`` is its width."""
+        ids = list(ids)
         X = np.array(X, dtype=np.float64, order="C")
         if not ids and X.shape[:1] == (0,):  # an empty split has no width
             X = X.reshape(0, 0)
-        if X.ndim != 2 or X.shape[0] != len(ids) or len(labels) != len(ids):
+        L = np.array(label_matrix, order="C")
+        if L.dtype != bool or L.ndim != 2 or L.shape[1] < 1:
             raise ContractError(
-                f"{len(ids)} ids, {len(labels)} label sets and features of shape {X.shape}"
+                f"label matrix must be bool, 2-D and at least 1 label wide, got {L.dtype} "
+                f"of shape {L.shape}"
             )
-        L = _label_matrix(labels, label_count)
-        if L is None or len(set(ids)) != len(ids):
-            # find the first bad record, so the error names it
-            if matrix:
-                labels = [np.flatnonzero(row).tolist() for row in labels]
-            seen = set()
-            for pos, rid in enumerate(ids):
+        if X.ndim != 2 or X.shape[0] != len(ids) or len(L) != len(ids):
+            raise ContractError(
+                f"{len(ids)} ids, {len(L)} label sets and features of shape {X.shape}"
+            )
+        empty = ~L.any(axis=1)
+        if empty.any() or len(set(ids)) != len(ids):
+            seen = set()  # find the first bad record, so the error names it
+            for rid, bad in zip(ids, empty.tolist()):
                 if rid in seen:
                     raise DataFormatError(f"duplicate example id {rid!r}")
-                try:
-                    labels[pos] = validate_labels(labels[pos], label_count)
-                except DataFormatError as exc:
-                    raise DataFormatError(f"record {rid!r}: {exc}") from exc
+                if bad:
+                    raise DataFormatError(f"record {rid!r}: label set is empty")
                 seen.add(rid)
-            L = _label_matrix(labels, label_count)
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():
             rid = ids[int(np.argmin(finite))]
@@ -119,7 +112,7 @@ class Dataset:
         self.ids = ids
         self.X = X
         self.label_matrix = L
-        self.label_count = label_count
+        self.label_count = L.shape[1]
         self.feature_dim = X.shape[1]
 
     def __len__(self) -> int:
@@ -270,24 +263,26 @@ def _table(name: str, rows) -> np.ndarray:
     return table
 
 
-def _draw_label_set(spec: SyntheticSpec, primary_probs: np.ndarray, rng) -> frozenset[int]:
+def _draw_label_row(spec: SyntheticSpec, primary_probs: np.ndarray, rng, row: np.ndarray) -> None:
+    """Mark one example's drawn labels in its all-False label ``row``."""
     l = spec.label_count
     primary = int(rng.choice(l, p=primary_probs))
-    labels = {primary}
+    row[primary] = True
     co = spec.cooccurrence
     for j in range(l):
         if j == primary or co[primary, j] == 0.0:
             continue
         if rng.random() < co[primary, j]:
-            labels.add(j)
-    return frozenset(labels)
+            row[j] = True
 
 
 def generate_synthetic(spec: SyntheticSpec) -> DatasetSplits:
     """Draw train/val/test splits from one seeded stream.
 
     Features are the sum of the prototypes of the active labels plus
-    isotropic Gaussian noise.
+    isotropic Gaussian noise. A feature past the float range is a
+    ConfigError naming ``prototypes`` when the summed prototypes overflow,
+    else ``noise_sigma``.
     """
     rng = np.random.default_rng(spec.seed)
     proto = spec.prototypes
@@ -302,19 +297,25 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetSplits:
     }
     for split, count in counts.items():
         X = np.empty((count, spec.feature_dim))
-        labels = []
-        for i in range(count):
-            labels.append(_draw_label_set(spec, primary_probs, rng))
-            X[i] = proto[sorted(labels[i])].sum(axis=0)
-            X[i] += rng.normal(0.0, spec.noise_sigma, size=spec.feature_dim)
+        L = np.zeros((count, spec.label_count), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below, by key
+            for i in range(count):
+                _draw_label_row(spec, primary_probs, rng, L[i])
+                X[i] = proto[L[i]].sum(axis=0)
+                X[i] += rng.normal(0.0, spec.noise_sigma, size=spec.feature_dim)
+            finite = np.isfinite(X).all(axis=1)
+            if not finite.all():
+                row = L[int(np.argmin(finite))]
+                key = "noise_sigma" if np.isfinite(proto[row].sum(axis=0)).all() else "prototypes"
+                raise ConfigError(f"{key} carries a generated feature past the float range")
         ids = [f"{split}-{i:05d}" for i in range(count)]
-        splits[split] = Dataset(ids, X, labels, spec.label_count)
+        splits[split] = Dataset(ids, X, L)
 
     missing = np.flatnonzero(~splits["train"].label_matrix.any(axis=0))
     if spec.train_examples > 0 and missing.size:
         raise ConfigError(
-            f"label {missing[0]} has no training examples; raise train_examples "
-            f"or its marginal weight"
+            f"train_examples: label {missing[0]} has no training examples; raise "
+            f"train_examples or its marginal weight"
         )
     return DatasetSplits(**splits)
 
@@ -362,8 +363,8 @@ def _read_jsonl(data: bytes, name: str) -> tuple[list[str], list[np.ndarray], li
     """Parse the JSONL bytes ``data`` of the file ``name`` into ids, feature
     rows and raw label lists.
 
-    Only the record format is checked here; :class:`Dataset` checks the ids,
-    the labels and that every feature is finite.
+    Only the record format is checked here; :func:`labels_to_matrix` checks
+    the ids and the labels, and :class:`Dataset` that every feature is finite.
     """
     # Features become arrays as each line is read: a list of Python floats
     # takes several times the memory, and every split is held at once.
@@ -436,7 +437,7 @@ def _read_binary(data: bytes, path: Path, label_count: int) -> Dataset:
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: an id is not UTF-8: {exc}") from exc
     try:
-        return Dataset(ids, X, L, label_count)
+        return Dataset(ids, X, L)
     except (ContractError, DataFormatError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
@@ -492,7 +493,7 @@ def load_dataset_dir(path: str | Path, names: tuple[str, ...] = SPLITS) -> Datas
             default=0,
         )
     for split, (ids, rows, labels) in records.items():
-        splits[split] = Dataset(ids, rows, labels, label_count)
+        splits[split] = Dataset(ids, rows, labels_to_matrix(ids, labels, label_count))
     # an empty split has no width; commands that read one reject it by name
     widths = [(f"{split}.jsonl", splits[split].feature_dim) for split in read if len(splits[split])]
     for name, width in widths[1:]:

@@ -18,6 +18,10 @@ from .errors import ContractError
 KMEANS_MAX_ITER = 100
 # Query rows per Recall@K distance block: peak memory is O(RECALL_BLOCK * n).
 RECALL_BLOCK = 1024
+# The probe's L2 penalty on the weights (not the bias), and the gradient
+# infinity norm at which its Newton iteration stops.
+PROBE_L2 = 1e-3
+PROBE_TOL = 1e-7
 # Newton steps before the probe gives up; it converges in under ten.
 PROBE_MAX_NEWTON = 100
 # Smallest fraction of a Newton step tried before the probe gives up.
@@ -236,16 +240,14 @@ def _probe_objective(A: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> 
     return loss + 0.5 * l2 * float(w[:-1] @ w[:-1])
 
 
-def _fit_probe(
-    train_X: np.ndarray, train_y: np.ndarray, l2: float = 1e-3, tol: float = 1e-7
-) -> np.ndarray:
+def _fit_probe(train_X: np.ndarray, train_y: np.ndarray) -> np.ndarray:
     """Weights, bias last, of L2-regularized logistic regression (the bias
     unpenalized), fit by Newton's method.
 
     Each step solves with the (w + 1) x (w + 1) Hessian and is halved while
     it does not lower the objective, so every step descends, also on
-    separable data. Stops when the gradient is below ``tol`` in infinity
-    norm; raises :class:`ContractError` after ``PROBE_MAX_NEWTON`` steps
+    separable data. Stops when the gradient is below ``PROBE_TOL`` in
+    infinity norm; raises :class:`ContractError` after ``PROBE_MAX_NEWTON`` steps
     rather than return an unconverged fit.
     """
     X = np.asarray(train_X, dtype=np.float64)
@@ -257,19 +259,19 @@ def _fit_probe(
 
     n = X.shape[0]
     A = np.hstack([X, np.ones((n, 1))])  # bias column, unregularized
-    penalty = np.full(A.shape[1], l2)
+    penalty = np.full(A.shape[1], PROBE_L2)
     penalty[-1] = 0.0
     w = np.zeros(A.shape[1])
     for _ in range(PROBE_MAX_NEWTON):
         p = _sigmoid(A @ w)
         grad = A.T @ (p - y) / n + penalty * w
-        if float(np.abs(grad).max()) < tol:
+        if float(np.abs(grad).max()) < PROBE_TOL:
             return w
         hessian = (A.T * (p * (1.0 - p))) @ A / n + np.diag(penalty)
         step = np.linalg.solve(hessian, grad)
-        start = _probe_objective(A, y, w, l2)
+        start = _probe_objective(A, y, w, PROBE_L2)
         scale = 1.0
-        while _probe_objective(A, y, w - scale * step, l2) >= start:
+        while _probe_objective(A, y, w - scale * step, PROBE_L2) >= start:
             scale *= 0.5
             if scale < PROBE_MIN_SCALE:
                 raise ContractError("logistic probe: no Newton step lowers the objective")
@@ -282,13 +284,11 @@ def logistic_probe(
     train_y: np.ndarray,
     test_X: np.ndarray,
     test_y: np.ndarray,
-    l2: float = 1e-3,
-    tol: float = 1e-7,
 ) -> ClassificationMetrics:
     """L2-regularized logistic regression (see :func:`_fit_probe`) fit on the
     training rows. Metrics are reported on the test rows at threshold 0.5,
     with y=1 the positive class."""
-    w = _fit_probe(train_X, train_y, l2, tol)
+    w = _fit_probe(train_X, train_y)
     test_X = np.asarray(test_X, dtype=np.float64)
     scores = np.hstack([test_X, np.ones((test_X.shape[0], 1))]) @ w
     pred = scores > 0.0  # sigmoid(z) > 0.5 iff z > 0

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mlembed.dataset import Dataset, SyntheticSpec, generate_synthetic
+from mlembed.dataset import Dataset, SyntheticSpec, generate_synthetic, labels_to_matrix
 
 
 def make_dataset(label_specs, label_count, dim=4):
@@ -13,7 +13,8 @@ def make_dataset(label_specs, label_count, dim=4):
     features are all zero."""
     ids = [ex_id for ex_id, _ in label_specs]
     labels = [labels for _, labels in label_specs]
-    return Dataset(ids, np.zeros((len(ids), dim)), labels, label_count)
+    L = labels_to_matrix(ids, labels, label_count)
+    return Dataset(ids, np.zeros((len(ids), dim)), L)
 
 
 def forge_binary(directory, split, data=None, **arrays):

@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,14 @@ class TestGenData:
             ("cooccurrence", [[0.3, "x"]]),
             pytest.param("prototypes", [[0.0] * 8, [0.0] * 8, [0.0]], id="prototypes-ragged"),
             pytest.param("noise_sigma", 10**400, id="noise_sigma-int-beyond-float"),
+            ("label_count", 1),
+            pytest.param("cooccurrence", [[0.5, 0.0], [0.0, 0.5]], id="cooccurrence-shape"),
+            pytest.param("cooccurrence", [[0.0] * 3] * 3, id="cooccurrence-diagonal-zero"),
+            ("exclusive_labels", [3]),
+            ("noise_sigma", -0.1),
+            ("train_examples", -1),
+            ("val_examples", -1),
+            ("test_examples", -1),
         ],
     )
     def test_ill_typed_data_value_exits_one(self, tmp_path, capsys, key, value):
@@ -139,6 +148,30 @@ class TestGenData:
         code = main(["gen-data", "--config", str(path), "--out", str(out)])
         assert code == 1
         assert f"data.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"prototypes": [[1e308] * 32] * 3}, "prototypes"),
+            ({"noise_sigma": 1e308}, "noise_sigma"),
+        ],
+        ids=["prototypes", "noise_sigma"],
+    )
+    def test_features_past_the_float_range_name_the_data_key(
+        self, tmp_path, capsys, overrides, key
+    ):
+        data = {"label_count": 3, "train_examples": 40, "val_examples": 10, "test_examples": 10}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"data": {**data, **overrides}}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning fails the test
+            code = main(["gen-data", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mlembed: error: data.{key}")
+        assert "record" not in err
         assert not out.exists()
 
 
@@ -219,6 +252,14 @@ class TestTrain:
         assert code == 1
         assert "nowhere" in capsys.readouterr().err
 
+    def test_no_dataset_directory_exits_one(self, tmp_path, config_path, capsys):
+        code = main(["train", "--config", config_path, "--run-dir", str(tmp_path / "r")])
+        assert code == 1
+        assert "mlembed: error: no dataset directory; pass --data or set paths.dataset_dir" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "r").exists()
+
     def test_pretrain_flag_adds_phase(self, tmp_path, config_path, data_dir):
         out = tmp_path / "run-pre"
         code = main(
@@ -269,6 +310,16 @@ class TestTrain:
             ("encoder", "seed", 1.5),
             ("paths", "dataset_dir", 5),
             ("paths", "run_dir", ["run"]),
+            ("train", "batch_size", 0),
+            ("train", "iterations", -1),
+            ("train", "learning_rate", 0.0),
+            ("train", "weight_decay", -1e-4),
+            ("train", "lr_decay_period", 0),
+            ("train", "lr_decay_factor", 0.0),
+            ("train", "lr_decay_factor", 1.5),
+            ("train", "margin", 0.0),
+            ("train", "eval_every", 0),
+            ("train", "pretrain_iterations", -1),
         ],
     )
     def test_ill_typed_config_value_exits_one(
@@ -281,7 +332,7 @@ class TestTrain:
         run_dir = str(tmp_path / "run")
         code = main(["train", "--config", str(path), "--data", str(data_dir), "--run-dir", run_dir])
         assert code == 1
-        assert key in capsys.readouterr().err
+        assert f"mlembed: error: {section}.{key}" in capsys.readouterr().err
 
     def test_manifest_encoder_config_keys(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -350,6 +401,38 @@ class TestEval:
             "specificity",
             "f1",
         }
+
+    def test_report_without_out_goes_to_stdout(self, tmp_path, data_dir, run_dir, capsys):
+        argv = ["eval", "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir)]
+        out = tmp_path / "metrics.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_unknown_split_in_config_exits_one(self, tmp_path, data_dir, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"eval": {"split": "holdout"}}))
+        code = main(["eval", "--config", str(path), "--checkpoint", "c", "--data", str(data_dir)])
+        assert code == 1
+        assert (
+            "mlembed: error: eval.split must be one of ('train', 'val', 'test'), got 'holdout'"
+            in capsys.readouterr().err
+        )
+
+    def test_unsupported_checkpoint_version_exits_one_naming_the_file(
+        self, tmp_path, data_dir, capsys
+    ):
+        blob = json.dumps({"format_version": 99}).encode()
+        bad = tmp_path / "future.ckpt"
+        bad.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob)
+        out = tmp_path / "metrics.json"
+        argv = ["eval", "--checkpoint", str(bad), "--data", str(data_dir), "--out", str(out)]
+        assert main(argv) == 1
+        assert "mlembed: error: future.ckpt: unsupported format version 99" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_eval_twice_identical(self, tmp_path, data_dir, run_dir):
         files = []
@@ -788,6 +871,21 @@ class TestConfigFile:
         assert any(line.startswith("mlembed: error:") and str(path) in line for line in lines)
 
     @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({"dta": {}}, "unknown section 'dta'"),
+            ({"data": [1]}, "section 'data' must be an object"),
+        ],
+        ids=["unknown-section", "section-not-an-object"],
+    )
+    def test_bad_section_exits_one_naming_the_file(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(content))
+        code = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"mlembed: error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv, section, key, value",
         [
             (["gen-data", "--out", "o", "--seed", "3"], "data", "seed", 3),
@@ -981,6 +1079,25 @@ class TestEmbedAndProject:
             rows = list(csv.reader(fh))
         assert rows[0] == ["id", "x", "y", "labels"]
         assert len(rows) - 1 == TINY_CONFIG["data"]["val_examples"]
+
+    def test_constant_embeddings_project_to_zeros_with_a_warning(
+        self, tmp_path, data_dir, run_dir, capsys
+    ):
+        # a zero projection plus a bias maps every row to the same unit vector
+        model = EmbeddingModel.load(checkpoint_in(run_dir))
+        model.params.value("proj_W").fill(0.0)
+        model.params.value("proj_b")[...] = np.eye(1, model.config.embedding_dim)[0]
+        constant = tmp_path / "constant.ckpt"
+        model.save(constant)
+        out = tmp_path / "proj.csv"
+        argv = ["project", "--checkpoint", str(constant), "--data", str(data_dir)]
+        assert main([*argv, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: zero-variance embeddings; projection is all zeros\n"
+        with out.open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == TINY_CONFIG["data"]["test_examples"]
+        assert all(float(x) == 0.0 and float(y) == 0.0 for _, x, y, _ in rows)
 
 
 class TestUsageErrors:

@@ -16,6 +16,7 @@ from mlembed.dataset import (
     DatasetSplits,
     SyntheticSpec,
     generate_synthetic,
+    labels_to_matrix,
     load_dataset_dir,
     save_dataset_dir,
     save_jsonl,
@@ -114,6 +115,13 @@ class TestSyntheticGenerator:
         assert total > 0
         assert correct / total >= 0.99
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_prototype_rejected(self, value):
+        prototypes = np.eye(4, 6)
+        prototypes[2, 3] = value
+        with pytest.raises(ConfigError, match="^prototypes contain non-finite values$"):
+            small_spec(prototypes=prototypes)
+
     def test_prototype_shape_mismatch(self):
         with pytest.raises(ConfigError, match="prototypes shape"):
             small_spec(prototypes=np.zeros((4, 7)))
@@ -136,7 +144,7 @@ class TestSyntheticGenerator:
         # label 3 co-occurs with nothing in this table; with marginal weight 0
         # it is never drawn
         co = small_cooccurrence((3, 3, 0.0))
-        with pytest.raises(ConfigError, match="^label 3 has no training examples"):
+        with pytest.raises(ConfigError, match="^train_examples: label 3 has no training examples"):
             generate_synthetic(small_spec(cooccurrence=co))
 
     def test_spec_and_its_tables_are_read_only(self):
@@ -370,12 +378,13 @@ class TestBinarySplits:
         for name in SPLITS:
             n = data.draw(st.integers(0, 5))  # 0 rows included
             rows = data.draw(st.lists(features, min_size=n, max_size=n))
+            split_ids = data.draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+            labels = data.draw(st.lists(st.sets(st.integers(0, used - 1), min_size=1),
+                                        min_size=n, max_size=n))
             splits[name] = Dataset(
-                data.draw(st.lists(ids, min_size=n, max_size=n, unique=True)),
+                split_ids,
                 np.array(rows, dtype=np.float64).reshape(n, width),
-                data.draw(st.lists(st.sets(st.integers(0, used - 1), min_size=1),
-                                   min_size=n, max_size=n)),
-                label_count,
+                labels_to_matrix(split_ids, labels, label_count),
             )
         with_binary, without = tmp_path_factory.mktemp("with"), tmp_path_factory.mktemp("without")
         save_dataset_dir(with_binary, bare_spec(label_count, width), DatasetSplits(**splits))
@@ -392,7 +401,7 @@ class TestBinarySplits:
             assert flags == [False, False, True, True]
 
     def test_awkward_ids_round_trip_exactly(self, tmp_path):
-        ds = Dataset(AWKWARD_IDS, np.zeros((6, 2)), [[0]] * 6, 2)
+        ds = Dataset(AWKWARD_IDS, np.zeros((6, 2)), np.tile([True, False], (6, 1)))
         save_dataset_dir(tmp_path, bare_spec(2, 2), DatasetSplits(train=ds, val=ds, test=ds))
         splits, from_binary = binary_reads(tmp_path)
         assert from_binary == 3
@@ -465,7 +474,8 @@ class TestBinarySplits:
     @given(st.data())
     def test_any_verified_binary_loads_or_raises_data_format_error(self, tmp_path_factory, data):
         directory = tmp_path_factory.mktemp("forged")
-        ds = Dataset(["a", "b\x00", "ü"], np.eye(3), [[0], [1], [0, 1]], 2)
+        L = np.array([[True, False], [False, True], [True, True]])
+        ds = Dataset(["a", "b\x00", "ü"], np.eye(3), L)
         save_dataset_dir(directory, bare_spec(2, 3), DatasetSplits(train=ds, val=ds, test=ds))
         original = (directory / "test.npz").read_bytes()
         forged = bytearray(original[: data.draw(st.integers(0, len(original)))])
@@ -505,32 +515,49 @@ class TestDatasetInvariants:
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(DataFormatError, match="duplicate example id"):
-            Dataset(["x", "x"], np.zeros((2, 2)), [{0}, {0}], 1)
+            Dataset(["x", "x"], np.zeros((2, 2)), np.ones((2, 1), dtype=bool))
 
     @pytest.mark.parametrize(
-        "ids, X, labels",
+        "ids, X, L",
         [
-            (["a"], np.zeros((2, 3)), [{0}]),
-            (["a", "b"], np.zeros((2, 3)), [{0}]),
-            (["a"], np.zeros(3), [{0}]),
-            ([], np.zeros((2, 3)), []),
+            (["a"], np.zeros((2, 3)), np.ones((1, 1), dtype=bool)),
+            (["a", "b"], np.zeros((2, 3)), np.ones((1, 1), dtype=bool)),
+            (["a"], np.zeros(3), np.ones((1, 1), dtype=bool)),
+            ([], np.zeros((2, 3)), np.ones((0, 1), dtype=bool)),
         ],
     )
-    def test_mismatched_rows_rejected(self, ids, X, labels):
-        with pytest.raises(ContractError):
-            Dataset(ids, X, labels, 1)
+    def test_mismatched_rows_rejected(self, ids, X, L):
+        with pytest.raises(ContractError, match="ids, .* label sets and features of shape"):
+            Dataset(ids, X, L)
 
-    @pytest.mark.parametrize("as_row", [sorted, np.array], ids=["int-lists", "numpy-rows"])
-    def test_valid_labels_checked_as_arrays(self, monkeypatch, default_splits, as_row):
-        def per_row(labels, label_count):
-            raise AssertionError("labels checked row by row")
+    @pytest.mark.parametrize(
+        "L",
+        [
+            np.ones((2, 1), dtype=np.int64),
+            np.ones(2, dtype=bool),
+            np.ones((2, 1, 1), dtype=bool),
+            np.ones((2, 0), dtype=bool),
+            [{0}, {0}],
+        ],
+        ids=["int", "1-d", "3-d", "no-labels", "label-sets"],
+    )
+    def test_label_matrix_not_two_d_bool_rejected(self, L):
+        with pytest.raises(ContractError, match="label matrix must be bool, 2-D and at least"):
+            Dataset(["a", "b"], np.zeros((2, 1)), L)
 
-        monkeypatch.setattr(dataset_mod, "validate_labels", per_row)
-        train = default_splits.train
-        rows = [as_row(sorted(labels)) for labels in train.labels]
-        ds = Dataset(train.ids, train.X, rows, train.label_count)
-        assert ds.labels == train.labels
-        assert all(type(lab) is int for labels in ds.labels for lab in labels)
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["a", "b", "a", "c"], "record 'b': label set is empty"),
+            (["a", "a", "b", "b"], "duplicate example id 'a'"),
+        ],
+    )
+    def test_first_bad_matrix_row_named(self, ids, message):
+        # row 1 is empty and an id repeats; the error names whichever comes first
+        L = np.array([[True], [False], [True], [False]])
+        with pytest.raises(DataFormatError) as excinfo:
+            Dataset(ids, np.zeros((4, 1)), L)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -550,7 +577,7 @@ class TestDatasetInvariants:
         # record "d" is bad as well; the error names the first, "c"
         labels = [[0], [1, 2], bad, [5]]
         with pytest.raises(DataFormatError) as excinfo:
-            Dataset(["a", "b", "c", "d"], np.zeros((4, 1)), labels, 3)
+            labels_to_matrix(["a", "b", "c", "d"], labels, 3)
         assert str(excinfo.value) == f"record 'c': {message}"
 
     @pytest.mark.parametrize(
@@ -562,20 +589,29 @@ class TestDatasetInvariants:
     )
     def test_first_error_in_row_order(self, ids, labels, message):
         with pytest.raises(DataFormatError) as excinfo:
-            Dataset(ids, np.zeros((3, 1)), labels, 3)
+            labels_to_matrix(ids, labels, 3)
         assert str(excinfo.value) == message
+
+    def test_label_lists_become_the_matrix(self):
+        L = labels_to_matrix(["a", "b", "c"], [[2, 0], (1,), {np.int64(0)}], 3)
+        assert L.dtype == bool
+        assert L.tolist() == [[True, False, True], [False, True, False], [True, False, False]]
+        assert labels_to_matrix([], [], 3).shape == (0, 3)
 
     def test_features_copied_and_read_only(self):
         X = np.zeros((2, 3))
-        ds = Dataset(["a", "b"], X, [{0}, {0}], 1)
+        ds = Dataset(["a", "b"], X, np.ones((2, 1), dtype=bool))
         X[0, 0] = 1.0
         assert ds.X[0, 0] == 0.0
         with pytest.raises(ValueError):
             ds.X[0, 0] = 1.0
 
     def test_label_matrix_read_only(self):
-        ds = Dataset(["a", "b"], np.zeros((2, 1)), [{0}, {1}], 2)
+        L = np.array([[True, False], [False, True]])
+        ds = Dataset(["a", "b"], np.zeros((2, 1)), L)
+        L[0, 1] = True
         assert ds.label_matrix.tolist() == [[True, False], [False, True]]
+        assert ds.label_count == 2
         with pytest.raises(ValueError):
             ds.label_matrix[0, 1] = True
 
@@ -596,8 +632,9 @@ class TestOneLabelForm:
         present = st.sampled_from([k for k in range(label_count) if k not in absent])
         sets = data.draw(st.lists(st.frozensets(present, min_size=1, max_size=4), max_size=12))
         n = len(sets)
-        ds = Dataset([f"r{i}" for i in range(n)], np.zeros((n, 2)), [list(s) for s in sets],
-                     label_count)
+        ids = [f"r{i}" for i in range(n)]
+        L = labels_to_matrix(ids, [list(s) for s in sets], label_count)
+        ds = Dataset(ids, np.zeros((n, 2)), L)
 
         assert ds.label_matrix.shape == (n, label_count)
         assert ds.labels == sets

@@ -367,7 +367,7 @@ class TestLogisticProbe:
     @pytest.mark.parametrize("case", PROBE_CASES)
     def test_weights_meet_gradient_tolerance(self, case):
         X, y, _, _ = PROBE_CASES[case]()
-        w = _fit_probe(X, y, l2=1e-3, tol=1e-7)
+        w = _fit_probe(X, y)
         A = np.hstack([X, np.ones((len(X), 1))])
         grad = A.T @ (1.0 / (1.0 + np.exp(-(A @ w))) - y) / len(X)
         grad[:-1] += 1e-3 * w[:-1]
@@ -376,7 +376,7 @@ class TestLogisticProbe:
     @pytest.mark.parametrize("case", PROBE_CASES)
     def test_matches_gradient_descent_oracle(self, case):
         X, y, test_X, _ = PROBE_CASES[case]()
-        w = _fit_probe(X, y, l2=1e-3, tol=1e-7)
+        w = _fit_probe(X, y)
         reference = brute_force_logistic_weights(X, y, l2=1e-3, tol=1e-9)
         assert np.abs(w - reference).max() <= 1e-4
         test_A = np.hstack([test_X, np.ones((len(test_X), 1))])

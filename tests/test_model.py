@@ -71,6 +71,13 @@ class TestForwardEmbed:
         with pytest.raises(ContractError):
             small_model().embed(np.ones((2, 7)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, value):
+        X = np.ones((3, 4))
+        X[1, 2] = value
+        with pytest.raises(DegenerateInputError, match="input contains non-finite values"):
+            small_model().embed(X)
+
 
 class TestForwardClassify:
     def test_zero_logits_give_half_half(self):
@@ -322,6 +329,13 @@ class TestCheckpoint:
     def test_config_beyond_any_array_rejected_before_allocating(self, saved, key, value):
         self.rewrite(saved, lambda header: header["config"].update({key: value}))
         with pytest.raises(DataFormatError, match=f"{key} is too large"):
+            EmbeddingModel.load(saved)
+
+    @pytest.mark.parametrize("version", [0, 2, "1", None])
+    def test_unsupported_format_version_rejected(self, saved, version):
+        self.rewrite(saved, lambda header: header.update(format_version=version))
+        message = f"model.ckpt: unsupported format version {version}"
+        with pytest.raises(DataFormatError, match=message):
             EmbeddingModel.load(saved)
 
     def test_unknown_config_key_rejected(self, saved):

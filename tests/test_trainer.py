@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlembed.dataset import SyntheticSpec, generate_synthetic
+from mlembed.dataset import Dataset, DatasetSplits, SyntheticSpec, generate_synthetic
 from mlembed.errors import ConfigError, TrainingAbort
 from mlembed.losses import pretrain_batch_loss
 from mlembed.model import EmbeddingModel, EncoderConfig
@@ -249,6 +249,12 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(splits, tiny_config(momentum=1.5), TINY_ENCODER)
 
+    def test_empty_training_split_rejected(self):
+        splits = tiny_splits()
+        empty = Dataset([], np.zeros((0, 8)), np.zeros((0, 3), dtype=bool))
+        with pytest.raises(ConfigError, match="^training split is empty$"):
+            train(DatasetSplits(train=empty, val=splits.val), tiny_config(), TINY_ENCODER)
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -264,6 +270,16 @@ class TestTrain:
             ("pretrain", 1),
             ("seed", -1),
             ("eval_every", [10]),
+            ("batch_size", 0),
+            ("iterations", -1),
+            ("learning_rate", 0.0),
+            ("weight_decay", -1e-4),
+            ("lr_decay_period", 0),
+            ("lr_decay_factor", 0.0),
+            ("lr_decay_factor", 1.5),
+            ("margin", 0.0),
+            ("eval_every", 0),
+            ("pretrain_iterations", -1),
         ],
     )
     def test_ill_typed_value_rejected(self, key, value):
