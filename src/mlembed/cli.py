@@ -160,7 +160,10 @@ def cmd_train(args) -> int:
         manifest_extra={"dataset_dir": paths.dataset_dir},
     )
     print(f"run dir: {run_dir}")
-    print(f"best checkpoint: {report.best_checkpoint} (val NMI {report.best_val_nmi:.4f})")
+    if report.best_checkpoint is None:
+        print("no validation point was scored; wrote the final weights")
+    else:
+        print(f"best checkpoint: {report.best_checkpoint} (val NMI {report.best_val_nmi:.4f})")
     return 0
 
 

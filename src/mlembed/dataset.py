@@ -70,8 +70,8 @@ class Dataset:
 
     ``X`` is a read-only (n, w) float64 matrix and ``label_matrix`` a
     read-only (n, label_count) bool matrix, row i marking the labels of
-    example i; both are copied once here and are the only stored data. Every
-    other label form (bitmasks, per-label positions, the label sets) is
+    example i; both are copied once here and are the only stored data. The
+    other label forms (the sampler's label pools, the label sets) are
     derived from ``label_matrix`` on first use and cached, so a caller pays
     only for the ones it reads.
     """
@@ -126,33 +126,20 @@ class Dataset:
         return [frozenset(itertools.islice(columns, size)) for size in sizes]
 
     @cached_property
-    def label_masks(self) -> list[int]:
-        """Per-row label bitmask: bit k is set when the row carries label k.
-
-        Python ints, so any label count fits and the sampler's per-draw
-        overlap test (``mask_a & mask_b``) stays a scalar operation.
-        """
-        packed = np.packbits(self.label_matrix, axis=1, bitorder="little")
-        width, data = packed.shape[1], packed.tobytes()
-        return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
-
-    @cached_property
-    def _label_positions(self) -> list[list[int]]:
-        # Lists rather than arrays: the sampler reads one element per draw.
-        return [np.flatnonzero(column).tolist() for column in self.label_matrix.T]
-
-    @cached_property
-    def _single_label_positions(self) -> list[list[int]]:
-        single = self.label_matrix.sum(axis=1) == 1
-        return [np.flatnonzero(column & single).tolist() for column in self.label_matrix.T]
-
-    def positions_with_label(self, label: int) -> list[int]:
-        """Ascending positions of examples carrying ``label``."""
-        return self._label_positions[label]
-
-    def single_label_positions(self, label: int) -> list[int]:
-        """Ascending positions of examples whose label set is exactly {label}."""
-        return self._single_label_positions[label]
+    def label_pools(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, bounds)``, read-only, for the sampler: label k's
+        pool is the ``bounds[k, 2]`` positions from ``bounds[k, 0]`` on,
+        its ``bounds[k, 1]`` single-label ones first, each part ascending."""
+        L = self.label_matrix
+        single = L.sum(axis=1) == 1
+        label, pos = np.nonzero(L.T)  # label-major, positions ascending
+        positions = pos[np.lexsort((~single[pos], label))]  # a stable sort
+        bounds = np.zeros((self.label_count, 3), dtype=np.intp)
+        bounds[:, 1] = L[single].sum(axis=0)
+        bounds[:, 2] = L.sum(axis=0)
+        bounds[1:, 0] = np.cumsum(bounds[:-1, 2])
+        positions.flags.writeable = bounds.flags.writeable = False
+        return positions, bounds
 
     def feature_matrix(self) -> np.ndarray:
         return self.X

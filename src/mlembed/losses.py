@@ -70,11 +70,6 @@ class PretrainLossOutput:
     logit_grads: np.ndarray  # (l, 2), gradients w.r.t. the pre-softmax logits
 
 
-def dist(u: np.ndarray, v: np.ndarray) -> float:
-    """Euclidean distance; in [0, 2] for unit vectors."""
-    return float(np.linalg.norm(np.asarray(u, dtype=np.float64) - v))
-
-
 def _dists_and_grads(anchor: np.ndarray, others: np.ndarray):
     """Distances from the anchor to each row, plus d(dist)/d(anchor).
 

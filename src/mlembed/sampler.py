@@ -2,13 +2,12 @@
 positives (share a label with the anchor) and negatives (share none).
 
 All draws are uniform; there is deliberately no hard-example mining of any
-kind here. Every slot of every regime is drawn by one primitive: rejection
-draws, then, if they all miss, one draw among every candidate that passes.
-Groups that cannot be completed for a given anchor (no candidate left for
-a slot, empty negative set) raise :class:`~mlembed.errors.GroupRejected`,
-which :func:`build_minibatch` handles by moving on to a fresh anchor. Only a
-label with no example at all raises :class:`~mlembed.errors.SamplingError`,
-which aborts training, as does a batch that the split cannot fill.
+kind here. One batched path draws every regime's minibatch with array calls
+over the whole batch, and the per-anchor samplers are one-anchor calls of
+it. An anchor whose group cannot be completed is rejected
+(:class:`~mlembed.errors.GroupRejected`) and replaced by a fresh one; only
+a label with no example at all, or a batch that the split cannot fill,
+raises :class:`~mlembed.errors.SamplingError`, which aborts training.
 
 Every regime draws rows of dataset positions, ``[anchor, positives...,
 negatives...]``, so a minibatch is a dense index matrix (:class:`GroupBatch`):
@@ -19,8 +18,8 @@ pairs (one positive when the partner is similar, none otherwise) and
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,8 +28,14 @@ from .errors import ContractError, GroupRejected, SamplingError
 
 REGIMES = ("contrastive", "triplet", "ml2", "ml2plus")
 
-# Rejection draws per slot before the draw among every candidate that passes.
-MAX_DRAW_ATTEMPTS = 100
+# The random stream of these draws, recorded in every run manifest. Any
+# change to what is drawn, or in which order, starts a new stream.
+SAMPLER_STREAM = 2
+
+# Candidates drawn for each open slot in one round (see _fill), and the
+# rounds before the draw among every candidate that passes.
+CANDIDATES = 16
+ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -48,152 +53,173 @@ class GroupBatch:
     taus: np.ndarray
 
 
-def _tau(mask_a: int, mask_b: int) -> float:
-    """Jaccard distance of two label bitmasks (see ``losses.overlap_tau``)."""
-    union = (mask_a | mask_b).bit_count()
-    return (union - (mask_a & mask_b).bit_count()) / union
+def _passes(ds: Dataset, cand, anchors, shared):
+    """Which candidates ``cand`` (t, s, c) may fill the slots (t, s) of
+    ``anchors`` (t,): not the anchor and, unless ``shared`` (t, s) is None,
+    sharing a label with the anchor exactly where ``shared`` is True. The
+    shared labels are counted as a product of 0/1 label rows."""
+    ok = cand != anchors[:, None, None]
+    if shared is not None:
+        L, (t, s, c) = ds.label_matrix.view(np.uint8), cand.shape
+        common = np.matmul(L.take(cand.reshape(t, s * c), axis=0), L[anchors, :, None],
+                           dtype=np.float32)
+        ok &= (common.reshape(t, s, c) > 0) == shared[:, :, None]
+    return ok
 
 
-def _draw(pool, ok, rng, skip: int | None = None) -> int | None:
-    """Uniform draw of a position in ``pool``, other than ``skip``, that
-    passes ``ok``; None when none does.
+def _fill(ds: Dataset, anchors, shared, rng, pool=None) -> np.ndarray:
+    """The slots (m, s) of ``anchors``, filled in order, each uniform over
+    the candidates that pass :func:`_passes` and repeat no earlier slot; -1
+    from a row's first slot without one on. ``pool`` is None to draw from
+    the whole split, else ``(starts, sizes)`` (m, s) in ``ds.label_pools``.
 
-    Up to ``MAX_DRAW_ATTEMPTS`` rejection draws come first, each one
-    ``rng.integers`` call: ``skip``, a member of the ascending ``pool``, is
-    passed over by shifting the drawn index past its rank, so the pool is
-    never rebuilt. Then one draw among every candidate that passes.
+    Each round draws CANDIDATES candidates per slot of the open rows, and a
+    slot takes the first that passes. A row whose picks are distinct is
+    what filling it slot by slot gives and is taken in one array step; the
+    others are filled slot by slot from the same candidates. After ROUNDS
+    rounds, an open slot takes one draw among every candidate that passes.
     """
-    rank = len(pool) if skip is None else bisect_left(pool, skip)
-    size = len(pool) - (skip is not None)
-    for _ in range(MAX_DRAW_ATTEMPTS):
-        j = int(rng.integers(size))
-        pos = pool[j + (j >= rank)]
-        if ok(pos):
-            return pos
-    valid = [pos for pos in pool if pos != skip and ok(pos)]
-    return valid[int(rng.integers(len(valid)))] if valid else None
+    m, s = len(anchors), (shared if pool is None else pool[1]).shape[1]
+    chosen, todo, positions = np.full((m, s), -1), np.arange(m), ds.label_pools[0]
+    for _ in range(ROUNDS):
+        if not todo.size:
+            return chosen
+        if pool is None:
+            cand = rng.integers(len(ds), size=(todo.size, s, CANDIDATES))
+        else:
+            starts, sizes = pool[0][todo, :, None], pool[1][todo, :, None]
+            drawn = rng.integers(np.maximum(sizes, 1), size=(todo.size, s, CANDIDATES))
+            cand = positions.take(starts + drawn, mode="clip")
+        ok = _passes(ds, cand, anchors[todo], None if shared is None else shared[todo])
+        if pool is not None:
+            ok &= sizes > 0
+        first = ok.reshape(-1, CANDIDATES).argmax(axis=1) + np.arange(0, cand.size, CANDIDATES)
+        held = chosen[todo]
+        kept = held >= 0  # slots that earlier rounds filled
+        pick = np.where(kept, held, cand.ravel()[first].reshape(held.shape))
+        whole = (kept | ok.ravel()[first].reshape(held.shape)).all(axis=1)
+        if s > 1:
+            ordered = np.sort(pick, axis=1)
+            whole &= (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+        chosen[todo[whole]] = pick[whole]
+        for r in np.flatnonzero(~whole).tolist():
+            row = chosen[todo[r]]
+            for k in np.flatnonzero(row < 0).tolist():
+                good = ok[r, k] & ~np.isin(cand[r, k], row[:k])
+                if not good.any():
+                    break
+                row[k] = cand[r, k, good.argmax()]
+        todo = todo[chosen[todo, -1] < 0]
+    for i in todo.tolist():  # the last resort
+        row, one = chosen[i], slice(i, i + 1)
+        for k in np.flatnonzero(row < 0).tolist():
+            if pool is None:
+                cand = np.arange(len(ds))
+            else:
+                cand = positions[pool[0][i, k] : pool[0][i, k] + pool[1][i, k]]
+            slot_shared = None if shared is None else shared[one, k : k + 1]
+            good = _passes(ds, cand[None, None], anchors[one], slot_shared)[0, 0]
+            good &= ~np.isin(cand, row[:k])
+            if not good.any():
+                break
+            row[k] = cand[good][rng.integers(np.count_nonzero(good))]
+    return chosen
 
 
-def sample_group_ml2(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float]]:
-    """One ML2 group for the anchor at position ``a``: one representative
-    drawn per label, split by the shared-label test. Returns (row, p, taus),
-    taus the Jaccard distances of the positives and 0 after.
+def _groups(ds: Dataset, anchors: np.ndarray, regime: str, rng):
+    """The rows, p and taus of the ``regime`` groups of ``anchors`` that
+    complete, in anchor order, and a dict from the index of each other
+    anchor to its rejection. ML2 draws one representative per label; ML2+ a
+    single-label positive per anchor label, then a zero-overlap negative
+    per other label. A pair's partner is similar or dissimilar with equal
+    probability, or of the other kind when there is none; a triplet draws
+    one of each."""
+    m, failures, ids = len(anchors), {}, ds.ids
+    if regime in ("contrastive", "triplet"):
+        pair = regime == "contrastive"
+        shared = rng.random((m, 1)) < 0.5 if pair else np.tile([True, False], (m, 1))
+        chosen = _fill(ds, anchors, shared, rng)
+        miss = np.flatnonzero(chosen[:, 0] < 0)
+        if pair and miss.size:  # the other kind of partner
+            shared[miss] = ~shared[miss]
+            chosen[miss] = _fill(ds, anchors[miss], shared[miss], rng)
+        for i in np.flatnonzero(chosen[:, -1] < 0).tolist():
+            kind = "pair partner" if pair else (
+                "positive candidate" if chosen[i, 0] < 0 else "zero-overlap negative")
+            failures[i] = GroupRejected(f"anchor {ids[anchors[i]]!r} has no {kind}")
+        done = np.delete(np.arange(m), list(failures)) if failures else slice(None)
+        rows = np.concatenate([anchors[:, None], chosen], axis=1)[done]
+        return rows, shared[done, 0].astype(np.intp), np.zeros(rows[:, 1:].shape), failures
 
-    A representative drawn for a label outside the anchor's set may still
-    share some other label with the anchor; it then counts as a positive.
-    """
-    masks = ds.label_masks
-    anchor_mask = masks[a]
-    used = {a}
-    drawn: list[int] = []
-    for label in range(ds.label_count):
-        pool = ds.positions_with_label(label)
-        holds_anchor = bool(anchor_mask >> label & 1)
-        if len(pool) == holds_anchor:
-            if not pool:
-                raise SamplingError(f"label {label} has no examples")
-            raise GroupRejected(f"label {label} has no candidate besides the anchor")
-        pos = _draw(pool, lambda i: i not in used, rng, a if holds_anchor else None)
-        if pos is None:
-            raise GroupRejected(f"no distinct representative for label {label}")
-        used.add(pos)
-        drawn.append(pos)
+    L, bounds = ds.label_matrix, ds.label_pools[1]
+    A = L[anchors]
+    l, p = A.shape[1], np.count_nonzero(A, axis=1)
+    if regime == "ml2plus":
+        labels = np.argsort(~A, axis=1, kind="stable")  # each slot's label
+        positive = np.arange(l) < p[:, None]
+    else:
+        labels, positive = np.broadcast_to(np.arange(l), A.shape), np.zeros_like(A)
+    # A positive draws from the single-label part of its label's pool.
+    pool = (bounds[labels, 0], bounds[labels, 2 - positive])
+    drawn = _fill(ds, anchors, positive if regime == "ml2plus" else None, rng, pool)
+    for i in np.flatnonzero(drawn[:, -1] < 0).tolist():
+        j = int(np.argmax(drawn[i] < 0))  # the first slot left open
+        k = int(labels[i, j])
+        if positive[i, j]:
+            failures[i] = GroupRejected(f"no single-label example for label {k}")
+        elif bounds[k, 2] == 0:
+            failures[i] = SamplingError(f"label {k} has no examples")
+        elif regime == "ml2plus":
+            failures[i] = GroupRejected(f"no zero-overlap negative for label {k} "
+                                        f"given anchor {ids[anchors[i]]!r}")
+        elif bounds[k, 2] == A[i, k]:
+            failures[i] = GroupRejected(f"label {k} has no candidate besides the anchor")
+        else:
+            failures[i] = GroupRejected(f"no distinct representative for label {k}")
+    if regime == "ml2plus":
+        for i in np.flatnonzero(p == l).tolist():
+            failures[i] = GroupRejected(f"anchor {ids[anchors[i]]!r} carries all labels; "
+                                        "empty negative set")
+        done = np.delete(np.arange(m), list(failures)) if failures else slice(None)
+        rows = np.concatenate([anchors[:, None], drawn], axis=1)
+        return rows[done], p[done], (positive * ((p - 1) / p)[:, None])[done], failures
 
-    positives = [i for i in drawn if masks[i] & anchor_mask]
-    negatives = [i for i in drawn if not masks[i] & anchor_mask]
-    if not negatives:
-        raise GroupRejected(f"anchor {ds.ids[a]!r} leaves an empty negative set")
-    taus = [_tau(anchor_mask, masks[i]) for i in positives]
-    return [a, *positives, *negatives], len(positives), taus + [0.0] * len(negatives)
-
-
-def sample_group_ml2plus(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float]]:
-    """One ML2+ group for the anchor at position ``a``: (row, p, taus).
-
-    One single-label positive per anchor label, and one zero-overlap
-    negative per remaining label. tau is (p - 1) / p throughout.
-    """
-    masks = ds.label_masks
-    anchor_mask = masks[a]
-    anchor_labels = [k for k in range(ds.label_count) if anchor_mask >> k & 1]
-    p = len(anchor_labels)
-    if p == ds.label_count:
-        raise GroupRejected(
-            f"anchor {ds.ids[a]!r} carries all labels; empty negative set"
-        )
-
-    row = [a]
-    skip = a if p == 1 else None  # a single-label anchor sits in its label's pool
-    for label in anchor_labels:
-        pool = ds.single_label_positions(label)
-        if len(pool) == (skip is not None):
-            raise GroupRejected(f"no single-label example for label {label}")
-        # Single-label pools are disjoint, so every candidate is distinct.
-        row.append(_draw(pool, lambda i: True, rng, skip))
-
-    # The anchor and the positives share a label with the anchor, so a
-    # negative can only repeat an earlier negative.
-    used = set()
-    for label in range(ds.label_count):
-        if anchor_mask >> label & 1:
-            continue
-        pool = ds.positions_with_label(label)
-        if not pool:
-            raise SamplingError(f"label {label} has no examples")
-        pos = _draw(pool, lambda i: i not in used and not masks[i] & anchor_mask, rng)
-        if pos is None:  # the anchor and the negatives drawn so far decide this
-            raise GroupRejected(
-                f"no zero-overlap negative for label {label} given anchor {ds.ids[a]!r}"
-            )
-        used.add(pos)
-        row.append(pos)
-
-    tau = (p - 1) / p
-    return row, p, [tau] * p + [0.0] * (ds.label_count - p)
+    # Split each ML2 row into positives and negatives, label order kept in
+    # each; an anchor whose representatives all share a label with it has
+    # an empty negative set.
+    done = np.flatnonzero(drawn[:, -1] >= 0)
+    D, A = L.take(drawn[done], axis=0), A[done, None, :]
+    inter, union = (D & A).sum(axis=2), (D | A).sum(axis=2)
+    p = np.count_nonzero(inter, axis=1)
+    for j in np.flatnonzero(p == l).tolist():
+        failures[int(done[j])] = GroupRejected(f"anchor {ids[anchors[done[j]]]!r} leaves "
+                                               "an empty negative set")
+    keep = np.flatnonzero(p < l)
+    order = np.argsort(inter[keep] == 0, axis=1, kind="stable")
+    tau = ((union - inter) / union)[keep[:, None], order]
+    rows = np.column_stack([anchors[done[keep]], drawn[done[keep][:, None], order]])
+    return rows, p[keep], np.where(np.arange(l) < p[keep, None], tau, 0.0), failures
 
 
-def _draw_partner(ds: Dataset, a: int, want_shared: bool, rng) -> int | None:
-    """Uniform draw over positions other than ``a`` that share (or do not
-    share) a label with the anchor at position ``a``."""
-    masks = ds.label_masks
-    anchor_mask = masks[a]
-    return _draw(
-        range(len(masks)), lambda i: i != a and bool(masks[i] & anchor_mask) == want_shared, rng
-    )
+def _one_anchor(regime: str, ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float]]:
+    """The ``regime`` group of the anchor at position ``a``, as one row of a
+    :class:`GroupBatch`: (row, p, taus) as lists; raises its rejection."""
+    rows, p, taus, failures = _groups(ds, np.array([a], dtype=np.intp), regime, rng)
+    if failures:
+        raise failures[0]
+    return rows[0].tolist(), int(p[0]), taus[0].tolist()
 
 
-def sample_pair(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float]]:
-    """Similar/dissimilar pair for the anchor at position ``a`` with equal
-    probability; falls back to the other kind when the requested one has no
-    candidates. Returns (``[a, partner]``, 1 if similar else 0, ``[0.0]``)."""
-    want_shared = bool(rng.random() < 0.5)
-    partner = _draw_partner(ds, a, want_shared, rng)
-    if partner is None:
-        want_shared = not want_shared
-        partner = _draw_partner(ds, a, want_shared, rng)
-    if partner is None:
-        raise GroupRejected(f"anchor {ds.ids[a]!r} has no pair partner")
-    return [a, partner], int(want_shared), [0.0]
-
-
-def sample_triplet(ds: Dataset, a: int, rng) -> tuple[list[int], int, list[float]]:
-    """Triplet for the anchor at position ``a``: (``[a, positive, negative]``,
-    1, ``[0.0, 0.0]``)."""
-    positive = _draw_partner(ds, a, True, rng)
-    if positive is None:
-        raise GroupRejected(f"anchor {ds.ids[a]!r} has no positive candidate")
-    negative = _draw_partner(ds, a, False, rng)
-    if negative is None:
-        raise GroupRejected(f"anchor {ds.ids[a]!r} has no zero-overlap negative")
-    return [a, positive, negative], 1, [0.0, 0.0]
+# The per-anchor samplers, each called as ``sample(ds, a, rng)``.
+sample_group_ml2 = partial(_one_anchor, "ml2")
+sample_group_ml2plus = partial(_one_anchor, "ml2plus")
+sample_pair = partial(_one_anchor, "contrastive")
+sample_triplet = partial(_one_anchor, "triplet")
 
 
 def build_minibatch(ds: Dataset, b: int, regime: str, rng) -> GroupBatch:
-    """Assemble ``b`` rows for the given regime.
-
-    Anchors are drawn uniformly without replacement; anchors whose row
-    cannot be completed are skipped.
-    """
+    """Assemble ``b`` rows for the given regime, from anchors drawn
+    uniformly without replacement."""
     if regime not in REGIMES:
         raise ContractError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     if b < 1:
@@ -201,32 +227,27 @@ def build_minibatch(ds: Dataset, b: int, regime: str, rng) -> GroupBatch:
     if b > len(ds):
         raise SamplingError(f"batch size {b} exceeds split size {len(ds)}")
 
-    # Looked up by module-level name on every call, so a rebound sampler
-    # (the benchmark's tracer counts calls this way) takes effect.
-    samplers = {
-        "ml2": sample_group_ml2,
-        "ml2plus": sample_group_ml2plus,
-        "triplet": sample_triplet,
-        "contrastive": sample_pair,
-    }
-    sample = samplers[regime]
+    parts, tried, count = [], np.empty(0, dtype=np.intp), 0
+    while count < b:
+        if tried.size == len(ds):  # b <= len(ds), so some anchor was rejected
+            raise SamplingError(f"only {count} of {b} requested items could be assembled; "
+                                f"last rejection: {rejection}")
+        # The untried positions of a draw without replacement, as many more
+        # than needed as were tried, are fresh anchors in uniform order.
+        anchors = rng.choice(len(ds), min(len(ds), b - count + tried.size), replace=False)
+        if tried.size:
+            anchors = anchors[~np.isin(anchors, tried)][: b - count]
+        rows, p, taus, failures = _groups(ds, anchors, regime, rng)
+        for i in sorted(failures):
+            if not isinstance(failures[i], GroupRejected):
+                raise failures[i]
+            rejection = failures[i]
+        parts.append((rows, p, taus))
+        tried = np.concatenate([tried, anchors])
+        count += len(rows)
 
-    items = []
-    for pos in rng.permutation(len(ds)):
-        try:
-            items.append(sample(ds, int(pos), rng))
-        except GroupRejected as exc:
-            rejection = exc
-            continue
-        if len(items) == b:
-            break
-    if len(items) < b:  # b <= len(ds), so some anchor was rejected
-        raise SamplingError(
-            f"only {len(items)} of {b} requested items could be assembled; "
-            f"last rejection: {rejection}"
-        )
-
-    rows, p, taus = (np.array(column) for column in zip(*items))
+    if len(parts) > 1:
+        rows, p, taus = (np.concatenate(column) for column in zip(*parts))
     if regime == "ml2plus":
         # Every ML2+ positive carries exactly one label (popcount 1).
         positive = np.arange(ds.label_count) < p[:, None]

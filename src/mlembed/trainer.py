@@ -32,7 +32,7 @@ from .losses import (
 from .losses import contrastive_loss, ml2plus_loss, pretrain_loss  # noqa: F401
 from .model import EmbeddingModel, EncoderConfig, check_fields, write_json
 from .numeric import ParamStore
-from .sampler import REGIMES, build_minibatch
+from .sampler import REGIMES, SAMPLER_STREAM, build_minibatch
 
 CHECKPOINT_SUFFIX = ".ckpt"
 
@@ -151,7 +151,7 @@ def _metric_batch_step(model, train_ds, cfg, lcfg, rng) -> float:
         values, G = ml2_batch_loss(embedded, batch.p, batch.taus, lcfg)
     model.params.zero_grads()
     model.backward_embed(cache, G.reshape(E.shape) / cfg.batch_size)
-    return _batch_mean(values)
+    return float(np.mean(values))
 
 
 def _pretrain_batch_step(model, train_ds, cfg, rng) -> float:
@@ -164,19 +164,7 @@ def _pretrain_batch_step(model, train_ds, cfg, rng) -> float:
     values, G = pretrain_batch_loss(log_probs, train_ds.label_matrix[idx])
     model.params.zero_grads()
     model.backward_classify(cache, G / cfg.batch_size)
-    return _batch_mean(values)
-
-
-def _batch_mean(values) -> float:
-    """Mean of the per-item losses, summed left to right in batch order.
-
-    The order fixes the last bits of every reported loss, and so the bytes
-    of report.json for a given seed; a pairwise ``np.sum`` would change them.
-    """
-    total = 0.0
-    for value in values:
-        total += float(value)
-    return total / len(values)
+    return float(np.mean(values))
 
 
 def train(
@@ -311,6 +299,7 @@ def emit_run(
         "best_iteration": report.best_iteration,
         "best_val_nmi": report.best_val_nmi,
         "wall_clock_seconds": report.wall_clock_seconds,
+        "sampler_stream": SAMPLER_STREAM,
     }
     if manifest_extra:
         manifest.update(manifest_extra)

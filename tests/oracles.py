@@ -7,11 +7,10 @@ references for the array path.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from mlembed.errors import ContractError, DegenerateGroupError, GroupRejected, SamplingError
+from mlembed.errors import ContractError, DegenerateGroupError
 from mlembed.losses import EPSILON_DIST
 
 
@@ -235,121 +234,9 @@ def log_softmax_pairs(logits):
 
 # -- frozen per-item implementations -----------------------------------------
 #
-# The per-example ML2/ML2+ sampler, the per-group loss kernels and the
-# per-item training steps as they were before the array path replaced them.
-# They are kept verbatim in behaviour, so the array path can be checked for
-# identical random-stream use, bitwise-identical loss values and gradients,
-# and identical trained parameters. Examples are named by their position in
-# the dataset; ids are unique, so a set of positions excludes exactly what a
-# set of ids did.
-
-FROZEN_MAX_DRAW_ATTEMPTS = 100
-
-
-@dataclass(frozen=True)
-class FrozenGroup:
-    anchor: object
-    positives: tuple
-    negatives: tuple
-    tau_values: tuple
-
-
-def _frozen_overlap_tau(a, b):
-    sa, sb = frozenset(a), frozenset(b)
-    union = len(sa | sb)
-    return (union - len(sa & sb)) / union
-
-
-def _frozen_draw(pool, rng):
-    return pool[int(rng.integers(len(pool)))]
-
-
-def frozen_sample_group_ml2(ds, anchor, rng):
-    anchor_labels = ds.labels[anchor]
-    used = {anchor}
-    drawn = []
-    for label in range(ds.label_count):
-        pool = [i for i in ds.positions_with_label(label) if i != anchor]
-        if not pool:
-            raise SamplingError(f"label {label} has no candidate besides the anchor")
-        for _ in range(FROZEN_MAX_DRAW_ATTEMPTS):
-            i = _frozen_draw(pool, rng)
-            if i not in used:
-                break
-        else:
-            raise GroupRejected(f"no distinct representative for label {label}")
-        used.add(i)
-        drawn.append(i)
-
-    positives = tuple(i for i in drawn if ds.labels[i] & anchor_labels)
-    negatives = tuple(i for i in drawn if not (ds.labels[i] & anchor_labels))
-    if not negatives:
-        raise GroupRejected(f"anchor {ds.ids[anchor]!r} leaves an empty negative set")
-    taus = tuple(_frozen_overlap_tau(anchor_labels, ds.labels[i]) for i in positives)
-    return FrozenGroup(anchor, positives, negatives, taus)
-
-
-def frozen_sample_group_ml2plus(ds, anchor, rng):
-    anchor_labels = ds.labels[anchor]
-    p = len(anchor_labels)
-    if p == ds.label_count:
-        raise GroupRejected(f"anchor {ds.ids[anchor]!r} carries all labels; empty negative set")
-
-    used = {anchor}
-    positives = []
-    for label in sorted(anchor_labels):
-        pool = [i for i in ds.single_label_positions(label) if i != anchor]
-        if not pool:
-            raise SamplingError(f"no single-label example for label {label}")
-        for _ in range(FROZEN_MAX_DRAW_ATTEMPTS):
-            i = _frozen_draw(pool, rng)
-            if i not in used:
-                break
-        else:
-            raise GroupRejected(f"no distinct single-label positive for label {label}")
-        used.add(i)
-        positives.append(i)
-
-    negatives = []
-    for label in sorted(frozenset(range(ds.label_count)) - anchor_labels):
-        pool = ds.positions_with_label(label)
-        if not pool:
-            raise SamplingError(f"label {label} has no examples")
-        chosen = None
-        for _ in range(FROZEN_MAX_DRAW_ATTEMPTS):
-            i = _frozen_draw(pool, rng)
-            if i not in used and not (ds.labels[i] & anchor_labels):
-                chosen = i
-                break
-        if chosen is None:
-            valid = [i for i in pool if i not in used and not (ds.labels[i] & anchor_labels)]
-            if not valid:
-                raise SamplingError(
-                    f"no zero-overlap negative for label {label} given anchor {ds.ids[anchor]!r}"
-                )
-            chosen = valid[int(rng.integers(len(valid)))]
-        used.add(chosen)
-        negatives.append(chosen)
-
-    tau = (p - 1) / p
-    return FrozenGroup(anchor, tuple(positives), tuple(negatives), (tau,) * p)
-
-
-def frozen_build_group_minibatch(ds, b, regime, rng):
-    sample = {"ml2": frozen_sample_group_ml2, "ml2plus": frozen_sample_group_ml2plus}[regime]
-    if b > len(ds):
-        raise SamplingError(f"batch size {b} exceeds split size {len(ds)}")
-    items = []
-    for pos in rng.permutation(len(ds)):
-        try:
-            items.append(sample(ds, int(pos), rng))
-        except GroupRejected:
-            continue
-        if len(items) == b:
-            break
-    if len(items) < b:
-        raise SamplingError(f"only {len(items)} of {b} requested items could be assembled")
-    return items
+# The per-group and per-item loss kernels as they were before the batched
+# kernels replaced them. They are kept verbatim in behaviour, so the batched
+# kernels can be checked for bitwise-identical loss values and gradients.
 
 
 def _frozen_dists_and_grads(anchor, others, eps):
@@ -405,19 +292,6 @@ def frozen_ml2_loss(anchor, positives, negatives, taus, cfg):
     return value, anchor_grad, positive_grads, negative_grads
 
 
-def frozen_ml2plus_loss(ds, group, emb, cfg):
-    """``emb`` maps the position of each group member to its embedding."""
-    for pos in group.positives:
-        if len(ds.labels[pos]) != 1:
-            raise ContractError(f"positive {ds.ids[pos]!r} is not single-label")
-    p = len(group.positives)
-    tau = (p - 1) / p
-    anchor = emb[group.anchor]
-    P = np.stack([emb[i] for i in group.positives])
-    N = np.stack([emb[i] for i in group.negatives])
-    return frozen_ml2_loss(anchor, P, N, np.full(p, tau), cfg)
-
-
 def frozen_pretrain_loss(log_probs, labels, label_count):
     """Returns (value, logit grads)."""
     lp = np.asarray(log_probs, dtype=np.float64)
@@ -433,121 +307,6 @@ def frozen_pretrain_loss(log_probs, labels, label_count):
     onehot = np.zeros_like(lp)
     onehot[np.arange(label_count), truth_col] = 1.0
     return value, (probs - onehot) / label_count
-
-
-def frozen_metric_batch_step(model, train_ds, cfg, lcfg, rng):
-    """The per-item optimizer step of any regime (gradients only; the caller steps)."""
-    if cfg.loss in ("contrastive", "triplet"):
-        return frozen_item_batch_step(model, train_ds, cfg, lcfg, rng)
-    items = frozen_build_group_minibatch(train_ds, cfg.batch_size, cfg.loss, rng)
-    feats, layout = [], []
-    for item in items:
-        start = len(feats)
-        feats.append(train_ds.X[item.anchor])
-        feats.extend(train_ds.X[i] for i in item.positives)
-        feats.extend(train_ds.X[i] for i in item.negatives)
-        layout.append((start, len(item.positives), len(item.negatives)))
-
-    E, cache = model.embed(np.stack(feats))
-    G = np.zeros_like(E)
-    total = 0.0
-    for item, (start, p, n) in zip(items, layout):
-        a, P, N = E[start], E[start + 1 : start + 1 + p], E[start + 1 + p : start + 1 + p + n]
-        if cfg.loss == "ml2":
-            out = frozen_ml2_loss(a, P, N, item.tau_values, lcfg)
-        else:
-            emb = {item.anchor: a}
-            emb.update({pos: P[i] for i, pos in enumerate(item.positives)})
-            emb.update({pos: N[j] for j, pos in enumerate(item.negatives)})
-            out = frozen_ml2plus_loss(train_ds, item, emb, lcfg)
-        value, G[start], G[start + 1 : start + 1 + p], G[start + 1 + p : start + 1 + p + n] = out
-        total += value
-
-    model.params.zero_grads()
-    model.backward_embed(cache, G / cfg.batch_size)
-    return total / cfg.batch_size
-
-
-def frozen_pretrain_batch_step(model, train_ds, cfg, rng):
-    if cfg.batch_size > len(train_ds):
-        raise SamplingError(f"batch size {cfg.batch_size} exceeds split size {len(train_ds)}")
-    idx = rng.choice(len(train_ds), size=cfg.batch_size, replace=False)
-    X = np.stack([train_ds.X[int(i)] for i in idx])
-    log_probs, cache = model.classify(X)
-    G = np.empty_like(log_probs)
-    total = 0.0
-    for row, i in enumerate(idx):
-        value, G[row] = frozen_pretrain_loss(
-            log_probs[row], train_ds.labels[int(i)], train_ds.label_count
-        )
-        total += value
-    model.params.zero_grads()
-    model.backward_classify(cache, G / cfg.batch_size)
-    return total / cfg.batch_size
-
-
-# The per-example pair/triplet sampler, the scalar contrastive and triplet
-# kernels, and the per-item pair/triplet training step, as they were before
-# the baselines moved onto position rows and the batched kernels.
-
-
-def _frozen_draw_partner(ds, anchor, want_shared, rng):
-    n = len(ds)
-    anchor_labels = ds.labels[anchor]
-    for _ in range(FROZEN_MAX_DRAW_ATTEMPTS):
-        i = int(rng.integers(n))
-        if i == anchor:
-            continue
-        if bool(ds.labels[i] & anchor_labels) == want_shared:
-            return i
-    valid = [
-        i
-        for i in range(n)
-        if i != anchor and bool(ds.labels[i] & anchor_labels) == want_shared
-    ]
-    if not valid:
-        return None
-    return valid[int(rng.integers(len(valid)))]
-
-
-def frozen_sample_pair(ds, anchor, rng):
-    """Returns (first, second, same), the first two as positions."""
-    want_shared = bool(rng.random() < 0.5)
-    partner = _frozen_draw_partner(ds, anchor, want_shared, rng)
-    if partner is None:
-        want_shared = not want_shared
-        partner = _frozen_draw_partner(ds, anchor, want_shared, rng)
-    if partner is None:
-        raise GroupRejected(f"anchor {ds.ids[anchor]!r} has no pair partner")
-    return anchor, partner, want_shared
-
-
-def frozen_sample_triplet(ds, anchor, rng):
-    """Returns the positions (anchor, positive, negative)."""
-    positive = _frozen_draw_partner(ds, anchor, True, rng)
-    if positive is None:
-        raise GroupRejected(f"anchor {ds.ids[anchor]!r} has no positive candidate")
-    negative = _frozen_draw_partner(ds, anchor, False, rng)
-    if negative is None:
-        raise GroupRejected(f"anchor {ds.ids[anchor]!r} has no zero-overlap negative")
-    return anchor, positive, negative
-
-
-def frozen_build_item_minibatch(ds, b, regime, rng):
-    sample = {"contrastive": frozen_sample_pair, "triplet": frozen_sample_triplet}[regime]
-    if b > len(ds):
-        raise SamplingError(f"batch size {b} exceeds split size {len(ds)}")
-    items = []
-    for pos in rng.permutation(len(ds)):
-        try:
-            items.append(sample(ds, int(pos), rng))
-        except GroupRejected:
-            continue
-        if len(items) == b:
-            break
-    if len(items) < b:
-        raise SamplingError(f"only {len(items)} of {b} requested items could be assembled")
-    return items
 
 
 def frozen_triplet_loss(anchor, positive, negative, cfg):
@@ -575,26 +334,3 @@ def frozen_contrastive_loss(x1, x2, same, cfg):
         return 0.0, zero, zero.copy()
     g = (2.0 * slack / (d + EPSILON_DIST)) * diff
     return float(slack * slack), -g, g
-
-
-def frozen_item_batch_step(model, train_ds, cfg, lcfg, rng):
-    """The per-item contrastive/triplet optimizer step (gradients only)."""
-    items = frozen_build_item_minibatch(train_ds, cfg.batch_size, cfg.loss, rng)
-    width = 3 if cfg.loss == "triplet" else 2
-    feats = [train_ds.X[i] for item in items for i in item[:width]]
-    E, cache = model.embed(np.stack(feats))
-    G = np.zeros_like(E)
-    total = 0.0
-    for i, item in enumerate(items):
-        if cfg.loss == "triplet":
-            value, G[3 * i], G[3 * i + 1], G[3 * i + 2] = frozen_triplet_loss(
-                E[3 * i], E[3 * i + 1], E[3 * i + 2], lcfg
-            )
-        else:
-            value, G[2 * i], G[2 * i + 1] = frozen_contrastive_loss(
-                E[2 * i], E[2 * i + 1], item[2], lcfg
-            )
-        total += value
-    model.params.zero_grads()
-    model.backward_embed(cache, G / cfg.batch_size)
-    return total / cfg.batch_size

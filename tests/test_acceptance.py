@@ -15,9 +15,13 @@ Desk-scale calibration (recorded here and in the README):
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines.
 """
 
+import itertools
 import json
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -68,39 +72,57 @@ PRETRAIN_TOLERANCE = 0.02
 MAX_SECONDS_PER_RUN = 600.0
 
 
-def _train_runs(splits, loss, batch_size, pretrain=False):
-    runs = []
-    for seed in SEEDS:
-        cfg = TrainConfig(
-            loss=loss,
-            batch_size=batch_size,
-            iterations=3000,
-            eval_every=100,
-            lr_decay_period=1000,
-            seed=seed,
-            pretrain=pretrain,
-            pretrain_iterations=1000,
-        )
-        enc = EncoderConfig(input_dim=32, hidden_sizes=(64, 64), embedding_dim=64, seed=seed)
-        model, report = train(splits, cfg, enc)
-        assert report.wall_clock_seconds <= MAX_SECONDS_PER_RUN
-        runs.append((model, report))
+# The training runs of criteria 5-7: (loss, batch size, pre-training), each
+# trained on every seed in SEEDS.
+RUNS = (("ml2plus", 10, False), ("contrastive", 36, False), ("ml2plus", 10, True))
+
+
+def _train_run(splits, loss, batch_size, pretrain, seed):
+    """One training run of criteria 5-7, a pure function of its arguments."""
+    cfg = TrainConfig(
+        loss=loss,
+        batch_size=batch_size,
+        iterations=3000,
+        eval_every=100,
+        lr_decay_period=1000,
+        seed=seed,
+        pretrain=pretrain,
+        pretrain_iterations=1000,
+    )
+    enc = EncoderConfig(input_dim=32, hidden_sizes=(64, 64), embedding_dim=64, seed=seed)
+    model, report = train(splits, cfg, enc)
+    assert report.wall_clock_seconds <= MAX_SECONDS_PER_RUN
+    return model, report
+
+
+@pytest.fixture(scope="session")
+def training_runs(default_splits):
+    """Every run of RUNS on every seed, trained in a pool of at most four
+    spawned worker processes: ``{(loss, pretrain): [(model, report), ...]}``,
+    in seed order."""
+    jobs = [(loss, batch, pretrain, seed) for loss, batch, pretrain in RUNS for seed in SEEDS]
+    workers = min(4, os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        results = list(pool.map(_train_run, itertools.repeat(default_splits), *zip(*jobs)))
+    runs = {}
+    for (loss, _, pretrain, _), result in zip(jobs, results):
+        runs.setdefault((loss, pretrain), []).append(result)
     return runs
 
 
 @pytest.fixture(scope="session")
-def ml2plus_runs(default_splits):
-    return _train_runs(default_splits, "ml2plus", 10)
+def ml2plus_runs(training_runs):
+    return training_runs[("ml2plus", False)]
 
 
 @pytest.fixture(scope="session")
-def contrastive_runs(default_splits):
-    return _train_runs(default_splits, "contrastive", 36)
+def contrastive_runs(training_runs):
+    return training_runs[("contrastive", False)]
 
 
 @pytest.fixture(scope="session")
-def ml2plus_pretrained_runs(default_splits):
-    return _train_runs(default_splits, "ml2plus", 10, pretrain=True)
+def ml2plus_pretrained_runs(training_runs):
+    return training_runs[("ml2plus", True)]
 
 
 def _best_point(report):

@@ -236,6 +236,22 @@ class TestTrain:
             key=lambda p: p["val_nmi"],
         )
         assert report["best_val_nmi"] == best["val_nmi"]
+        assert manifest["sampler_stream"] == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--pretrain"]], ids=["metric", "pretrain"])
+    def test_zero_iterations_reports_no_validation_point(
+        self, tmp_path, data_dir, capsys, flags
+    ):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"train": {"iterations": 0}}))
+        run = tmp_path / "run"
+        args = ["train", "--config", str(path), "--data", str(data_dir), "--run-dir", str(run)]
+        assert main(args + flags) == 0
+        out = capsys.readouterr().out
+        assert "no validation point was scored" in out
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["best_checkpoint"] is None
+        assert (run / manifest["checkpoint"]).exists()
 
     def test_missing_dataset_path(self, config_path, tmp_path, capsys):
         code = main(

@@ -53,6 +53,14 @@ def small_cooccurrence(*entries):
     return co
 
 
+def label_pool(ds, label, single=False):
+    """The positions of ``label``'s pool in ``ds.label_pools``: its
+    single-label examples, then (unless ``single``) the rest."""
+    positions, bounds = ds.label_pools
+    start, single_count, count = bounds[label]
+    return positions[start : start + (single_count if single else count)].tolist()
+
+
 class TestSyntheticGenerator:
     def test_zero_noise_single_label_is_prototype(self):
         spec = small_spec(noise_sigma=0.0)
@@ -101,7 +109,7 @@ class TestSyntheticGenerator:
         n = len(splits.train)
         expected = generator_marginals(spec.cooccurrence)
         for label in range(spec.label_count):
-            observed = len(splits.train.positions_with_label(label)) / n
+            observed = splits.train.label_matrix[:, label].sum() / n
             se = np.sqrt(expected[label] * (1 - expected[label]) / n)
             assert abs(observed - expected[label]) <= 3 * se, (label, observed, expected[label])
 
@@ -495,10 +503,10 @@ class TestDatasetInvariants:
     def test_label_index_consistent(self, default_splits):
         ds = default_splits.train
         for label in range(ds.label_count):
-            for pos in ds.positions_with_label(label):
+            for pos in label_pool(ds, label):
                 assert label in ds.labels[pos]
         indexed = {(label, pos) for label in range(ds.label_count)
-                   for pos in ds.positions_with_label(label)}
+                   for pos in label_pool(ds, label)}
         for pos, labels in enumerate(ds.labels):
             for label in labels:
                 assert (label, pos) in indexed
@@ -506,12 +514,12 @@ class TestDatasetInvariants:
     def test_single_label_index(self, default_splits):
         ds = default_splits.train
         for label in range(ds.label_count):
-            for pos in ds.single_label_positions(label):
+            for pos in label_pool(ds, label, single=True):
                 assert ds.labels[pos] == frozenset({label})
 
     def test_every_label_covered_in_train(self, default_splits):
         ds = default_splits.train
-        assert all(ds.positions_with_label(k) for k in range(ds.label_count))
+        assert all(label_pool(ds, k) for k in range(ds.label_count))
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(DataFormatError, match="duplicate example id"):
@@ -623,7 +631,7 @@ class TestOneLabelForm:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_derived_forms_match_the_label_sets(self, data):
-        # 70 labels: the bitmasks outgrow 64 bits
+        # 70 labels: past any 64-bit label bitmask
         label_count = data.draw(st.sampled_from([1, 3, 9, 70]))
         # labels never drawn leave all-False columns in the matrix
         absent = data.draw(
@@ -638,10 +646,11 @@ class TestOneLabelForm:
 
         assert ds.label_matrix.shape == (n, label_count)
         assert ds.labels == sets
-        assert ds.label_masks == [sum(1 << k for k in s) for s in sets]
         for k in range(label_count):
-            assert ds.positions_with_label(k) == [i for i, s in enumerate(sets) if k in s]
-            assert ds.single_label_positions(k) == [i for i, s in enumerate(sets) if s == {k}]
+            singles = [i for i, s in enumerate(sets) if s == {k}]
+            others = [i for i, s in enumerate(sets) if k in s and s != {k}]
+            assert label_pool(ds, k) == singles + others
+            assert label_pool(ds, k, single=True) == singles
 
         clusters, count = label_set_clusters(ds.label_matrix)
         want, want_count = frozen_label_set_clusters(sets)

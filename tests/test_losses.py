@@ -10,7 +10,6 @@ from mlembed.losses import (
     LossConfig,
     contrastive_batch_loss,
     contrastive_loss,
-    dist,
     group_loss,
     max_negative,
     ml2_batch_loss,
@@ -37,6 +36,11 @@ from oracles import (
 )
 
 CFG = LossConfig(margin=0.2)
+
+
+def dist(u: np.ndarray, v: np.ndarray) -> float:
+    """Euclidean distance; in [0, 2] for unit vectors."""
+    return float(np.linalg.norm(np.asarray(u, dtype=np.float64) - v))
 
 
 def grad_check(fn, arrays, step=1e-5):

@@ -3,12 +3,12 @@ import re
 import numpy as np
 import pytest
 
+from mlembed.dataset import Dataset
 from mlembed.errors import ContractError, GroupRejected, SamplingError
 from mlembed import sampler
 from mlembed.losses import overlap_tau
 from mlembed.sampler import GroupBatch, build_minibatch, sample_group_ml2, sample_group_ml2plus
 from conftest import make_dataset
-from oracles import frozen_build_group_minibatch, frozen_build_item_minibatch
 
 
 def five_label_dataset():
@@ -117,25 +117,41 @@ class TestSampleGroupMl2:
 
 
 class TestDrawRule:
-    """Each slot takes up to MAX_DRAW_ATTEMPTS rejection draws, then one draw
+    """Each slot takes up to ROUNDS rounds of CANDIDATES draws, then one draw
     among every candidate that passes; a group is rejected only when none does."""
 
-    def test_ml2_slot_filled_after_its_draws_miss(self, monkeypatch):
-        # with seed 11, label 1's one draw hits x01, already drawn for label 0,
-        # while x1 is still free
-        monkeypatch.setattr(sampler, "MAX_DRAW_ATTEMPTS", 1)
+    def test_last_resort_fills_the_slot_its_draws_missed(self, monkeypatch):
+        # with no rounds, every slot is the last resort's draw: whenever x01
+        # fills label 0, x1 is the only candidate left for label 1
+        monkeypatch.setattr(sampler, "ROUNDS", 0)
         specs = [("anchor", {0, 1}), ("x01", {0, 1}), ("x0", {0}), ("x1", {1}), ("n2", {2})]
         ds = make_dataset(specs, label_count=3)
-        row, p, _ = sample_group_ml2(ds, 0, np.random.default_rng(11))
-        assert [ds.ids[i] for i in row] == ["anchor", "x01", "x1", "n2"] and p == 2
+        filled = set()
+        for seed in range(20):
+            row, p, _ = sample_group_ml2(ds, 0, np.random.default_rng(seed))
+            label0, label1, label2 = (ds.ids[i] for i in row[1:])
+            assert p == 2 and label2 == "n2"
+            if label0 == "x01":
+                assert label1 == "x1"
+            filled.add(label0)
+        assert filled == {"x01", "x0"}
 
-    def test_every_seed_fills_a_group_that_has_candidates(self, monkeypatch):
-        monkeypatch.setattr(sampler, "MAX_DRAW_ATTEMPTS", 1)
+    @pytest.mark.parametrize("rounds, candidates", [(0, 16), (1, 1)])
+    def test_every_seed_fills_a_group_that_has_candidates(self, monkeypatch, rounds, candidates):
+        monkeypatch.setattr(sampler, "ROUNDS", rounds)
+        monkeypatch.setattr(sampler, "CANDIDATES", candidates)
         ds = five_label_dataset()
         for seed in range(50):
             for sample in (sample_group_ml2, sample_group_ml2plus):
                 row, _, _ = sample(ds, ds.ids.index("anchor"), np.random.default_rng(seed))
                 assert len(set(row)) == len(row)
+
+    @pytest.mark.parametrize(
+        "sample, anchor_id", [(sample_group_ml2, "ab"), (sample_group_ml2plus, "s1")]
+    )
+    def test_last_resort_is_uniform(self, monkeypatch, sample, anchor_id):
+        monkeypatch.setattr(sampler, "ROUNDS", 0)
+        TestUniformDraws().test_counts_within_five_sigma(sample, anchor_id)
 
 
 class TestSampleGroupMl2Plus:
@@ -215,11 +231,29 @@ class TestSampleGroupMl2Plus:
         # rejected and the batch moves on to the next anchor
         specs = [("p1a", {1}), ("p1b", {1}), ("p12", {1, 2}), ("n0a", {0}), ("n0b", {0})]
         ds = make_dataset(specs, label_count=3)
-        with pytest.raises(GroupRejected, match="label 2 given anchor 'n0b'"):
-            sample_group_ml2plus(ds, ds.ids.index("n0b"), np.random.default_rng(0))
-        # with seed 21 the anchor "p1a" is drawn before both label-0 anchors
-        batch = build_minibatch(ds, 2, "ml2plus", np.random.default_rng(21))
-        assert sorted(ds.ids[a] for a in batch.rows[:, 0]) == ["n0a", "n0b"]
+        n0b, p12 = ds.ids.index("n0b"), ds.ids.index("p12")
+        rejected = 0
+        for seed in range(12):
+            try:
+                row, _, _ = sample_group_ml2plus(ds, n0b, np.random.default_rng(seed))
+            except GroupRejected as exc:
+                assert str(exc) == "no zero-overlap negative for label 2 given anchor 'n0b'"
+                rejected += 1
+                continue
+            assert row[-1] == p12
+        assert 0 < rejected < 12
+        # only the label-0 anchors can complete, so a batch of two that
+        # completes holds both, whichever anchors were tried before them
+        assembled = 0
+        for seed in range(30):
+            try:
+                batch = build_minibatch(ds, 2, "ml2plus", np.random.default_rng(seed))
+            except SamplingError as exc:
+                assert str(exc).startswith("only "), (seed, exc)
+                continue
+            assert sorted(ds.ids[a] for a in batch.rows[:, 0]) == ["n0a", "n0b"]
+            assembled += 1
+        assert assembled
 
     def test_full_label_anchor_rejected(self):
         specs = [("anchor", {0, 1}), ("s0", {0}), ("s1", {1})]
@@ -378,6 +412,122 @@ class TestBuildMinibatch:
         assert len(anchors) == len(set(anchors))
 
 
+def assert_group_rules(ds, batch, regime):
+    """Every row of ``batch`` obeys its regime's group rules."""
+    width = {"contrastive": 2, "triplet": 3}.get(regime, 1 + ds.label_count)
+    assert batch.rows.shape == (len(batch.p), width)
+    assert batch.taus.shape == (len(batch.p), width - 1)
+    anchors = batch.rows[:, 0].tolist()
+    assert len(anchors) == len(set(anchors))
+    for row, p, taus in zip(batch.rows.tolist(), batch.p.tolist(), batch.taus.tolist()):
+        anchor = ds.labels[row[0]]
+        positives = [ds.labels[i] for i in row[1 : 1 + p]]
+        negatives = [ds.labels[i] for i in row[1 + p :]]
+        assert len(set(row)) == len(row)
+        assert taus[p:] == [0.0] * (width - 1 - p)
+        for labels in positives:
+            assert labels & anchor
+        for labels in negatives:
+            assert not labels & anchor
+        if regime == "contrastive":
+            assert p in (0, 1) and taus == [0.0]
+        elif regime == "triplet":
+            assert p == 1 and taus == [0.0, 0.0]
+        else:
+            assert taus[:p] == [overlap_tau(anchor, labels) for labels in positives]
+            assert frozenset().union(*positives, *negatives) >= set(range(ds.label_count)) - anchor
+        if regime == "ml2plus":
+            # one single-label positive per anchor label, in label order
+            assert [sorted(labels) for labels in positives] == [[k] for k in sorted(anchor)]
+
+
+def seventy_label_dataset():
+    """l=70, past any 64-bit label bitmask: three single-label examples per
+    label, and two-, three- and 70-label examples that tie far-apart labels
+    together."""
+    specs = [(f"s{k}-{i}", {k}) for k in range(70) for i in range(3)]
+    specs += [(f"d{k}", {k, (k + 35) % 70}) for k in range(70)]
+    specs += [(f"t{k}", {k, 64 + k % 6, (k * 7) % 70}) for k in range(0, 70, 5)]
+    specs += [("all", set(range(70)))]
+    return make_dataset(specs, label_count=70)
+
+
+class TestBatchedPath:
+    @pytest.mark.parametrize("regime", ["ml2", "ml2plus", "contrastive", "triplet"])
+    @pytest.mark.parametrize("which", ["seventy-labels", "default"])
+    def test_group_rules(self, default_splits, regime, which):
+        ds = seventy_label_dataset() if which == "seventy-labels" else default_splits.train
+        rng = np.random.default_rng(70)
+        for _ in range(20):
+            assert_group_rules(ds, build_minibatch(ds, 12, regime, rng), regime)
+
+    @pytest.mark.parametrize("slots", ["label-pools", "label-pools-shared", "whole-split"])
+    def test_array_step_is_slot_by_slot_filling(self, monkeypatch, slots):
+        """A round gives every row what filling it slot by slot from the
+        round's candidates gives: each slot the first candidate that passes
+        and repeats no earlier slot. Half the examples carry two neighbouring
+        labels, so some rows draw one example for two slots and take the
+        slot-by-slot path, while the others take the array step."""
+        monkeypatch.setattr(sampler, "ROUNDS", 1)  # then the last resort
+        specs = [(f"s{k}-{i}", {k}) for k in range(6) for i in range(2)]
+        specs += [(f"d{k}-{i}", {k, (k + 1) % 6}) for k in range(6) for i in range(2)]
+        ds = make_dataset(specs, label_count=6)
+        anchors, (positions, bounds) = np.arange(len(ds)), ds.label_pools
+        shared, pool = None, tuple(np.tile(bounds[:, col], (len(ds), 1)) for col in (0, 2))
+        if slots == "label-pools-shared":
+            shared = ds.label_matrix.copy()
+        elif slots == "whole-split":
+            shared, pool = np.tile([True, False, True], (len(ds), 1)), None
+        for seed in range(5):
+            rng = Recording(np.random.default_rng(seed))
+            got = sampler._fill(ds, anchors, shared, rng, pool).tolist()
+            drawn = rng.results[0]  # the round's draws, then the last resort's
+            cand = drawn if pool is None else positions[pool[0][:, :, None] + drawn]
+            for a, row, slot_cands in zip(anchors.tolist(), got, cand.tolist()):
+                want = []
+                for k, candidates in enumerate(slot_cands):
+                    passing = [
+                        c for c in candidates if c != a and c not in want
+                        and (shared is None or bool(ds.labels[c] & ds.labels[a]) == shared[a, k])
+                    ]
+                    if not passing:
+                        break
+                    want.append(passing[0])
+                assert row[: len(want)] == want, (seed, a)
+
+    def test_no_draw_grows_with_the_split(self, default_splits):
+        """Every array the random stream hands ``build_minibatch`` is bounded
+        by the batch, the label count and CANDIDATES, on a 2,000-row split
+        and on the same rows repeated to 200,000."""
+        small = default_splits.train
+        reps = 200_000 // len(small)
+        big = Dataset([f"r{i}" for i in range(reps * len(small))], np.zeros((reps * len(small), 1)),
+                      np.tile(small.label_matrix, (reps, 1)))
+        for ds in (small, big):
+            for regime, b in (("ml2", 10), ("ml2plus", 10), ("contrastive", 36), ("triplet", 36)):
+                rng = Recording(np.random.default_rng(72))
+                for _ in range(20):
+                    build_minibatch(ds, b, regime, rng)
+                sizes = [np.size(out) for out in rng.results]
+                bound = b * ds.label_count * sampler.CANDIDATES
+                assert sizes and max(sizes) <= bound, (len(ds), regime)
+
+
+class Recording:
+    """Forwards to a Generator and records each result it returns."""
+
+    def __init__(self, rng):
+        self.rng, self.results = rng, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            out = getattr(self.rng, name)(*args, **kwargs)
+            self.results.append(out)
+            return out
+
+        return call
+
+
 def disjoint_pools_dataset():
     """l=4; every example but the anchor ``ab`` carries one label, so no
     draw for ``ab`` collides with an earlier one. ``s1`` is a single-label
@@ -437,67 +587,6 @@ class TestUniformDraws:
                 assert abs(counts.get(ex_id, 0) - expected) <= 5.0 * sigma, (label, ex_id)
 
 
-def tricky_specs():
-    specs = [(f"n0-{i}", {0}) for i in range(3)]
-    specs += [(f"s1-{i}", {1}) for i in range(4)]
-    specs += [(f"x12-{i}", {1, 2}) for i in range(250)]
-    specs += [("s2", {2}), ("s2b", {2}), ("s3", {3}), ("s3b", {3})]
-    specs += [("x23", {2, 3}), ("all", {0, 1, 2, 3})]
-    return specs
-
-
-def tricky_dataset():
-    """Rejections and the ML2+ zero-overlap fallback happen often: most
-    label-2 examples also carry label 1, and one example carries every label."""
-    return make_dataset(tricky_specs(), label_count=4)
-
-
-def partner_fallback_dataset():
-    """The pair and triplet partner draws often exhaust their 100 rejection
-    draws: anchors with label 0 or 3 share a label with 3 of 264 examples.
-    ``all`` has no dissimilar partner and ``lonely`` no similar one, so a
-    pair switches kind and a triplet anchor is rejected."""
-    return make_dataset(tricky_specs() + [("lonely", {4})], label_count=5)
-
-
-class TestStreamEquivalence:
-    """build_minibatch consumes the random stream exactly as the per-item
-    sampler did and yields the same groups."""
-
-    @pytest.mark.parametrize("regime", ["ml2", "ml2plus"])
-    @pytest.mark.parametrize("which", ["default", "tricky"])
-    def test_same_positions_as_per_item_sampler(self, default_splits, regime, which):
-        ds, b = (default_splits.train, 10) if which == "default" else (tricky_dataset(), 5)
-        new_rng, old_rng = np.random.default_rng(77), np.random.default_rng(77)
-        for _ in range(300):
-            batch = build_minibatch(ds, b, regime, new_rng)
-            groups = frozen_build_group_minibatch(ds, b, regime, old_rng)
-            assert batch.rows.tolist() == [[g.anchor, *g.positives, *g.negatives] for g in groups]
-            assert batch.p.tolist() == [len(g.positives) for g in groups]
-            for taus, p, g in zip(batch.taus.tolist(), batch.p.tolist(), groups):
-                assert taus == list(g.tau_values) + [0.0] * (ds.label_count - p)
-        assert new_rng.bit_generator.state == old_rng.bit_generator.state
-
-    @pytest.mark.parametrize("regime", ["contrastive", "triplet"])
-    @pytest.mark.parametrize("which", ["default", "fallback"])
-    def test_same_rows_as_per_item_partner_sampler(self, default_splits, regime, which):
-        ds, b = (default_splits.train, 36) if which == "default" else (partner_fallback_dataset(), 5)
-        new_rng, old_rng = np.random.default_rng(78), np.random.default_rng(78)
-        for _ in range(300):
-            batch = build_minibatch(ds, b, regime, new_rng)
-            items = frozen_build_item_minibatch(ds, b, regime, old_rng)
-            if regime == "triplet":
-                rows = [list(item) for item in items]
-                p = [1] * b
-            else:
-                rows = [[first, second] for first, second, _ in items]
-                p = [int(same) for _, _, same in items]
-            assert batch.rows.tolist() == rows
-            assert batch.p.tolist() == p
-            assert not batch.taus.any()
-        assert new_rng.bit_generator.state == old_rng.bit_generator.state
-
-
 class TestBatchContracts:
     def test_empty_pool_raises_sampling_error(self):
         # no single-label example for label 2, so no ML2+ group can be drawn
@@ -512,11 +601,11 @@ class TestBatchContracts:
     def test_multi_label_ml2plus_positive_rejected(self):
         specs = [("a", {1, 2}), ("s1", {1}), ("s2", {2}), ("t2", {2})]
         ds = make_dataset(specs + [("n0", {0}), ("m0", {0})], label_count=3)
-        # the single-label pool of label 1 now also holds the two-label "a",
-        # the only positive the anchor "s1" can draw
-        single = ds.single_label_positions
-        ds.single_label_positions = lambda label: (
-            ds.positions_with_label(1) if label == 1 else single(label)
-        )
+        # the single-label part of label 1's pool now also holds the
+        # two-label "a", the only positive the anchor "s1" can draw
+        positions, bounds = ds.label_pools
+        bounds = bounds.copy()
+        bounds[1, 1] = bounds[1, 2]
+        ds.label_pools = positions, bounds
         with pytest.raises(ContractError, match="single-label"):
             build_minibatch(ds, len(ds), "ml2plus", np.random.default_rng(0))
