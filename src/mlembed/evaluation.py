@@ -69,7 +69,9 @@ def _nearest_center(X: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.nd
 
 
 def kmeans(X: np.ndarray, k: int, seed: int) -> KMeansResult:
-    """Lloyd iterations from greedy D^2-weighted seeding.
+    """Lloyd iterations from k-means++ seeding: the first center is a
+    uniform draw, and each further center is one draw weighted by the
+    squared distance to the nearest center chosen so far.
 
     Runs until the assignment reaches a fixpoint or the sweep cap; empty
     clusters are re-seeded from the point farthest from its current center,

@@ -94,29 +94,12 @@ def _as_matrix(vectors, name: str) -> np.ndarray:
 
 
 def triplet_loss(anchor, positive, negative, cfg: LossConfig) -> TripletLossOutput:
-    """Triplet loss of one triplet; see :func:`triplet_batch_loss`."""
-    values, G = triplet_batch_loss(np.stack([anchor, positive, negative])[None], cfg)
+    """Hinged triplet loss max(0, d(a, x+) - d(a, x-) + margin) of one
+    triplet: the ML2 loss of a group with one positive, one negative and
+    tau = 0, so it is a ``b = 1`` call of :func:`ml2_batch_loss`."""
+    E = np.stack([anchor, positive, negative])[None]
+    values, G = ml2_batch_loss(E, np.ones(1, dtype=np.intp), np.zeros((1, 2)), cfg)
     return TripletLossOutput(float(values[0]), G[0, 0], G[0, 1], G[0, 2])
-
-
-def triplet_batch_loss(E: np.ndarray, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Hinged triplet loss max(0, d(a, x+) - d(a, x-) + margin) per row.
-
-    Row i of ``E`` (b, 3, m) holds an anchor, its positive and its negative.
-    Returns the values (b,) and the gradients with respect to ``E``; rows
-    with an inactive hinge get exactly zero gradient.
-    """
-    E = np.asarray(E, dtype=np.float64)
-    if E.ndim != 3 or E.shape[1] != 3:
-        raise ContractError(f"expected triplets of shape (b, 3, m), got {E.shape}")
-    d, g = _dists_and_grads(E[:, 0], E[:, 1:])
-    raw = d[:, 0] - d[:, 1] + cfg.margin
-    active = raw > 0.0
-    G = np.zeros_like(E)
-    G[active, 0] = g[active, 0] - g[active, 1]
-    G[active, 1] = -g[active, 0]
-    G[active, 2] = g[active, 1]
-    return np.where(active, raw, 0.0), G
 
 
 def group_loss(
@@ -164,23 +147,12 @@ def smooth_max_negative(
     anchor = np.asarray(anchor, dtype=np.float64)
     N = _as_matrix(negatives, "negative")
     d, g = _dists_and_grads(anchor, N)
-    value, anchor_grad, negative_grads = _smooth_max_rows(d[None], g[None], cfg)
-    return SmoothMaxTerm(float(value[0]), anchor_grad[0], negative_grads[0])
-
-
-def _smooth_max_rows(d: np.ndarray, g: np.ndarray, cfg: LossConfig):
-    """:func:`smooth_max_negative` for a stack of anchors, given their
-    distances (r, n) and distance gradients (r, n, m) to their negatives.
-    Returns values (r,), anchor grads (r, m), negative grads (r, n, m)."""
     terms = cfg.margin - d
-    shift = terms.max(axis=1, keepdims=True)
+    shift = terms.max()
     exps = np.exp(terms - shift)
-    total = exps.sum(axis=1, keepdims=True)
-    value = (shift + np.log(total))[:, 0]
+    total = exps.sum()
     weights = exps / total  # softmax over the terms
-    anchor_grad = -(weights[:, None, :] @ g)[:, 0]
-    negative_grads = weights[:, :, None] * g
-    return value, anchor_grad, negative_grads
+    return SmoothMaxTerm(float(shift + np.log(total)), -(weights @ g), weights[:, None] * g)
 
 
 def overlap_tau(a, b) -> float:
@@ -230,9 +202,9 @@ def ml2_batch_loss(E: np.ndarray, p, taus, cfg: LossConfig) -> tuple[np.ndarray,
     collect one log-sum-exp-weighted gradient per active positive. Returns
     the per-group values (b,) and the gradients with respect to ``E``.
 
-    Groups are processed in buckets of equal p, so each bucket is a dense
-    stack with no padding; the arithmetic per group is the same as for a
-    single group.
+    The whole stack is one masked expression: the log-sum-exp runs over the
+    columns at or after p (the earlier ones are -inf), and the hinges over
+    the columns before p. A NaN embedding gives a NaN value.
     """
     E = np.asarray(E, dtype=np.float64)
     b, width, _ = E.shape
@@ -245,33 +217,28 @@ def ml2_batch_loss(E: np.ndarray, p, taus, cfg: LossConfig) -> tuple[np.ndarray,
         raise DegenerateGroupError("positive set is empty")
     if (p >= k).any():
         raise DegenerateGroupError("negative set is empty")
-    if (taus < 0.0).any() or (taus > 1.0).any():
+    if not ((taus >= 0.0) & (taus <= 1.0)).all():  # NaN fails both
         raise ContractError("tau values must lie in [0, 1]")
 
-    # Sort the groups by p, so each bucket is a slice; outputs are put back
-    # in the caller's order at the end.
-    order = np.argsort(p, kind="stable")
-    E_sorted, taus = E[order], taus[order]
-    d, g = _dists_and_grads(E_sorted[:, 0], E_sorted[:, 1:])
-    values, G = np.empty(b), np.empty_like(E)  # in sorted order
-    start = 0
-    for q, size in enumerate(np.bincount(p).tolist()):
-        if not size:
-            continue
-        rows = slice(start, start + size)
-        start += size
-        neg_value, neg_anchor_grad, neg_grads = _smooth_max_rows(d[rows, q:], g[rows, q:], cfg)
-        g_p = g[rows, :q]
-        hinges = d[rows, :q] - cfg.margin * taus[rows, :q] + neg_value[:, None]
-        is_active = hinges > 0.0
-        active = is_active.astype(np.float64)
-        share = is_active.sum(axis=1)[:, None] / q  # active hinges / p
-        values[rows] = (hinges * active).sum(axis=1) / q
-        G[rows, 0] = (active[:, None, :] @ g_p)[:, 0] / q + share * neg_anchor_grad
-        G[rows, 1 : 1 + q] = -(active[:, :, None] * g_p) / q
-        G[rows, 1 + q :] = share[:, :, None] * neg_grads
-    unsort = np.argsort(order)
-    return values[unsort], G[unsort]
+    d, g = _dists_and_grads(E[:, 0], E[:, 1:])
+    positive = np.arange(k) < p[:, None]
+    terms = np.where(positive, -np.inf, cfg.margin - d)
+    shift = terms.max(axis=1, keepdims=True)
+    exps = np.exp(terms - shift)
+    total = exps.sum(axis=1, keepdims=True)
+    weights = exps / total  # softmax over the negatives, 0 on the positives
+    hinges = d - cfg.margin * taus + (shift + np.log(total))
+    # A float mask, not np.where: a NaN hinge must keep the value NaN.
+    active = (positive & (hinges > 0.0)).astype(np.float64)
+    values = (hinges * active).sum(axis=1) / p
+    # d(value)/d(distance) is -coef: 1/p on an active positive, and minus
+    # the share of active hinges times the softmax weight on a negative.
+    share = active.sum(axis=1, keepdims=True) / p[:, None]
+    coef = share * weights - active / p[:, None]
+    G = np.empty_like(E)
+    G[:, 1:] = coef[..., None] * g
+    G[:, 0] = -(coef[:, None, :] @ g)[:, 0]
+    return values, G
 
 
 def contrastive_loss(x1, x2, same: bool, cfg: LossConfig) -> PairLossOutput:

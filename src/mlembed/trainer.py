@@ -19,13 +19,7 @@ import numpy as np
 from .dataset import Dataset, DatasetSplits
 from .errors import ConfigError, SamplingError, TrainingAbort
 from .evaluation import kmeans, label_set_clusters, nmi, recall_at_k
-from .losses import (
-    LossConfig,
-    contrastive_batch_loss,
-    ml2_batch_loss,
-    pretrain_batch_loss,
-    triplet_batch_loss,
-)
+from .losses import LossConfig, contrastive_batch_loss, ml2_batch_loss, pretrain_batch_loss
 
 # The benchmark's tracer (bench/tracer.py) hooks these names here. Training
 # no longer calls them: every regime and pre-training use the batched kernels.
@@ -145,9 +139,7 @@ def _metric_batch_step(model, train_ds, cfg, lcfg, rng) -> float:
     embedded = E.reshape(*batch.rows.shape, -1)
     if cfg.loss == "contrastive":
         values, G = contrastive_batch_loss(embedded, batch.p == 1, lcfg)
-    elif cfg.loss == "triplet":
-        values, G = triplet_batch_loss(embedded, lcfg)
-    else:
+    else:  # a triplet row is an ML2 group with p = 1 and tau = 0
         values, G = ml2_batch_loss(embedded, batch.p, batch.taus, lcfg)
     model.params.zero_grads()
     model.backward_embed(cache, G.reshape(E.shape) / cfg.batch_size)

@@ -236,7 +236,8 @@ def log_softmax_pairs(logits):
 #
 # The per-group and per-item loss kernels as they were before the batched
 # kernels replaced them. They are kept verbatim in behaviour, so the batched
-# kernels can be checked for bitwise-identical loss values and gradients.
+# kernels can be checked against them: bit for bit where the arithmetic is
+# the same, and to 1e-14 where the masked ML2 kernel sums in another order.
 
 
 def _frozen_dists_and_grads(anchor, others, eps):

@@ -247,6 +247,25 @@ class TestTrain:
         assert [(p.phase, p.iteration) for p in report.points] == [("pretrain", 10)]
         assert report.best_checkpoint is None
 
+    @pytest.mark.parametrize("slot", ["anchor", "positive", "negative"])
+    @pytest.mark.parametrize("regime", ["triplet", "ml2", "ml2plus"])
+    def test_nan_embedding_aborts_at_the_loss_check(self, monkeypatch, regime, slot):
+        # The group kernel keeps a NaN embedding in the loss value, so the
+        # run stops at its loss check, not at sgd_step's gradient check.
+        splits = tiny_splits()
+        width = 3 if regime == "triplet" else 1 + splits.train.label_count
+        row = {"anchor": 0, "positive": 1, "negative": width - 1}[slot]
+        embed = EmbeddingModel.embed
+
+        def poisoned(model, X):
+            E, cache = embed(model, X)
+            E[row] = np.nan
+            return E, cache
+
+        monkeypatch.setattr(EmbeddingModel, "embed", poisoned)
+        with pytest.raises(TrainingAbort, match="metric phase: non-finite loss at iteration 0"):
+            train(splits, tiny_config(loss=regime), TINY_ENCODER)
+
     def test_invalid_config_rejected(self):
         splits = tiny_splits()
         with pytest.raises(ConfigError):
