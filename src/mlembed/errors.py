@@ -22,7 +22,12 @@ class DataFormatError(MlembedError, ValueError):
 
 
 class SamplingError(MlembedError, RuntimeError):
-    """The sampler cannot satisfy a draw (e.g. a label with no candidates)."""
+    """The sampler cannot satisfy a draw (e.g. a label with no candidates).
+
+    Raised for step j of a block of steps, it carries the batch of the
+    first j steps as ``batch``."""
+
+    batch = None
 
 
 class GroupRejected(SamplingError):

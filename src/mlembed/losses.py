@@ -207,6 +207,8 @@ def ml2_batch_loss(E: np.ndarray, p, taus, cfg: LossConfig) -> tuple[np.ndarray,
     the columns before p. A NaN embedding gives a NaN value.
     """
     E = np.asarray(E, dtype=np.float64)
+    if E.ndim != 3:
+        raise ContractError(f"groups {E.shape} do not fit (b, 1 + k, m)")
     b, width, _ = E.shape
     k = width - 1
     p = np.asarray(p)

@@ -2,12 +2,15 @@
 positives (share a label with the anchor) and negatives (share none).
 
 All draws are uniform; there is deliberately no hard-example mining of any
-kind here. One batched path draws every regime's minibatch with array calls
-over the whole batch, and the per-anchor samplers are one-anchor calls of
-it. An anchor whose group cannot be completed is rejected
-(:class:`~mlembed.errors.GroupRejected`) and replaced by a fresh one; only
-a label with no example at all, or a batch that the split cannot fill,
-raises :class:`~mlembed.errors.SamplingError`, which aborts training.
+kind here, so a step's batch does not depend on the model. One batched
+path draws the minibatches of a block of steps with array calls over the
+whole block, each step's anchors uniform without replacement within the
+step, and the per-anchor samplers are one-anchor calls of it. An anchor
+whose group cannot be completed is rejected
+(:class:`~mlembed.errors.GroupRejected`) and replaced by one its step has
+not tried; only a label with no example at all, or a step that the split
+cannot fill, raises :class:`~mlembed.errors.SamplingError`, which aborts
+training at that step.
 
 Every regime draws rows of dataset positions, ``[anchor, positives...,
 negatives...]``, so a minibatch is a dense index matrix (:class:`GroupBatch`):
@@ -30,7 +33,7 @@ REGIMES = ("contrastive", "triplet", "ml2", "ml2plus")
 
 # The random stream of these draws, recorded in every run manifest. Any
 # change to what is drawn, or in which order, starts a new stream.
-SAMPLER_STREAM = 2
+SAMPLER_STREAM = 3
 
 # Candidates drawn for each open slot in one round (see _fill), and the
 # rounds before the draw among every candidate that passes.
@@ -217,40 +220,70 @@ sample_pair = partial(_one_anchor, "contrastive")
 sample_triplet = partial(_one_anchor, "triplet")
 
 
-def build_minibatch(ds: Dataset, b: int, regime: str, rng) -> GroupBatch:
-    """Assemble ``b`` rows for the given regime, from anchors drawn
-    uniformly without replacement."""
+def build_minibatch(ds: Dataset, b: int, regime: str, rng, steps: int = 1) -> GroupBatch:
+    """Assemble the ``b`` rows of each of ``steps`` steps for the given
+    regime, step t in rows ``[t * b, (t + 1) * b)``, in one call.
+
+    Each step's anchors are drawn uniformly without replacement, and one
+    :func:`_groups` call takes every anchor of the block. A rejected anchor
+    is replaced inside its step by one the step has not tried. When step j
+    cannot be filled, its :class:`~mlembed.errors.SamplingError` carries
+    the first j steps as ``batch``.
+    """
     if regime not in REGIMES:
         raise ContractError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     if b < 1:
         raise ContractError(f"batch size must be >= 1, got {b}")
-    if b > len(ds):
-        raise SamplingError(f"batch size {b} exceeds split size {len(ds)}")
+    if steps < 1:
+        raise ContractError(f"steps must be >= 1, got {steps}")
+    n = len(ds)
+    if b > n:
+        raise SamplingError(f"batch size {b} exceeds split size {n}")
 
-    parts, tried, count = [], np.empty(0, dtype=np.intp), 0
-    while count < b:
-        if tried.size == len(ds):  # b <= len(ds), so some anchor was rejected
-            raise SamplingError(f"only {count} of {b} requested items could be assembled; "
-                                f"last rejection: {rejection}")
-        # The untried positions of a draw without replacement, as many more
-        # than needed as were tried, are fresh anchors in uniform order.
-        anchors = rng.choice(len(ds), min(len(ds), b - count + tried.size), replace=False)
-        if tried.size:
-            anchors = anchors[~np.isin(anchors, tried)][: b - count]
+    anchors = np.concatenate([rng.choice(n, b, replace=False) for _ in range(steps)])
+    owner = np.repeat(np.arange(steps), b)
+    tried, tried_by = anchors, owner  # every anchor drawn, and its step
+    parts, count, rejection = [], np.zeros(steps, dtype=np.intp), {}
+    stop, error = steps, None  # the first step that cannot be filled, and why
+    while anchors.size:
         rows, p, taus, failures = _groups(ds, anchors, regime, rng)
         for i in sorted(failures):
-            if not isinstance(failures[i], GroupRejected):
-                raise failures[i]
-            rejection = failures[i]
-        parts.append((rows, p, taus))
-        tried = np.concatenate([tried, anchors])
-        count += len(rows)
+            t = int(owner[i])
+            if t < stop and not isinstance(failures[i], GroupRejected):
+                stop, error = t, failures[i]
+            rejection[t] = failures[i]
+        kept = np.delete(owner, list(failures)) if failures else owner
+        parts.append((rows, p, taus, kept))
+        count += np.bincount(kept, minlength=steps)
+        # Replace the rejected anchors of each short step before the first
+        # that fails with untried positions: those of a draw without
+        # replacement, as many more than needed as the step tried.
+        short, fresh = np.flatnonzero(count[:stop] < b), []
+        for t in short.tolist():
+            seen = tried[tried_by == t]
+            if seen.size == n:  # b <= n, so some anchor was rejected
+                stop, error = t, SamplingError(
+                    f"only {count[t]} of {b} requested items could be assembled; "
+                    f"last rejection: {rejection[t]}")
+                break
+            drawn = rng.choice(n, min(n, b - count[t] + seen.size), replace=False)
+            fresh.append(drawn[~np.isin(drawn, seen)][: b - count[t]])
+        anchors = np.concatenate([anchors[:0], *fresh])
+        owner = np.repeat(short[: len(fresh)], [f.size for f in fresh])
+        tried, tried_by = np.concatenate([tried, anchors]), np.concatenate([tried_by, owner])
 
-    if len(parts) > 1:
-        rows, p, taus = (np.concatenate(column) for column in zip(*parts))
+    if len(parts) > 1:  # in step order, each step's rows in the order drawn
+        rows, p, taus, kept = (np.concatenate(column) for column in zip(*parts))
+        order = np.argsort(kept, kind="stable")
+        rows, p, taus = rows[order], p[order], taus[order]
+    rows, p, taus = rows[: stop * b], p[: stop * b], taus[: stop * b]
     if regime == "ml2plus":
         # Every ML2+ positive carries exactly one label (popcount 1).
         positive = np.arange(ds.label_count) < p[:, None]
         if np.any(ds.label_matrix[rows[:, 1:]].sum(axis=2)[positive] != 1):
             raise ContractError("ML2+ batch holds a positive that is not single-label")
-    return GroupBatch(rows=rows, p=p, taus=taus)
+    batch = GroupBatch(rows=rows, p=p, taus=taus)
+    if error is not None:
+        error.batch = batch
+        raise error
+    return batch

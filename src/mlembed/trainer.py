@@ -26,9 +26,14 @@ from .losses import LossConfig, contrastive_batch_loss, ml2_batch_loss, pretrain
 from .losses import contrastive_loss, ml2plus_loss, pretrain_loss  # noqa: F401
 from .model import EmbeddingModel, EncoderConfig, check_fields, write_json
 from .numeric import ParamStore
-from .sampler import REGIMES, SAMPLER_STREAM, build_minibatch
+from .sampler import REGIMES, SAMPLER_STREAM, GroupBatch, build_minibatch
 
 CHECKPOINT_SUFFIX = ".ckpt"
+
+# The anchors one sampler call draws for the metric phase: a block of
+# max(1, DRAW_ANCHORS // batch_size) steps (see _metric_batches).
+DRAW_ANCHORS = 640
+
 
 @dataclass
 class TrainConfig:
@@ -124,17 +129,48 @@ def sgd_step(params: ParamStore, lr: float, momentum: float, weight_decay: float
     params.values -= lr * mom
 
 
-def _validation_scores(model: EmbeddingModel, ds: Dataset, kmeans_seed: int):
+def _validation_scores(model: EmbeddingModel, ds: Dataset, clusters, kmeans_seed: int):
+    """Validation NMI and Recall@1; ``clusters`` is
+    :func:`~mlembed.evaluation.label_set_clusters` of ``ds``."""
     E, _ = model.embed(ds.X)
-    truth, k_truth = label_set_clusters(ds.label_matrix)
+    truth, k_truth = clusters
     predicted = kmeans(E, k_truth, seed=kmeans_seed).assignment
     return nmi(predicted, truth), recall_at_k(E, ds.label_matrix, [1])[1]
 
 
-def _metric_batch_step(model, train_ds, cfg, lcfg, rng) -> float:
-    """One optimizer step: forward the whole batch at once, take the loss
-    gradients back to the stacked rows, take the SGD step."""
-    batch = build_minibatch(train_ds, cfg.batch_size, cfg.loss, rng)
+def _metric_batches(train_ds: Dataset, cfg: TrainConfig, rng):
+    """Every metric step's batch, in order, sliced from blocks of
+    ``max(1, DRAW_ANCHORS // b)`` steps, each drawn by one
+    :func:`~mlembed.sampler.build_minibatch` call.
+
+    Blocks are always drawn whole, so the batch of step t depends only on
+    the split, the regime, b, the seed and t, not on ``iterations`` or
+    ``eval_every``. The block bounds the sampler's largest array, the
+    label rows of the candidates in ``_passes``: about DRAW_ANCHORS *
+    CANDIDATES * l**2 bytes, 2 MB at 14 labels. When step j of a block
+    cannot be filled, the steps before it are yielded and its
+    SamplingError is raised in its place.
+    """
+    b = cfg.batch_size
+    steps = max(1, DRAW_ANCHORS // b)
+    while True:
+        try:
+            block, error = build_minibatch(train_ds, b, cfg.loss, rng, steps), None
+        except SamplingError as exc:
+            if exc.batch is None:
+                raise
+            block, error = exc.batch, exc
+        for t in range(0, len(block.p), b):
+            yield GroupBatch(block.rows[t : t + b], block.p[t : t + b], block.taus[t : t + b])
+        if error is not None:
+            raise error
+
+
+def _metric_batch_step(model, train_ds, cfg, lcfg, batches) -> float:
+    """One optimizer step on the next batch of ``batches``: forward the
+    whole batch at once, take the loss gradients back to the stacked rows,
+    take the SGD step."""
+    batch = next(batches)
     E, cache = model.embed(train_ds.X[batch.rows.ravel()])
     embedded = E.reshape(*batch.rows.shape, -1)
     if cfg.loss == "contrastive":
@@ -200,6 +236,8 @@ def train(
 
     model = EmbeddingModel(encoder_cfg)
     lcfg = LossConfig(margin=cfg.margin)
+    batches = _metric_batches(train_ds, cfg, rng_metric)
+    val_clusters = label_set_clusters(splits.val.label_matrix)
     points: list[EvalPoint] = []
     best_nmi: float | None = None
     best_iter: int | None = None
@@ -228,8 +266,8 @@ def train(
     phases.append((
         "metric",
         cfg.iterations,
-        lambda: _metric_batch_step(model, train_ds, cfg, lcfg, rng_metric),
-        lambda: _validation_scores(model, splits.val, kmeans_seed),
+        lambda: _metric_batch_step(model, train_ds, cfg, lcfg, batches),
+        lambda: _validation_scores(model, splits.val, val_clusters, kmeans_seed),
     ))
 
     for phase, iterations, step, score in phases:

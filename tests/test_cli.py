@@ -236,7 +236,7 @@ class TestTrain:
             key=lambda p: p["val_nmi"],
         )
         assert report["best_val_nmi"] == best["val_nmi"]
-        assert manifest["sampler_stream"] == 2
+        assert manifest["sampler_stream"] == 3
 
     @pytest.mark.parametrize("flags", [[], ["--pretrain"]], ids=["metric", "pretrain"])
     def test_zero_iterations_reports_no_validation_point(

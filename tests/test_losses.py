@@ -526,6 +526,11 @@ class TestMl2BatchLoss:
         with pytest.raises(ContractError, match=r"tau values must lie in \[0, 1\]"):
             ml2_loss(a, P, N, [np.nan, 0.5], CFG)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (6,), (2, 3, 4, 1)])
+    def test_stack_that_is_not_three_dimensional_rejected(self, shape):
+        with pytest.raises(ContractError, match=r"do not fit \(b, 1 \+ k, m\)"):
+            ml2_batch_loss(np.zeros(shape), [1, 1], np.zeros((2, 2)), CFG)
+
     def test_empty_negative_set_rejected(self):
         p = np.array([2, self.L])
         E, taus = self.random_batch(np.random.default_rng(2), np.array([2, self.L - 1]))

@@ -8,6 +8,7 @@ from mlembed.errors import ContractError, GroupRejected, SamplingError
 from mlembed import sampler
 from mlembed.losses import overlap_tau
 from mlembed.sampler import GroupBatch, build_minibatch, sample_group_ml2, sample_group_ml2plus
+from mlembed.trainer import DRAW_ANCHORS
 from conftest import make_dataset
 
 
@@ -511,6 +512,108 @@ class TestBatchedPath:
                 sizes = [np.size(out) for out in rng.results]
                 bound = b * ds.label_count * sampler.CANDIDATES
                 assert sizes and max(sizes) <= bound, (len(ds), regime)
+                # and one full block of the metric phase's steps
+                steps = DRAW_ANCHORS // b
+                rng = Recording(np.random.default_rng(73))
+                assert len(build_minibatch(ds, b, regime, rng, steps).p) == steps * b
+                sizes = [np.size(out) for out in rng.results]
+                assert sizes and max(sizes) <= steps * bound, (len(ds), regime, steps)
+
+
+def step_rows(batch, b, t):
+    """The rows, p and taus of step ``t`` of a block of ``b``-row steps."""
+    rows = slice(t * b, (t + 1) * b)
+    return GroupBatch(rows=batch.rows[rows], p=batch.p[rows], taus=batch.taus[rows])
+
+
+class TestBlocks:
+    """``steps`` steps of ``b`` rows drawn in one call: step t owns rows
+    ``[t * b, (t + 1) * b)``, and each step draws its anchors as a batch
+    of its own."""
+
+    @pytest.mark.parametrize("regime", ["ml2", "contrastive"])
+    def test_each_step_draws_distinct_anchors_uniformly(self, regime):
+        # 20 single-label examples, 5 per label: no group is ever rejected
+        ds = make_dataset([(f"x{k}-{i}", {k}) for k in range(4) for i in range(5)], label_count=4)
+        b, steps, blocks = 5, 40, 100
+        rng = np.random.default_rng(23)
+        anchors = np.concatenate([
+            build_minibatch(ds, b, regime, rng, steps).rows[:, 0].reshape(steps, b)
+            for _ in range(blocks)
+        ])
+        ordered = np.sort(anchors, axis=1)
+        assert (ordered[:, 1:] != ordered[:, :-1]).all()
+        n_steps, n = len(anchors), len(ds)
+        # every position as often as every other, in a step and in each column
+        for counts, q in ((np.bincount(anchors.ravel(), minlength=n), b / n),
+                          *((np.bincount(column, minlength=n), 1 / n) for column in anchors.T)):
+            sigma = (n_steps * q * (1 - q)) ** 0.5
+            assert np.abs(counts - n_steps * q).max() <= 5 * sigma, counts
+
+    def test_rejected_anchor_is_replaced_inside_its_step(self):
+        # b = 1 on ML2PLUS_P12: p1a, p1b and p12 are always rejected, so a
+        # step whose first anchor is one of them takes n0a or n0b instead
+        ds = make_dataset(ML2PLUS_P12, label_count=3)
+        steps, replaced = 6, 0
+        for seed in range(40):
+            rng = Recording(np.random.default_rng(seed))
+            try:
+                batch = build_minibatch(ds, 1, "ml2plus", rng, steps)
+            except SamplingError:
+                continue
+            first = np.concatenate(rng.results[:steps])  # each step's first anchor
+            for t in range(steps):
+                assert_group_rules(ds, step_rows(batch, 1, t), "ml2plus")
+                anchor = ds.ids[batch.rows[t, 0]]
+                assert anchor in ("n0a", "n0b")
+                replaced += anchor != ds.ids[first[t]]
+        assert replaced >= 20
+
+    def test_completed_anchors_stay_in_their_step(self):
+        # "all" carries every label, so its ML2+ group is always rejected;
+        # every other anchor completes, in the step that drew it
+        specs = [(f"s{k}-{i}", {k}) for k in range(3) for i in range(3)] + [("all", {0, 1, 2})]
+        ds = make_dataset(specs, label_count=3)
+        b, steps = 3, 30
+        rng = Recording(np.random.default_rng(8))
+        batch = build_minibatch(ds, b, "ml2plus", rng, steps)
+        first = rng.results[:steps]  # each step's first anchors
+        assert sum("all" in [ds.ids[a] for a in drawn] for drawn in first) >= 5
+        for t, drawn in enumerate(first):
+            step = step_rows(batch, b, t)
+            assert_group_rules(ds, step, "ml2plus")
+            assert set(drawn.tolist()) - {ds.ids.index("all")} <= set(step.rows[:, 0].tolist())
+
+    def test_step_that_cannot_be_filled_carries_the_steps_before_it(self):
+        # b = 2 on ML2PLUS_P12: a step fills only when both n0a and n0b
+        # complete, so most blocks of 8 steps stop part way
+        ds = make_dataset(ML2PLUS_P12, label_count=3)
+        stops = set()
+        for seed in range(20):
+            with pytest.raises(SamplingError) as excinfo:
+                build_minibatch(ds, 2, "ml2plus", np.random.default_rng(seed), 8)
+            assert str(excinfo.value).startswith("only ")
+            done = excinfo.value.batch
+            assert len(done.p) % 2 == 0 and len(done.p) < 16
+            for t in range(len(done.p) // 2):
+                step = step_rows(done, 2, t)
+                assert_group_rules(ds, step, "ml2plus")
+                assert sorted(ds.ids[a] for a in step.rows[:, 0]) == ["n0a", "n0b"]
+            stops.add(len(done.p) // 2)
+        assert len(stops) > 1 and max(stops) > 0
+
+    def test_steps_follow_the_group_rules(self, default_splits):
+        ds = default_splits.train
+        for regime, b in (("ml2plus", 10), ("ml2", 10), ("contrastive", 36), ("triplet", 36)):
+            steps = DRAW_ANCHORS // b
+            batch = build_minibatch(ds, b, regime, np.random.default_rng(74), steps)
+            assert len(batch.p) == steps * b
+            for t in range(steps):
+                assert_group_rules(ds, step_rows(batch, b, t), regime)
+
+    def test_invalid_step_count(self, default_splits):
+        with pytest.raises(ContractError, match="steps"):
+            build_minibatch(default_splits.train, 1, "ml2", np.random.default_rng(0), 0)
 
 
 class Recording:

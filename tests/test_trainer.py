@@ -5,13 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlembed.dataset import Dataset, DatasetSplits, SyntheticSpec, generate_synthetic
-from mlembed.errors import ConfigError, TrainingAbort
+from mlembed.dataset import (
+    Dataset, DatasetSplits, SyntheticSpec, generate_synthetic, labels_to_matrix,
+)
+from mlembed.errors import ConfigError, SamplingError, TrainingAbort
+from mlembed.evaluation import label_set_clusters
 from mlembed.losses import pretrain_batch_loss
 from mlembed.model import EmbeddingModel, EncoderConfig
 from mlembed.numeric import ParamStore
 from mlembed import trainer
 from mlembed.cli import main
+from mlembed.sampler import build_minibatch
 from mlembed.trainer import TrainConfig, lr_schedule, sgd_step, train
 from oracles import momentum_recurrence
 
@@ -168,8 +172,9 @@ class TestTrain:
         assert report.best_iteration < cfg.iterations
         kmeans_seed = int(np.random.SeedSequence(cfg.seed).spawn(4)[3].generate_state(1)[0])
         loaded = EmbeddingModel.load(tmp_path / (report.best_checkpoint + ".ckpt"))
+        clusters = label_set_clusters(splits.val.label_matrix)
         for scored in (model, loaded):
-            val_nmi, _ = trainer._validation_scores(scored, splits.val, kmeans_seed)
+            val_nmi, _ = trainer._validation_scores(scored, splits.val, clusters, kmeans_seed)
             assert val_nmi == report.best_val_nmi
 
     def test_pretrain_phase_precedes_metric(self):
@@ -221,6 +226,34 @@ class TestTrain:
             train(splits, cfg, TINY_ENCODER)
         assert excinfo.value.report is not None
         assert excinfo.value.report.points == []
+
+    def test_batches_do_not_depend_on_iterations(self):
+        # the metric phase draws whole blocks of DRAW_ANCHORS // 4 = 160
+        # steps, so a 150-step run trains on the first steps of a 300-step one
+        splits = tiny_splits()
+        short, long = (train(splits, tiny_config(iterations=n, eval_every=50), TINY_ENCODER)[1]
+                       for n in (150, 300))
+        assert len(short.points) == 3 and len(long.points) == 6
+        assert short.points == long.points[:3]
+
+    def test_step_that_cannot_be_filled_aborts_at_that_step(self):
+        # batch size 1 on ML2PLUS_P12: a step fails when both n0a and n0b
+        # are rejected, about one step in nine, part way through the block
+        ids, label_sets = ["p1a", "p1b", "p12", "n0a", "n0b"], [{1}, {1}, {1, 2}, {0}, {0}]
+        ds = Dataset(ids, np.random.default_rng(4).standard_normal((5, 8)),
+                     labels_to_matrix(ids, label_sets, 3))
+        cfg = tiny_config(batch_size=1, iterations=2 * trainer.DRAW_ANCHORS, eval_every=1)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[1])
+        with pytest.raises(SamplingError) as drawn:
+            build_minibatch(ds, 1, "ml2plus", rng, trainer.DRAW_ANCHORS)
+        stop = len(drawn.value.batch.p)
+        assert 2 <= stop < trainer.DRAW_ANCHORS  # the precondition for seed 5
+        with pytest.raises(TrainingAbort) as excinfo:
+            train(DatasetSplits(train=ds, val=ds), cfg, TINY_ENCODER)
+        assert str(excinfo.value) == f"metric phase: sampler exhausted: {drawn.value}"
+        points = excinfo.value.report.points
+        assert [p.iteration for p in points] == list(range(1, stop + 1))
+        assert all(np.isfinite(p.train_loss) for p in points)
 
     def test_pretrain_batch_beyond_split_aborts_with_report(self):
         splits = tiny_splits()
