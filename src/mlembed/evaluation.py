@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,8 +237,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _probe_objective(A: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
-    z = A @ w
+def _probe_objective(z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
+    """The objective at weights ``w`` whose scores ``A @ w`` are ``z``."""
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
     return loss + 0.5 * l2 * float(w[:-1] @ w[:-1])
 
@@ -264,20 +265,26 @@ def _fit_probe(train_X: np.ndarray, train_y: np.ndarray) -> np.ndarray:
     penalty = np.full(A.shape[1], PROBE_L2)
     penalty[-1] = 0.0
     w = np.zeros(A.shape[1])
+    z = A @ w
+    objective = _probe_objective(z, y, w, PROBE_L2)
     for _ in range(PROBE_MAX_NEWTON):
-        p = _sigmoid(A @ w)
+        p = _sigmoid(z)
         grad = A.T @ (p - y) / n + penalty * w
         if float(np.abs(grad).max()) < PROBE_TOL:
             return w
         hessian = (A.T * (p * (1.0 - p))) @ A / n + np.diag(penalty)
         step = np.linalg.solve(hessian, grad)
-        start = _probe_objective(A, y, w, PROBE_L2)
         scale = 1.0
-        while _probe_objective(A, y, w - scale * step, PROBE_L2) >= start:
+        while True:
+            trial = w - scale * step
+            trial_z = A @ trial
+            trial_objective = _probe_objective(trial_z, y, trial, PROBE_L2)
+            if not trial_objective >= objective:  # a NaN ends the search too
+                break
             scale *= 0.5
             if scale < PROBE_MIN_SCALE:
                 raise ContractError("logistic probe: no Newton step lowers the objective")
-        w = w - scale * step
+        w, z, objective = trial, trial_z, trial_objective  # the next step starts from them
     raise ContractError(f"logistic probe did not converge in {PROBE_MAX_NEWTON} Newton steps")
 
 
@@ -367,29 +374,56 @@ def evaluate_embeddings(
     eval_ds,
     recall_ks=(1, 2, 4, 8),
     kmeans_seed: int = 0,
-    probe_train: tuple[np.ndarray, np.ndarray] | None = None,
+    probe_train: tuple[np.ndarray | Future, np.ndarray] | None = None,
     normal_label: int = 0,
+    worker: Executor | None = None,
 ) -> MetricsReport:
     """Full clustering/retrieval/classification report on one split.
 
     ``probe_train`` supplies (embeddings, features-agnostic binary labels)
     for fitting the normal-vs-abnormal logistic probe; when omitted or
-    single-class, the classification block is left empty.
+    single-class, the classification block is left empty. The embeddings
+    may be a ``Future`` of :meth:`EmbeddingModel.embed`'s result, queued on
+    ``worker``.
+
+    The probe runs on ``worker``, a one-thread executor (one is opened for
+    the call when none is given), while this thread computes k-means, NMI
+    and Recall@K. Outputs and errors are those of the sequential order:
+    the training embeddings, then clustering and retrieval, then the probe.
     """
-    truth, k_truth = label_set_clusters(eval_ds.label_matrix)
-    predicted = kmeans(eval_embeddings, k_truth, seed=kmeans_seed).assignment
-    score = nmi(predicted, truth)
-
-    ks = [k for k in recall_ks if len(eval_ds) >= k + 1]
-    recall = recall_at_k(eval_embeddings, eval_ds.label_matrix, ks) if ks else {}
-
-    classification = None
+    if worker is None and probe_train is not None:
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            return evaluate_embeddings(
+                eval_embeddings, eval_ds, recall_ks, kmeans_seed, probe_train, normal_label, worker
+            )
+    probe = None
     if probe_train is not None:
-        train_E, train_y = probe_train
-        test_y = abnormal_labels(eval_ds, normal_label)
-        if len(np.unique(train_y)) == 2:
-            classification = logistic_probe(train_E, train_y, eval_embeddings, test_y)
+        probe = worker.submit(_probe, *probe_train, eval_embeddings, eval_ds, normal_label)
+    try:
+        truth, k_truth = label_set_clusters(eval_ds.label_matrix)
+        predicted = kmeans(eval_embeddings, k_truth, seed=kmeans_seed).assignment
+        score = nmi(predicted, truth)
+
+        ks = [k for k in recall_ks if len(eval_ds) >= k + 1]
+        recall = recall_at_k(eval_embeddings, eval_ds.label_matrix, ks) if ks else {}
+    except Exception:
+        train_E = probe_train[0] if probe_train is not None else None
+        if isinstance(train_E, Future) and train_E.exception() is not None:
+            raise train_E.exception() from None
+        raise
+    classification = probe.result() if probe is not None else None
     return MetricsReport(score, recall, classification, k_truth)
+
+
+def _probe(train_E, train_y, eval_embeddings, eval_ds, normal_label) -> ClassificationMetrics | None:
+    """The probe of :func:`evaluate_embeddings`, or ``None`` when the
+    training labels hold one class."""
+    if isinstance(train_E, Future):
+        train_E, _ = train_E.result()
+    test_y = abnormal_labels(eval_ds, normal_label)
+    if len(np.unique(train_y)) != 2:
+        return None
+    return logistic_probe(train_E, train_y, eval_embeddings, test_y)
 
 
 def abnormal_labels(ds, normal_label: int = 0) -> np.ndarray:

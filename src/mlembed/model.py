@@ -231,7 +231,8 @@ class EmbeddingModel:
             g = g * (pre[i] > 0.0)
             self.params.grad(f"W{i}")[...] += inputs[i].T @ g
             self.params.grad(f"c{i}")[...] += g.sum(axis=0)
-            g = g @ self.params.value(f"W{i}").T
+            if i:  # nothing reads the gradient of the input features
+                g = g @ self.params.value(f"W{i}").T
 
     def _check_input(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -6,10 +6,12 @@ except the frozen per-item implementations at the end, which are bitwise
 references for the array path.
 """
 
+import json
 import math
 
 import numpy as np
 
+from mlembed import evaluation
 from mlembed.errors import ContractError, DegenerateGroupError
 from mlembed.losses import EPSILON_DIST
 
@@ -335,3 +337,24 @@ def frozen_contrastive_loss(x1, x2, same, cfg):
         return 0.0, zero, zero.copy()
     g = (2.0 * slack / (d + EPSILON_DIST)) * diff
     return float(slack * slack), -g, g
+
+
+def sequential_eval_json(eval_E, eval_ds, train_E, train_y, recall_ks=(1, 2, 4, 8), normal_label=0):
+    """The ``mlembed eval`` payload, k-means seed 0, as its stages compose
+    one after another on one thread: the reference for the order in which
+    ``evaluate_embeddings`` overlaps them."""
+    truth, k_truth = evaluation.label_set_clusters(eval_ds.label_matrix)
+    score = evaluation.nmi(evaluation.kmeans(eval_E, k_truth, seed=0).assignment, truth)
+    recall = evaluation.recall_at_k(eval_E, eval_ds.label_matrix, recall_ks)
+    classification = None
+    if len(np.unique(train_y)) == 2:
+        test_y = evaluation.abnormal_labels(eval_ds, normal_label)
+        metrics = evaluation.logistic_probe(train_E, train_y, eval_E, test_y)
+        classification = vars(metrics)
+    payload = {
+        "nmi": score,
+        "recall_at": {str(k): recall[k] for k in sorted(recall_ks)},
+        "classification": classification,
+        "distinct_label_sets": k_truth,
+    }
+    return json.dumps(payload, indent=2) + "\n"

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shutil
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -11,11 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import forge_binary
-from mlembed import cli, errors, model, trainer
+from mlembed import cli, errors, evaluation, model, trainer
 from mlembed.cli import build_parser, load_config, load_dataset_dir, main
 from mlembed.dataset import SPLITS, SyntheticSpec
 from mlembed.errors import ConfigError, DataFormatError, MlembedError
 from mlembed.model import CHECKPOINT_MAGIC, EmbeddingModel
+from oracles import sequential_eval_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -567,6 +569,66 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir)])
         assert code == 1
         assert "test.jsonl:1" in capsys.readouterr().err
+
+
+
+class TestEvalWorker:
+    """``mlembed eval`` embeds the train split and fits the probe on one
+    worker thread; its output and its errors are those of the stages run
+    one after another: eval embedding, train embedding, clustering and
+    retrieval, probe."""
+
+    # Each failing stage waits its delay (s) and raises. The delays make the
+    # reported error finish last, so raising errors as they complete fails.
+    @pytest.mark.parametrize(
+        "delays, reported",
+        [
+            ({}, None),
+            ({"eval_embed": 0.1, "train_embed": 0, "kmeans": 0, "probe": 0}, "eval_embed"),
+            ({"train_embed": 0.1, "kmeans": 0, "probe": 0}, "train_embed"),
+            ({"kmeans": 0.1, "probe": 0}, "kmeans"),
+            ({"train_embed": 0}, "train_embed"),
+            ({"probe": 0}, "probe"),
+        ],
+    )
+    def test_first_error_in_sequential_order_and_worker_joined(
+        self, monkeypatch, data_dir, run_dir, capsys, delays, reported
+    ):
+        splits = load_dataset_dir(data_dir, ("train", "test"))
+        trained = EmbeddingModel.load(checkpoint_in(run_dir))
+        expected = sequential_eval_json(
+            trained.embed(splits.test.X)[0],
+            splits.test,
+            trained.embed(splits.train.X)[0],
+            evaluation.abnormal_labels(splits.train),
+        )
+        train_rows = len(splits.train)
+
+        def failing(fn, stage_of):
+            def stage(*args, **kwargs):
+                name = stage_of(*args)
+                if name in delays:
+                    time.sleep(delays[name])
+                    raise errors.EvaluationError(f"{name} failed")
+                return fn(*args, **kwargs)
+
+            return stage
+
+        embed_stage = lambda _, X: "train_embed" if len(X) == train_rows else "eval_embed"
+        monkeypatch.setattr(EmbeddingModel, "embed", failing(EmbeddingModel.embed, embed_stage))
+        monkeypatch.setattr(evaluation, "kmeans", failing(evaluation.kmeans, lambda *_: "kmeans"))
+        monkeypatch.setattr(
+            evaluation, "logistic_probe", failing(evaluation.logistic_probe, lambda *_: "probe")
+        )
+        threads = threading.active_count()
+        code = main(["eval", "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir)])
+        assert threading.active_count() == threads
+        out, err = capsys.readouterr()
+        if reported is None:
+            assert (code, out, err) == (0, expected, "")
+        else:
+            assert code == 2
+            assert err == f"mlembed: failure: {reported} failed\n"
 
 
 class TestEmptySplit:

@@ -1,4 +1,7 @@
+import json
 import math
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from oracles import (
     frozen_broadcast_kmeans,
     frozen_nmi,
     label_matrix_of,
+    sequential_eval_json,
 )
 
 
@@ -388,7 +392,7 @@ class TestLogisticProbe:
         assert logistic_probe(X, y, X, y).f1 == 1.0
 
     def test_no_descending_step_raises(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_probe_objective", lambda A, y, w, l2: 0.0)
+        monkeypatch.setattr(evaluation, "_probe_objective", lambda z, y, w, l2: 0.0)
         X, y, _, _ = separable_blobs()
         with pytest.raises(ContractError, match="no Newton step lowers"):
             _fit_probe(X, y)
@@ -479,3 +483,21 @@ class TestEvaluateEmbeddings:
             "specificity",
             "f1",
         }
+
+    @pytest.mark.parametrize("single_class", [False, True])
+    @pytest.mark.parametrize("as_future", [False, True])
+    def test_report_is_the_sequential_composition(self, default_splits, single_class, as_future):
+        test, train = default_splits.test, default_splits.train
+        train_y = evaluation.abnormal_labels(train)
+        if single_class:
+            train_y = np.ones_like(train_y)
+        train_E = train.X
+        if as_future:
+            train_E = Future()
+            train_E.set_result((train.X, None))
+        threads = threading.active_count()
+        report = evaluate_embeddings(test.X, test, probe_train=(train_E, train_y))
+        assert threading.active_count() == threads
+        assert (report.classification is None) == single_class
+        payload = json.dumps(report.as_dict(), indent=2) + "\n"
+        assert payload == sequential_eval_json(test.X, test, train.X, train_y)
