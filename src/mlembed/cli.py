@@ -20,10 +20,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import SPLITS, Dataset, DatasetSplits, SyntheticSpec, generate_synthetic
 from .dataset import load_dataset_dir, save_dataset_dir
 from .errors import ConfigError, DataFormatError, MlembedError
-from .evaluation import abnormal_labels, evaluate_embeddings, project_2d
+from .evaluation import abnormal_labels, evaluate_embeddings, probe, project_2d
 from .model import EmbeddingModel, EncoderConfig, check_type, read_json_object, write_atomic
 from .sampler import REGIMES
 from .trainer import TrainConfig, train
@@ -113,16 +115,31 @@ def _nonempty(splits: DatasetSplits, name: str) -> Dataset:
     return split
 
 
-def _labels_field(labels) -> str:
-    return "|".join(str(x) for x in sorted(labels))
+def _embedded_split(args) -> tuple[Dataset, np.ndarray]:
+    """The ``--split`` of ``--data`` and its embeddings under ``--checkpoint``."""
+    ds = _nonempty(load_dataset_dir(args.data, (args.split,)), args.split)
+    E, _ = EmbeddingModel.load(args.checkpoint).embed(ds.X)
+    return ds, E
 
 
-def _write_csv(path: Path, rows: list[list]) -> None:
-    """Write ``rows`` as CSV, moved into place whole (see
-    :func:`~mlembed.model.write_atomic`)."""
+def _write_csv(path: Path, ds: Dataset, columns: list[str], values: np.ndarray) -> None:
+    """Write a CSV of header ``id, columns..., labels`` and one row per
+    record of ``ds``: its id, its row of ``values`` and its labels joined by
+    ``|``, moved into place whole (see :func:`~mlembed.model.write_atomic`).
+    An id that UTF-8 cannot encode (a lone surrogate) is a DataFormatError,
+    raised before anything is written."""
     buffer = io.StringIO(newline="")
-    csv.writer(buffer).writerows(rows)
-    write_atomic(path, buffer.getvalue().encode("utf-8"))
+    writer = csv.writer(buffer)
+    writer.writerow(["id", *columns, "labels"])
+    for rid, row, labels in zip(ds.ids, values.tolist(), ds.labels):
+        writer.writerow([rid, *map(repr, row), "|".join(str(x) for x in sorted(labels))])
+    try:
+        data = buffer.getvalue().encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # the first id holding the character is the first row that fails
+        rid = next(rid for rid in ds.ids if exc.object[exc.start] in rid)
+        raise DataFormatError(f"record {rid!a}: id is not encodable as UTF-8") from None
+    write_atomic(path, data)
 
 
 # -- commands ----------------------------------------------------------------
@@ -169,6 +186,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Report on one split. This is the only code that opens a thread: one
+    worker embeds the train split and then fits the :func:`probe` on it,
+    while the calling thread embeds the eval split and runs
+    :func:`evaluate_embeddings` on it. Output and errors are those of the
+    stages run one after another: eval embedding, train embedding,
+    clustering and retrieval, probe."""
     config = load_config(args)
     with _section("eval"):
         eval_cfg = EvalConfig(**config["eval"])
@@ -181,24 +204,25 @@ def cmd_eval(args) -> int:
         )
     train_ds = _nonempty(splits, "train")
     model = EmbeddingModel.load(args.checkpoint)  # embed checks its input width
+    train_y = abnormal_labels(train_ds, eval_cfg.normal_label)
 
-    # The worker embeds the train split and then fits the probe on it, while
-    # this thread embeds the eval split and clusters and ranks it. The future
-    # holds embed's cache until the call ends: dropped on the worker mid-call,
-    # its pages were returned and faulted in again by every call's worker
-    # (about 1,500 faults, 2 ms).
+    # train_E holds embed's cache until the block ends: dropped on the worker
+    # mid-call, its pages were returned and faulted in again by every call's
+    # worker (about 1,500 faults, 2 ms).
     with ThreadPoolExecutor(max_workers=1) as worker:
         train_E = worker.submit(model.embed, train_ds.X)
         eval_E, _ = model.embed(eval_ds.X)
-        report = evaluate_embeddings(
-            eval_E,
-            eval_ds,
-            recall_ks=eval_cfg.recall_ks,
-            kmeans_seed=eval_cfg.kmeans_seed,
-            probe_train=(train_E, abnormal_labels(train_ds, eval_cfg.normal_label)),
-            normal_label=eval_cfg.normal_label,
-            worker=worker,
+        classification = worker.submit(
+            lambda: probe(train_E.result()[0], train_y, eval_E, eval_ds, eval_cfg.normal_label)
         )
+        try:
+            report = evaluate_embeddings(
+                eval_E, eval_ds, recall_ks=eval_cfg.recall_ks, kmeans_seed=eval_cfg.kmeans_seed
+            )
+        except Exception:
+            train_E.result()  # a failed train embedding is reported first
+            raise
+        report.classification = classification.result()
     payload = json.dumps(report.as_dict(), indent=2) + "\n"
     if args.out:
         write_atomic(Path(args.out), payload.encode("utf-8"))
@@ -209,28 +233,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    eval_ds = _nonempty(load_dataset_dir(args.data, (args.split,)), args.split)
-    model = EmbeddingModel.load(args.checkpoint)
-    E, _ = model.embed(eval_ds.X)
-    rows = [["id", *[f"e{i}" for i in range(E.shape[1])], "labels"]]
-    for rid, row, labels in zip(eval_ds.ids, E, eval_ds.labels):
-        rows.append([rid, *[repr(float(v)) for v in row], _labels_field(labels)])
-    _write_csv(Path(args.out), rows)
+    ds, E = _embedded_split(args)
+    _write_csv(Path(args.out), ds, [f"e{i}" for i in range(E.shape[1])], E)
     print(f"wrote {E.shape[0]} embeddings to {args.out}")
     return 0
 
 
 def cmd_project(args) -> int:
-    eval_ds = _nonempty(load_dataset_dir(args.data, (args.split,)), args.split)
-    model = EmbeddingModel.load(args.checkpoint)
-    E, _ = model.embed(eval_ds.X)
+    ds, E = _embedded_split(args)
     result = project_2d(E)
     if result.degenerate:
         print("warning: zero-variance embeddings; projection is all zeros", file=sys.stderr)
-    rows = [["id", "x", "y", "labels"]]
-    for rid, (x, y), labels in zip(eval_ds.ids, result.coords, eval_ds.labels):
-        rows.append([rid, repr(float(x)), repr(float(y)), _labels_field(labels)])
-    _write_csv(Path(args.out), rows)
+    _write_csv(Path(args.out), ds, ["x", "y"], result.coords)
     print(f"wrote {result.coords.shape[0]} projected points to {args.out}")
     return 0
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,56 +373,29 @@ def evaluate_embeddings(
     eval_ds,
     recall_ks=(1, 2, 4, 8),
     kmeans_seed: int = 0,
-    probe_train: tuple[np.ndarray | Future, np.ndarray] | None = None,
-    normal_label: int = 0,
-    worker: Executor | None = None,
 ) -> MetricsReport:
-    """Full clustering/retrieval/classification report on one split.
+    """Clustering and retrieval report on one split: label-set clusters,
+    k-means, NMI and Recall@K, in that order. Its ``classification`` is
+    left empty; :func:`probe` computes it, and ``mlembed eval``'s
+    ``cmd_eval``, the only owner of a worker thread, runs the two side by
+    side."""
+    truth, k_truth = label_set_clusters(eval_ds.label_matrix)
+    predicted = kmeans(eval_embeddings, k_truth, seed=kmeans_seed).assignment
+    score = nmi(predicted, truth)
 
-    ``probe_train`` supplies (embeddings, features-agnostic binary labels)
-    for fitting the normal-vs-abnormal logistic probe; when omitted or
-    single-class, the classification block is left empty. The embeddings
-    may be a ``Future`` of :meth:`EmbeddingModel.embed`'s result, queued on
-    ``worker``.
-
-    The probe runs on ``worker``, a one-thread executor (one is opened for
-    the call when none is given), while this thread computes k-means, NMI
-    and Recall@K. Outputs and errors are those of the sequential order:
-    the training embeddings, then clustering and retrieval, then the probe.
-    """
-    if worker is None and probe_train is not None:
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            return evaluate_embeddings(
-                eval_embeddings, eval_ds, recall_ks, kmeans_seed, probe_train, normal_label, worker
-            )
-    probe = None
-    if probe_train is not None:
-        probe = worker.submit(_probe, *probe_train, eval_embeddings, eval_ds, normal_label)
-    try:
-        truth, k_truth = label_set_clusters(eval_ds.label_matrix)
-        predicted = kmeans(eval_embeddings, k_truth, seed=kmeans_seed).assignment
-        score = nmi(predicted, truth)
-
-        ks = [k for k in recall_ks if len(eval_ds) >= k + 1]
-        recall = recall_at_k(eval_embeddings, eval_ds.label_matrix, ks) if ks else {}
-    except Exception:
-        train_E = probe_train[0] if probe_train is not None else None
-        if isinstance(train_E, Future) and train_E.exception() is not None:
-            raise train_E.exception() from None
-        raise
-    classification = probe.result() if probe is not None else None
-    return MetricsReport(score, recall, classification, k_truth)
+    ks = [k for k in recall_ks if len(eval_ds) >= k + 1]
+    recall = recall_at_k(eval_embeddings, eval_ds.label_matrix, ks) if ks else {}
+    return MetricsReport(score, recall, None, k_truth)
 
 
-def _probe(train_E, train_y, eval_embeddings, eval_ds, normal_label) -> ClassificationMetrics | None:
-    """The probe of :func:`evaluate_embeddings`, or ``None`` when the
-    training labels hold one class."""
-    if isinstance(train_E, Future):
-        train_E, _ = train_E.result()
-    test_y = abnormal_labels(eval_ds, normal_label)
+def probe(train_E, train_y, eval_E, eval_ds, normal_label: int = 0) -> ClassificationMetrics | None:
+    """The normal-vs-abnormal :func:`logistic_probe` fit on the training
+    embeddings ``train_E`` and binary labels ``train_y``, and scored on the
+    eval split's embeddings against its :func:`abnormal_labels`; ``None``
+    when ``train_y`` holds one class."""
     if len(np.unique(train_y)) != 2:
         return None
-    return logistic_probe(train_E, train_y, eval_embeddings, test_y)
+    return logistic_probe(train_E, train_y, eval_E, abnormal_labels(eval_ds, normal_label))
 
 
 def abnormal_labels(ds, normal_label: int = 0) -> np.ndarray:

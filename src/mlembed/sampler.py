@@ -217,7 +217,6 @@ def _one_anchor(regime: str, ds: Dataset, a: int, rng) -> tuple[list[int], int, 
 sample_group_ml2 = partial(_one_anchor, "ml2")
 sample_group_ml2plus = partial(_one_anchor, "ml2plus")
 sample_pair = partial(_one_anchor, "contrastive")
-sample_triplet = partial(_one_anchor, "triplet")
 
 
 def build_minibatch(ds: Dataset, b: int, regime: str, rng, steps: int = 1) -> GroupBatch:

@@ -341,8 +341,8 @@ def frozen_contrastive_loss(x1, x2, same, cfg):
 
 def sequential_eval_json(eval_E, eval_ds, train_E, train_y, recall_ks=(1, 2, 4, 8), normal_label=0):
     """The ``mlembed eval`` payload, k-means seed 0, as its stages compose
-    one after another on one thread: the reference for the order in which
-    ``evaluate_embeddings`` overlaps them."""
+    one after another on one thread: the reference for ``mlembed eval``,
+    which overlaps the probe with clustering and retrieval."""
     truth, k_truth = evaluation.label_set_clusters(eval_ds.label_matrix)
     score = evaluation.nmi(evaluation.kmeans(eval_E, k_truth, seed=0).assignment, truth)
     recall = evaluation.recall_at_k(eval_E, eval_ds.label_matrix, recall_ks)

@@ -1177,6 +1177,25 @@ class TestEmbedAndProject:
         assert len(rows) == TINY_CONFIG["data"]["test_examples"]
         assert all(float(x) == 0.0 and float(y) == 0.0 for _, x, y, _ in rows)
 
+    @pytest.mark.parametrize("command", ["embed", "project"])
+    def test_id_with_a_lone_surrogate_exits_one_and_writes_nothing(
+        self, tmp_path, data_dir, run_dir, capsys, command
+    ):
+        # JSON admits a lone surrogate in a string; UTF-8 cannot encode it
+        path = data_dir / "test.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[3])
+        record["id"] = "\ud800x"
+        lines[3] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+        out = tmp_path / "out.csv"
+        argv = [command, "--checkpoint", str(checkpoint_in(run_dir)), "--data", str(data_dir)]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.isascii()
+        assert err.startswith("mlembed: error: ") and repr("\ud800x") in err
+        assert list(tmp_path.glob("out.csv*")) == []
+
 
 class TestUsageErrors:
     def test_no_command_exits_one(self):

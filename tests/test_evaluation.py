@@ -1,7 +1,6 @@
 import json
 import math
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from mlembed.evaluation import (
     label_set_clusters,
     logistic_probe,
     nmi,
+    probe,
     project_2d,
     recall_at_k,
 )
@@ -470,7 +470,9 @@ class TestEvaluateEmbeddings:
         E /= np.linalg.norm(E, axis=1, keepdims=True)
         train_E = rng.standard_normal((len(default_splits.train), 8))
         train_y = np.array([0.0 if 0 in labels else 1.0 for labels in default_splits.train.labels])
-        report = evaluate_embeddings(E, ds, probe_train=(train_E, train_y))
+        report = evaluate_embeddings(E, ds)
+        assert report.classification is None
+        report.classification = probe(train_E, train_y, E, ds)
         payload = report.as_dict()
         assert set(payload) == {"nmi", "recall_at", "classification", "distinct_label_sets"}
         assert 0.0 <= payload["nmi"] <= 1.0
@@ -485,19 +487,30 @@ class TestEvaluateEmbeddings:
         }
 
     @pytest.mark.parametrize("single_class", [False, True])
-    @pytest.mark.parametrize("as_future", [False, True])
-    def test_report_is_the_sequential_composition(self, default_splits, single_class, as_future):
+    def test_report_is_the_sequential_composition(self, default_splits, single_class):
         test, train = default_splits.test, default_splits.train
         train_y = evaluation.abnormal_labels(train)
         if single_class:
             train_y = np.ones_like(train_y)
-        train_E = train.X
-        if as_future:
-            train_E = Future()
-            train_E.set_result((train.X, None))
         threads = threading.active_count()
-        report = evaluate_embeddings(test.X, test, probe_train=(train_E, train_y))
+        report = evaluate_embeddings(test.X, test)
+        report.classification = probe(train.X, train_y, test.X, test)
         assert threading.active_count() == threads
         assert (report.classification is None) == single_class
         payload = json.dumps(report.as_dict(), indent=2) + "\n"
         assert payload == sequential_eval_json(test.X, test, train.X, train_y)
+
+
+class TestProbe:
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_single_class_train_labels_give_none(self, default_splits, label):
+        train, test = default_splits.train, default_splits.test
+        assert probe(train.X, np.full(len(train), label), test.X, test) is None
+
+    @pytest.mark.parametrize("normal_label", [0, 1])
+    def test_equals_logistic_probe_of_the_same_inputs(self, default_splits, normal_label):
+        train, test = default_splits.train, default_splits.test
+        train_y = evaluation.abnormal_labels(train, normal_label)
+        test_y = evaluation.abnormal_labels(test, normal_label)
+        expected = logistic_probe(train.X, train_y, test.X, test_y)
+        assert probe(train.X, train_y, test.X, test, normal_label) == expected
